@@ -17,9 +17,9 @@ from .dataset import (Dataset, PerturbationLog, RNG_ALGORITHM,
                       load_log, make_rng, round_half_up, save_csv, save_log,
                       standardize)
 from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
-                    PROB_EPS, cross_validate_lambda, minimize_lbfgs,
-                    penalized_nll, predict_prob, predict_prob_batch,
-                    sigmoid, train_logistic)
+                    PROB_EPS, cross_validate_lambda, penalized_nll,
+                    predict_prob, predict_prob_batch, sigmoid,
+                    train_logistic)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                     McodeModel, RhoMatrix, estimate_rho, factor_features,
                     fit_mcode, load_model, pseudo_joint, save_model)

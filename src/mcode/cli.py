@@ -147,7 +147,7 @@ def _resolve(args, defaults: dict) -> dict:
         with open(path) as fh:
             try:
                 file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -155,6 +155,11 @@ def _resolve(args, defaults: dict) -> dict:
         if unknown:
             raise ConfigError(
                 f"{path}: unknown config keys {sorted(unknown)}")
+        for name in ("methods", "modes"):
+            if name in file_values and not isinstance(file_values[name],
+                                                      list):
+                raise ConfigError(f"{path}: {name!r} must be a list, got "
+                                  f"{file_values[name]!r}")
 
     resolved = {}
     for name, default in defaults.items():

@@ -174,7 +174,7 @@ def load_log(path) -> PerturbationLog:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     return PerturbationLog.from_dict(doc)
 
@@ -200,18 +200,21 @@ def load_csv(path, n_outputs: int) -> Dataset:
 
     names = None
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for record in reader:
-            if not record or all(not f.strip() for f in record):
-                continue
-            if record[0].lstrip().startswith("#"):
-                continue
-            if names is None and not rows and any(
-                    _parse_field(f) is None for f in record):
-                names = [f.strip() for f in record]
-                continue
-            rows.append((reader.line_num, record))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for record in reader:
+                if not record or all(not f.strip() for f in record):
+                    continue
+                if record[0].lstrip().startswith("#"):
+                    continue
+                if names is None and not rows and any(
+                        _parse_field(f) is None for f in record):
+                    names = [f.strip() for f in record]
+                    continue
+                rows.append((reader.line_num, record))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
 
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -97,8 +97,12 @@ def tpar_curve(scores: ScoreVector, truth, grid=None) -> EvalCurve:
         raise ConfigError("alert rate grid must not be empty")
     if sorted(rates) != rates or len(set(rates)) != len(rates):
         raise ConfigError("alert rate grid must be strictly ascending")
-    values = [tpar(scores, truth, r) for r in rates]
-    return EvalCurve(alert_rates=np.array(rates), tpar_values=np.array(values))
+    mask = _check_truth(scores, truth)
+    counts = np.array([_alert_count(r, n) for r in rates])
+    # rates ascend, so the last count is the largest
+    hits = np.cumsum(mask[rank_descending(scores.scores)][:counts[-1]])
+    return EvalCurve(alert_rates=np.array(rates),
+                     tpar_values=hits[counts - 1] / counts)
 
 
 def make_report(method: str, dim_fraction: float, values) -> TrialReport:

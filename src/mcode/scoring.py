@@ -177,28 +177,32 @@ def load_score_table(path):
 
     entries = []
     method = None
-    with open(path) as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "instance_index,method,score":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {line_num}: expected 3 fields")
-            try:
-                idx = int(parts[0])
-                score = float(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_num}: {exc}") from exc
-            if method is None:
-                method = parts[1]
-            elif parts[1] != method:
-                raise DataError(
-                    f"{path}: line {line_num}: mixed methods "
-                    f"{method!r} and {parts[1]!r}")
-            entries.append((idx, score))
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
+    for line_num, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "instance_index,method,score":
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{path}: line {line_num}: expected 3 fields")
+        try:
+            idx = int(parts[0])
+            score = float(parts[2])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_num}: {exc}") from exc
+        if method is None:
+            method = parts[1]
+        elif parts[1] != method:
+            raise DataError(
+                f"{path}: line {line_num}: mixed methods "
+                f"{method!r} and {parts[1]!r}")
+        entries.append((idx, score))
     if not entries:
         raise DataError(f"{path}: no score rows")
     n = len(entries)

@@ -190,6 +190,24 @@ class TestDetect:
         records = (out / "report.jsonl").read_text().splitlines()
         assert len(records) == 2
 
+    def test_config_list_keys_reject_strings(self, tmp_path, dataset_file):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"methods": "lof"}))
+        out = tmp_path / "run"
+        assert run("detect", "--config", config, "--dataset", dataset_file,
+                   "--n-outputs", 3, "--dim-fraction", "0.34",
+                   "--out-dir", out) == 1
+        assert not out.exists()
+        config.write_text(json.dumps({"modes": "independent"}))
+        assert run("fit", "--config", config, "--dataset", dataset_file,
+                   "--n-outputs", 3, "--lambda", "1.0",
+                   "--out-dir", out) == 1
+        assert not out.exists()
+        config.write_bytes(b"\xff\xfe{}")
+        assert run("detect", "--config", config, "--dataset", dataset_file,
+                   "--n-outputs", 3, "--dim-fraction", "0.34",
+                   "--out-dir", out) == 1
+
     def test_unknown_config_key(self, tmp_path, dataset_file):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": str(dataset_file),
@@ -225,6 +243,12 @@ class TestEval:
         log = tmp_path / "log.json"
         log.write_text("{broken")
         assert run("eval", "--scores", scores, "--log", log) == 2
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xff\xfe1,2,0\n")
+        assert run("eval", "--scores", undecodable, "--log", log) == 2
+        assert run("eval", "--scores", scores, "--log", undecodable) == 2
+        assert run("detect", "--dataset", undecodable, "--n-outputs", 1,
+                   "--dim-fraction", "0.5", "--out-dir", tmp_path) == 2
 
 
 class TestTopLevel:
