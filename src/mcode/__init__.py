@@ -18,15 +18,14 @@ from .dataset import (Dataset, PerturbationLog, RNG_ALGORITHM,
                       standardize)
 from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
                     PROB_EPS, cross_validate_lambda, penalized_nll,
-                    predict_prob, predict_prob_batch, sigmoid,
-                    train_logistic)
+                    predict_prob_batch, train_logistic)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                     McodeModel, RhoMatrix, estimate_rho, factor_features,
-                    fit_mcode, load_model, pseudo_joint, save_model)
+                    fit_mcode, load_model, save_model)
 from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
-                      WeightVector, brier_per_dimension, build_neighbor_index,
-                      global_weights, local_weights, rank_descending,
-                      score_lrw, score_prod, score_rw)
+                      WeightVector, brier_per_dimension, global_weights,
+                      local_weights, rank_descending, score_lrw, score_prod,
+                      score_rw)
 from .lof import LofConfig, lof_scores
 from .evaluation import (EvalCurve, METHODS, TrialReport, atpar,
                          run_experiment, score_methods, tpar, tpar_curve)

@@ -1,9 +1,11 @@
 """Command line front end: simulate, fit, detect, eval.
 
-Every flag can also come from a JSON config file (--config); explicit
-flags win. Output artifacts carry a header with the tool version, the
-seed, and a hash of the resolved configuration so results can be traced
-back to the exact run that produced them.
+OPTIONS declares each option once. Every flag can also come from a JSON
+config file (--config) under its OPTIONS key; explicit flags win, and
+every value is checked before any file is written. Output artifacts carry
+a header with the tool version, the seed, and a hash of the resolved
+configuration so results can be traced back to the exact run that
+produced them.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -14,9 +16,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import ConfigError, DataError, DomainError, NumericalError
@@ -31,30 +35,105 @@ from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar, run_experiment,
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of a detect run."""
+class Option:
+    """One option: its flag, the kind of value it takes, its default, its
+    help text and the range its values must lie in. The option's name in
+    OPTIONS is its config-file key."""
 
-    dataset: str
-    n_outputs: int
-    methods: tuple
-    ratio: float = 0.01
-    dim_fraction: float = 0.1
-    k_lof: int = 100
-    k_lrw: int = 100
-    lam: float | None = None  # fixed penalty; None means cross-validate
-    cv_grid: tuple = DEFAULT_LAMBDA_GRID
-    cv_folds: int = 5
-    repeats: int = 10
-    seed: int = 0
-    upper: float = DEFAULT_UPPER_RATE
-    fit_on_original: bool = False
-    out_dir: str = "mcode_out"
+    flag: str
+    kind: str  # a key of _KINDS
+    default: object = None
+    help: str = ""
+    valid: Callable[[object], bool] = lambda value: True
+    expect: str = ""  # the values valid() accepts; the kind's noun if empty
+    required: bool = False
+    choices: tuple | None = None
 
-    def lambda_policy(self):
-        if self.lam is not None:
-            return FixedLambda(float(self.lam))
-        return CvLambda(grid=tuple(self.cv_grid), folds=self.cv_folds,
-                        seed=self.seed)
+
+# kind: (JSON types a config value may take, argparse keywords of the
+# flag, what a value must be)
+_KINDS = {
+    "int": ((int,), {"type": int}, "an integer"),
+    "number": ((int, float), {"type": float}, "a number"),
+    "str": ((str,), {}, "a string"),
+    "bool": ((bool,), {"action": "store_true"}, "true or false"),
+    "list": ((list,), {"nargs": "+"}, "a list"),
+    "grid": ((str, list), {}, "a comma-separated string or a list"),
+}
+
+
+def _at_least(low):
+    return dict(valid=lambda v: v >= low, expect=f"an integer >= {low}")
+
+
+_RATE = dict(valid=lambda v: 0.0 < v <= 1.0, expect="a number in (0, 1]")
+
+
+def _one_or_more_of(choices):
+    return dict(choices=choices,
+                valid=lambda v: len(v) > 0 and all(x in choices for x in v),
+                expect=f"a non-empty list of {', '.join(choices)}")
+
+
+def _parse_grid(value) -> tuple:
+    """Penalty grid from a comma-separated string or a list of numbers."""
+    items = value.split(",") if isinstance(value, str) else value
+    if any(isinstance(v, bool) for v in items):
+        raise TypeError("booleans are not penalties")
+    return tuple(float(v) for v in items)
+
+
+def _penalties(values) -> bool:
+    return len(values) > 0 and all(math.isfinite(v) and v >= 0.0
+                                   for v in values)
+
+
+OPTIONS = {
+    "dataset": Option("--dataset", "str", None, "input CSV", required=True),
+    "n_outputs": Option("--n-outputs", "int", None,
+                        "number of output columns", required=True,
+                        **_at_least(1)),
+    "methods": Option("--methods", "list", list(METHODS), "scores to compute",
+                      **_one_or_more_of(METHODS)),
+    "modes": Option("--modes", "list", [FULL_CONDITIONAL], "models to fit",
+                    **_one_or_more_of(MODES)),
+    "ratio": Option("--ratio", "number", 0.01, "fraction of rows made "
+                    "outliers", **_RATE),
+    "dim_fraction": Option("--dim-fraction", "number", None,
+                           "fraction of an outlier's outputs flipped",
+                           required=True, **_RATE),
+    "k_lof": Option("--k-lof", "int", 100, "LOF neighbors", **_at_least(1)),
+    "k_lrw": Option("--k-lrw", "int", 100, "LRW neighbors", **_at_least(1)),
+    "lam": Option("--lambda", "number", None,
+                  "fixed penalty (skips cross-validation)",
+                  lambda v: _penalties([float(v)]), "a finite number >= 0"),
+    "cv_grid": Option("--cv-grid", "grid", None,
+                      "comma-separated penalty grid",
+                      lambda v: _penalties(_parse_grid(v)),
+                      "a non-empty comma-separated string or list of finite "
+                      "numbers >= 0"),
+    "cv_folds": Option("--cv-folds", "int", 5, "cross-validation folds",
+                       **_at_least(2)),
+    "repeats": Option("--repeats", "int", 10, "injection repeats",
+                      **_at_least(1)),
+    "upper": Option("--upper", "number", DEFAULT_UPPER_RATE,
+                    "upper alert rate for ATPAR", **_RATE),
+    "fit_on_original": Option("--fit-on-original", "bool", False,
+                              "fit models on the clean data, score the "
+                              "contaminated data"),
+    "scores": Option("--scores", "str", None,
+                     "score table written by detect", required=True),
+    "log_path": Option("--log", "str", None,
+                       "perturbation log with the ground truth",
+                       required=True),
+    "curve_out": Option("--curve-out", "str", None,
+                        "write the TPAR curve to this CSV file"),
+    "seed": Option("--seed", "int", 0, "random seed", **_at_least(0)),
+    "out_dir": Option("--out-dir", "str", "mcode_out", "artifact directory"),
+}
+
+# Options every subcommand takes, after its own.
+_COMMON = ("seed", "out_dir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,10 +143,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out-dir", dest="out_dir", default=None)
+def _add_flag(parser, key):
+    opt = OPTIONS[key]
+    extra = {"choices": opt.choices} if opt.choices else {}
+    parser.add_argument(opt.flag, dest=key, default=None, help=opt.help,
+                        **_KINDS[opt.kind][1], **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,71 +156,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mcode {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", parents=[], add_help=True,
-                          help="inject output-bit outliers into a dataset")
-    sim.add_argument("--dataset")
-    sim.add_argument("--n-outputs", dest="n_outputs", type=int, default=None)
-    sim.add_argument("--ratio", type=float, default=None)
-    sim.add_argument("--dim-fraction", dest="dim_fraction", type=float,
-                     default=None)
-    _add_common(sim)
-    sim.set_defaults(func=cmd_simulate)
-
-    fit = subs.add_parser("fit", help="fit factor models and persist them")
-    fit.add_argument("--dataset")
-    fit.add_argument("--n-outputs", dest="n_outputs", type=int, default=None)
-    fit.add_argument("--modes", nargs="+", choices=MODES, default=None)
-    fit.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="fixed penalty (skips cross-validation)")
-    fit.add_argument("--cv-grid", dest="cv_grid", default=None,
-                     help="comma-separated penalty grid")
-    fit.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
-    _add_common(fit)
-    fit.set_defaults(func=cmd_fit)
-
-    det = subs.add_parser("detect",
-                          help="inject, fit, score, and evaluate in one run")
-    det.add_argument("--dataset")
-    det.add_argument("--n-outputs", dest="n_outputs", type=int, default=None)
-    det.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    det.add_argument("--ratio", type=float, default=None)
-    det.add_argument("--dim-fraction", dest="dim_fraction", type=float,
-                     default=None)
-    det.add_argument("--k-lof", dest="k_lof", type=int, default=None)
-    det.add_argument("--k-lrw", dest="k_lrw", type=int, default=None)
-    det.add_argument("--lambda", dest="lam", type=float, default=None)
-    det.add_argument("--cv-grid", dest="cv_grid", default=None)
-    det.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
-    det.add_argument("--repeats", type=int, default=None)
-    det.add_argument("--upper", type=float, default=None,
-                     help="upper alert rate for ATPAR")
-    det.add_argument("--fit-on-original", dest="fit_on_original",
-                     action="store_true", default=None,
-                     help="fit models on the clean data, score the "
-                          "contaminated data")
-    _add_common(det)
-    det.set_defaults(func=cmd_detect)
-
-    ev = subs.add_parser("eval",
-                         help="re-evaluate a stored score table against a "
-                              "perturbation log")
-    ev.add_argument("--scores", help="score table written by detect")
-    ev.add_argument("--log", dest="log_path",
-                    help="perturbation log with the ground truth")
-    ev.add_argument("--upper", type=float, default=None)
-    ev.add_argument("--curve-out", dest="curve_out", default=None,
-                    help="write the TPAR curve to this CSV file")
-    _add_common(ev)
-    ev.set_defaults(func=cmd_eval)
-
+    for name, (func, help_text, keys) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for key in keys:
+            _add_flag(sub, key)
+        sub.add_argument("--config", help="JSON file of flag defaults")
+        for key in _COMMON:
+            _add_flag(sub, key)
+        sub.set_defaults(func=func)
     return parser
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge flag values over config-file values over built-in defaults."""
+def _check(key, value):
+    opt = OPTIONS[key]
+    if value is None and opt.required:
+        raise ConfigError(f"{opt.flag} is required")
+    if value is None and opt.default is None:
+        return
+    types, _, noun = _KINDS[opt.kind]
+    try:
+        ok = isinstance(value, types) and (
+            bool in types or not isinstance(value, bool)) and opt.valid(value)
+    except (OverflowError, TypeError, ValueError):  # e.g. float(10**400)
+        ok = False
+    if not ok:
+        raise ConfigError(f"{opt.flag} (config key {key!r}) must be "
+                          f"{opt.expect or noun}, got {value!r}")
+
+
+def _resolve(args) -> dict:
+    """Merge flag values over config-file values over the defaults of
+    OPTIONS, and check every value against its option."""
+    keys = COMMANDS[args.command][2] + _COMMON
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file {path} not found")
@@ -151,33 +200,34 @@ def _resolve(args, defaults: dict) -> dict:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(keys)
         if unknown:
             raise ConfigError(
                 f"{path}: unknown config keys {sorted(unknown)}")
-        for name in ("methods", "modes"):
-            if name in file_values and not isinstance(file_values[name],
-                                                      list):
-                raise ConfigError(f"{path}: {name!r} must be a list, got "
-                                  f"{file_values[name]!r}")
 
     resolved = {}
-    for name, default in defaults.items():
-        flag = getattr(args, name, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
-            resolved[name] = flag
-        elif name in file_values:
-            resolved[name] = file_values[name]
+            resolved[key] = flag
+        elif key in file_values:
+            resolved[key] = file_values[key]
         else:
-            resolved[name] = default
+            resolved[key] = OPTIONS[key].default
+        _check(key, resolved[key])
+    if resolved.get("lam") is not None and resolved.get("cv_grid") is not None:
+        raise ConfigError("--lambda and --cv-grid are mutually exclusive")
     return resolved
 
 
-def _require(resolved: dict, *names):
-    for name in names:
-        if resolved[name] is None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} is required")
+def _lambda_policy(resolved):
+    if resolved["lam"] is not None:
+        return FixedLambda(resolved["lam"])
+    grid = DEFAULT_LAMBDA_GRID
+    if resolved["cv_grid"] is not None:
+        grid = _parse_grid(resolved["cv_grid"])
+    return CvLambda(grid=grid, folds=resolved["cv_folds"],
+                    seed=resolved["seed"])
 
 
 def _config_hash(resolved: dict) -> str:
@@ -196,38 +246,8 @@ def _meta(seed, cfg_hash):
             "config_hash": cfg_hash}
 
 
-def _check_rate(name: str, value, allow_none=False):
-    if value is None and allow_none:
-        return
-    if not isinstance(value, (int, float)) or not (0.0 < float(value) <= 1.0):
-        raise ConfigError(f"--{name} must be in (0, 1], got {value!r}")
-
-
-def _check_positive_int(name: str, value):
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"--{name} must be a positive integer, got {value!r}")
-
-
-def _parse_grid(text):
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        values = list(text)
-    else:
-        values = text.split(",")
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad penalty grid {text!r}: {exc}") from exc
-
-
 def cmd_simulate(args) -> int:
-    resolved = _resolve(args, {
-        "dataset": None, "n_outputs": None, "ratio": 0.01,
-        "dim_fraction": None, "seed": 0, "out_dir": "mcode_out"})
-    _require(resolved, "dataset", "n_outputs", "dim_fraction")
-    _check_rate("ratio", resolved["ratio"])
-    _check_rate("dim-fraction", resolved["dim_fraction"])
+    resolved = _resolve(args)
     cfg_hash = _config_hash(resolved)
 
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
@@ -247,22 +267,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    resolved = _resolve(args, {
-        "dataset": None, "n_outputs": None, "modes": [FULL_CONDITIONAL],
-        "lam": None, "cv_grid": None, "cv_folds": 5, "seed": 0,
-        "out_dir": "mcode_out"})
-    _require(resolved, "dataset", "n_outputs")
-    if resolved["lam"] is not None and resolved["cv_grid"] is not None:
-        raise ConfigError("--lambda and --cv-grid are mutually exclusive")
+    resolved = _resolve(args)
     cfg_hash = _config_hash(resolved)
 
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
-    if resolved["lam"] is not None:
-        policy = FixedLambda(resolved["lam"])
-    else:
-        grid = _parse_grid(resolved["cv_grid"]) or DEFAULT_LAMBDA_GRID
-        policy = CvLambda(grid=grid, folds=resolved["cv_folds"],
-                          seed=resolved["seed"])
+    policy = _lambda_policy(resolved)
 
     out = Path(resolved["out_dir"])
     for mode in resolved["modes"]:
@@ -284,45 +293,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    resolved = _resolve(args, {
-        "dataset": None, "n_outputs": None, "methods": list(METHODS),
-        "ratio": 0.01, "dim_fraction": None, "k_lof": 100, "k_lrw": 100,
-        "lam": None, "cv_grid": None, "cv_folds": 5, "repeats": 10,
-        "seed": 0, "upper": DEFAULT_UPPER_RATE, "fit_on_original": False,
-        "out_dir": "mcode_out"})
-    _require(resolved, "dataset", "n_outputs", "dim_fraction")
-    if resolved["lam"] is not None and resolved["cv_grid"] is not None:
-        raise ConfigError("--lambda and --cv-grid are mutually exclusive")
-    _check_rate("ratio", resolved["ratio"])
-    _check_rate("dim-fraction", resolved["dim_fraction"])
-    _check_rate("upper", resolved["upper"])
-    _check_positive_int("k-lof", resolved["k_lof"])
-    _check_positive_int("k-lrw", resolved["k_lrw"])
-    _check_positive_int("repeats", resolved["repeats"])
+    resolved = _resolve(args)
     cfg_hash = _config_hash(resolved)
 
-    config = RunConfig(
-        dataset=resolved["dataset"], n_outputs=resolved["n_outputs"],
-        methods=tuple(resolved["methods"]), ratio=resolved["ratio"],
-        dim_fraction=resolved["dim_fraction"], k_lof=resolved["k_lof"],
-        k_lrw=resolved["k_lrw"], lam=resolved["lam"],
-        cv_grid=_parse_grid(resolved["cv_grid"]) or DEFAULT_LAMBDA_GRID,
-        cv_folds=resolved["cv_folds"], repeats=resolved["repeats"],
-        seed=resolved["seed"], upper=resolved["upper"],
-        fit_on_original=bool(resolved["fit_on_original"]),
-        out_dir=resolved["out_dir"])
+    ds = load_csv(resolved["dataset"], resolved["n_outputs"])
 
-    ds = load_csv(config.dataset, config.n_outputs)
-
-    out = Path(config.out_dir)
+    out = Path(resolved["out_dir"])
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "curves").mkdir(exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
-    header = _header_lines(config.seed, cfg_hash)
-    meta = _meta(config.seed, cfg_hash)
+    header = _header_lines(resolved["seed"], cfg_hash)
+    meta = _meta(resolved["seed"], cfg_hash)
 
-    config_doc = dict(resolved, methods=list(config.methods))
-    config_doc["_meta"] = meta
+    config_doc = dict(resolved, _meta=meta)
     with open(out / "config.json", "w") as fh:
         json.dump(config_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -340,18 +323,19 @@ def cmd_detect(args) -> int:
             _write_curve(out / "curves" / f"{name}_r{r:02d}.csv",
                          curve, header)
             records.write(json.dumps({
-                "dataset": config.dataset, "method": name,
-                "dim_fraction": config.dim_fraction, "repeat": r,
-                "atpar": atpar(labeled, log.outlier_rows, config.upper),
+                "dataset": resolved["dataset"], "method": name,
+                "dim_fraction": resolved["dim_fraction"], "repeat": r,
+                "atpar": atpar(labeled, log.outlier_rows, resolved["upper"]),
             }, sort_keys=True) + "\n")
 
     try:
         reports = run_experiment(
-            ds, config.methods, config.ratio, config.dim_fraction,
-            repeats=config.repeats, seed=config.seed,
-            lambda_policy=config.lambda_policy(), k_lof=config.k_lof,
-            k_lrw=config.k_lrw, fit_on_original=config.fit_on_original,
-            upper=config.upper, on_repeat=on_repeat)
+            ds, resolved["methods"], resolved["ratio"],
+            resolved["dim_fraction"], repeats=resolved["repeats"],
+            seed=resolved["seed"], lambda_policy=_lambda_policy(resolved),
+            k_lof=resolved["k_lof"], k_lrw=resolved["k_lrw"],
+            fit_on_original=resolved["fit_on_original"],
+            upper=resolved["upper"], on_repeat=on_repeat)
     finally:
         records.close()
 
@@ -379,10 +363,7 @@ def _write_curve(path, curve, comments):
 
 
 def cmd_eval(args) -> int:
-    resolved = _resolve(args, {
-        "scores": None, "log_path": None, "upper": DEFAULT_UPPER_RATE,
-        "curve_out": None, "seed": 0, "out_dir": "mcode_out"})
-    _require(resolved, "scores", "log_path")
+    resolved = _resolve(args)
     cfg_hash = _config_hash(resolved)
 
     scores, method = load_score_table(resolved["scores"])
@@ -417,6 +398,22 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"mcode: numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+# subcommand: (handler, help text, its options in flag order)
+COMMANDS = {
+    "simulate": (cmd_simulate, "inject output-bit outliers into a dataset",
+                 ("dataset", "n_outputs", "ratio", "dim_fraction")),
+    "fit": (cmd_fit, "fit factor models and persist them",
+            ("dataset", "n_outputs", "modes", "lam", "cv_grid", "cv_folds")),
+    "detect": (cmd_detect, "inject, fit, score, and evaluate in one run",
+               ("dataset", "n_outputs", "methods", "ratio", "dim_fraction",
+                "k_lof", "k_lrw", "lam", "cv_grid", "cv_folds", "repeats",
+                "upper", "fit_on_original")),
+    "eval": (cmd_eval, "re-evaluate a stored score table against a "
+                       "perturbation log",
+             ("scores", "log_path", "upper", "curve_out")),
+}
 
 
 if __name__ == "__main__":

@@ -116,13 +116,6 @@ class StandardizationStats:
                 f"expected {self.means.shape[0]} input columns, got {X.shape}")
         return (X - self.means) / self.std_devs
 
-    def invert(self, X_std: np.ndarray) -> np.ndarray:
-        X_std = np.asarray(X_std, dtype=np.float64)
-        if X_std.ndim != 2 or X_std.shape[1] != self.means.shape[0]:
-            raise DomainError(
-                f"expected {self.means.shape[0]} input columns, got {X_std.shape}")
-        return X_std * self.std_devs + self.means
-
 
 @dataclass(frozen=True)
 class PerturbationLog:

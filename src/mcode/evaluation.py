@@ -19,7 +19,7 @@ from .dataset import Dataset, PerturbationLog, inject_outliers, \
 from .lof import LofConfig, lof_scores
 from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, estimate_rho, \
     fit_mcode
-from .scoring import ScoreVector, build_neighbor_index, global_weights, \
+from .scoring import NeighborIndex, ScoreVector, global_weights, \
     local_weights, rank_descending, score_lrw, score_prod, score_rw
 
 METHODS = ("lof", "iprod", "mprod", "mrw", "mlrw")
@@ -161,8 +161,8 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
         if "mlrw" in methods:
             pts = std_ds.X if lrw_space == "x" else np.hstack(
                 [std_ds.X, perturbed.Y.astype(np.float64)])
-            index = build_neighbor_index(pts)
-            out["mlrw"] = score_lrw(rho, local_weights(rho, index, k_lrw))
+            out["mlrw"] = score_lrw(
+                rho, local_weights(rho, NeighborIndex(pts), k_lrw))
 
     if "iprod" in methods:
         model_i = fit_mcode(fit_ds, INDEPENDENT, lambda_policy)

@@ -166,21 +166,6 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
     return RhoMatrix(np.clip(values, PROB_EPS, 1.0 - PROB_EPS))
 
 
-def pseudo_joint(rho_row) -> float:
-    """Product of one instance's per-dimension probabilities.
-
-    A pseudo-joint likelihood: the factors are circularly dependent, so
-    the product is not a normalized joint probability. It can underflow
-    to 0.0 for large d; rankings therefore use the log-domain scores.
-    """
-    row = np.asarray(rho_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise DomainError("pseudo_joint takes a single rho row")
-    if not ((row > 0.0) & (row <= 1.0)).all():
-        raise DomainError("rho values must lie in (0, 1]")
-    return float(np.prod(row))
-
-
 MANIFEST_NAME = "manifest.json"
 
 
@@ -212,17 +197,22 @@ def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_model(path) -> McodeModel:
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise DataError(f"{root}: no {MANIFEST_NAME} found")
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    if manifest.get("format") != "mcode-model":
+    manifest = _load_json(manifest_path)
+    if not isinstance(manifest, dict) or \
+            manifest.get("format") != "mcode-model":
         raise DataError(f"{manifest_path}: not a model manifest")
     try:
         mode = manifest["mode"]
@@ -243,12 +233,7 @@ def load_model(path) -> McodeModel:
 
     factors = []
     for name in factor_files:
-        with open(root / name) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{root / name}: not valid JSON: {exc}") from exc
-        factors.append(factor_from_dict(doc))
+        factors.append(factor_from_dict(_load_json(root / name)))
 
     expected_arity = {FULL_CONDITIONAL: m + d - 1, INDEPENDENT: m}[mode]
     for factor in factors:

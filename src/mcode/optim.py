@@ -69,11 +69,6 @@ class ConstantFactor:
     prob_one: float
 
 
-def sigmoid(z):
-    """Numerically stable logistic function."""
-    return expit(z)
-
-
 def penalized_nll(params, features, labels, lam):
     """Objective value and gradient at params = [weights..., intercept]."""
     w = params[:-1]
@@ -208,14 +203,6 @@ def predict_prob_batch(factor, features) -> np.ndarray:
         raise DomainError(
             f"factor expects {factor.arity} features, got {features.shape[1]}")
     return _clamp(expit(features @ factor.weights + factor.intercept))
-
-
-def predict_prob(factor, features) -> float:
-    """P(y=1) for a single feature row."""
-    row = np.asarray(features, dtype=np.float64)
-    if row.ndim != 1:
-        raise DomainError("predict_prob takes a single feature row")
-    return float(predict_prob_batch(factor, row[None, :])[0])
 
 
 def _held_out_log_likelihood(factor, features, labels) -> float:

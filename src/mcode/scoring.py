@@ -48,10 +48,9 @@ class ScoreVector:
 class NeighborIndex:
     """Exact Euclidean k-nearest-neighbor lookup over a fixed point set.
 
-    Queries return reference-point indices in non-decreasing distance
-    order with ties broken by ascending index. Whether a query point's
-    own row counts as a neighbor is up to the caller: a reference row
-    queried against the index simply shows up at distance zero.
+    query_all lists each point's neighbors among the same points in
+    non-decreasing distance order, ties broken by ascending index, so a
+    point counts as its own neighbor at distance zero.
     """
 
     def __init__(self, points):
@@ -71,26 +70,11 @@ class NeighborIndex:
             raise DomainError(
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
-    def query(self, point, k: int) -> np.ndarray:
-        """Indices of the k nearest reference points to one query point."""
-        self._check_k(k)
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.points.shape[1],):
-            raise DomainError(
-                f"query point must have {self.points.shape[1]} coordinates")
-        dists = cdist(point[None, :], self.points)[0]
-        # Stable sort keeps ascending index order among exact ties.
-        return np.argsort(dists, kind="stable")[:k]
-
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
         self._check_k(k)
         dists = cdist(self.points, self.points)
         return np.argsort(dists, axis=1, kind="stable")[:, :k]
-
-
-def build_neighbor_index(points) -> NeighborIndex:
-    return NeighborIndex(points)
 
 
 def global_weights(rho: RhoMatrix) -> WeightVector:

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcode import (CvLambda, FixedLambda, LofConfig, RhoMatrix, ScoreVector,
-                   WeightVector, atpar, build_neighbor_index, estimate_rho,
-                   fit_mcode, global_weights, inject_outliers, load_csv,
-                   local_weights, lof_scores, make_rng, penalized_nll,
-                   round_half_up, run_experiment, score_prod, score_rw, tpar)
+from mcode import (CvLambda, FixedLambda, LofConfig, NeighborIndex, RhoMatrix,
+                   ScoreVector, WeightVector, atpar, estimate_rho, fit_mcode,
+                   global_weights, inject_outliers, load_csv, local_weights,
+                   lof_scores, make_rng, penalized_nll, round_half_up,
+                   run_experiment, score_prod, score_rw, tpar)
 
 from conftest import make_coupled_dataset
 from oracles import (brute_knn, oracle_atpar, oracle_lof, oracle_rho,
@@ -161,7 +161,7 @@ def test_property_suite(capsys):
 
         # a whole-dataset neighborhood makes local weights global
         pts = rng.standard_normal((50, 3))
-        index = build_neighbor_index(pts)
+        index = NeighborIndex(pts)
         lw = local_weights(rho, index, k=50)
         gw = global_weights(rho)
         check("lrw_full_neighborhood_equals_rw",
@@ -172,7 +172,7 @@ def test_property_suite(capsys):
         for size in (50, 75, 100):
             p = rng.standard_normal((size, 4))
             p[size // 2] = p[0]  # plant a distance tie
-            idx = build_neighbor_index(p)
+            idx = NeighborIndex(p)
             for k in (1, 7, size):
                 got = idx.query_all(k)
                 for i in range(size):

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcode import Dataset, load_csv, load_model, save_csv
-from mcode.cli import main
+from mcode import (Dataset, PerturbationLog, load_csv, load_model, save_csv,
+                   save_log)
+from mcode.cli import COMMANDS, OPTIONS, main
+from mcode.evaluation import METHODS
+from mcode.model import MODES
 from mcode.scoring import load_score_table
 
 from conftest import make_coupled_dataset
@@ -249,6 +258,159 @@ class TestEval:
         assert run("eval", "--scores", scores, "--log", undecodable) == 2
         assert run("detect", "--dataset", undecodable, "--n-outputs", 1,
                    "--dim-fraction", "0.5", "--out-dir", tmp_path) == 2
+
+
+def run_quiet(*argv):
+    """(exit code, stderr) of one run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+class TestConfigValues:
+    """Every malformed config value exits 1, names its key, and leaves
+    --out-dir uncreated."""
+
+    @pytest.mark.parametrize("command,config,flags,key", [
+        ("detect", {"cv_grid": 1.0}, [], "cv_grid"),
+        ("detect", {"lam": "abc"}, [], "lam"),
+        ("detect", {"seed": "x"}, [], "seed"),
+        ("simulate", {"seed": "x"}, [], "seed"),
+        ("detect", {"fit_on_original": "no"}, [], "fit_on_original"),
+        ("detect", {"k_lof": True}, [], "k_lof"),
+        ("detect", {"ratio": True}, [], "ratio"),
+        ("detect", {"methods": ["bogus"]}, [], "methods"),
+        ("detect", {"methods": []}, [], "methods"),
+        ("detect", {}, ["--cv-folds", 0], "cv_folds"),
+        ("detect", {}, ["--lambda", -1], "lam"),
+        ("detect", {}, ["--lambda", "nan"], "lam"),
+    ])
+    def test_rejected_before_any_artifact(self, tmp_path, dataset_file,
+                                          command, config, flags, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, err = run_quiet(
+            command, "--config", path, "--dataset", dataset_file,
+            "--n-outputs", 3, "--dim-fraction", "0.34", "--out-dir", out,
+            *flags)
+        assert code == 1
+        assert err.startswith("mcode: error: ") and f"'{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("upper", ["2", "0", "nan"])
+    def test_eval_upper_out_of_range(self, tmp_path, upper):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("instance_index,method,score\n0,mrw,1.0\n"
+                          "1,mrw,0.5\n")
+        log = tmp_path / "log.json"
+        save_log(PerturbationLog(seed=0, ratio=0.5, dim_fraction=1.0,
+                                 outlier_rows=frozenset({0}),
+                                 flipped_cells=((0, 0),)), log)
+        curve = tmp_path / "curve.csv"
+        code, err = run_quiet("eval", "--scores", scores, "--log", log,
+                              "--upper", upper, "--curve-out", curve)
+        assert code == 1 and "'upper'" in err
+        assert not curve.exists()
+
+
+# Values of the wrong JSON type, by the JSON types a key takes. Text is
+# drawn from characters that spell numbers, lists and the words nan/inf.
+_NULL, _BOOL = st.none(), st.booleans()
+_TEXT = st.text(alphabet="0123456789.,-+e nafil", max_size=6)
+_INT, _FLOAT = st.integers(), st.floats()
+_LIST = st.lists(_INT | _TEXT, max_size=3)
+_DICT = st.dictionaries(_TEXT, _INT, max_size=2)
+_NOT_INT = _NULL | _BOOL | _FLOAT | _TEXT | _LIST | _DICT
+_NOT_NUMBER = _NULL | _BOOL | _TEXT | _LIST | _DICT
+_NOT_STR = _NULL | _BOOL | _INT | _FLOAT | _LIST | _DICT
+
+
+def _penalty(item):
+    """Whether one cv_grid entry, string or number, is a valid penalty."""
+    try:
+        value = float(item)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value >= 0
+
+
+def _bad_list(choices):
+    bad_item = _INT | _NULL | _TEXT.filter(lambda s: s not in choices)
+    return (_NULL | _BOOL | _INT | _FLOAT | _TEXT | _DICT | st.just([])
+            | st.builds(lambda good, bad: good + [bad],
+                        st.lists(st.sampled_from(choices), max_size=2),
+                        bad_item))
+
+
+_BAD_RATE = (_NOT_NUMBER | st.integers(max_value=0) | st.integers(min_value=2)
+             | st.floats().filter(lambda v: not 0 < v <= 1))
+
+# Only invalid values, for every config key.
+INVALID = {
+    "dataset": _NOT_STR,
+    "scores": _NOT_STR,
+    "log_path": _NOT_STR,
+    "out_dir": _NOT_STR,
+    "curve_out": _BOOL | _INT | _FLOAT | _LIST | _DICT,
+    "n_outputs": _NOT_INT | st.integers(max_value=0),
+    "k_lof": _NOT_INT | st.integers(max_value=0),
+    "k_lrw": _NOT_INT | st.integers(max_value=0),
+    "repeats": _NOT_INT | st.integers(max_value=0),
+    "cv_folds": _NOT_INT | st.integers(max_value=1),
+    "seed": _NOT_INT | st.integers(max_value=-1),
+    "ratio": _BAD_RATE,
+    "dim_fraction": _BAD_RATE,
+    "upper": _BAD_RATE,
+    "lam": (_BOOL | _TEXT | _LIST | _DICT | st.integers(max_value=-1)
+            | st.integers(min_value=2 ** 1024)
+            | st.floats().filter(lambda v: not (math.isfinite(v)
+                                                and v >= 0))),
+    "cv_grid": (_BOOL | _INT | _FLOAT | _DICT | st.just([])
+                | _TEXT.filter(lambda s: not all(map(_penalty,
+                                                     s.split(","))))
+                | st.builds(lambda good, bad: good + [bad],
+                            st.lists(st.floats(0, 100), max_size=2),
+                            _NULL | _BOOL | _DICT
+                            | st.floats().filter(lambda v: not _penalty(v))
+                            | _TEXT.filter(lambda s: not _penalty(s)))),
+    "fit_on_original": _NULL | _INT | _FLOAT | _TEXT | _LIST | _DICT,
+    "methods": _bad_list(METHODS),
+    "modes": _bad_list(MODES),
+}
+
+# Flags that make every other option of a subcommand valid; the files
+# they name are never opened because validation fails first.
+_REQUIRED = {"dataset": ["--dataset", "absent.csv"],
+             "n_outputs": ["--n-outputs", "3"],
+             "dim_fraction": ["--dim-fraction", "0.5"],
+             "scores": ["--scores", "absent.csv"],
+             "log_path": ["--log", "absent.json"]}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, (_, _, keys) in COMMANDS.items()
+    for key in keys + ("seed", "out_dir")])
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_invalid_config_value_exits_1(command, key, data):
+    value = data.draw(INVALID[key], label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = [command, "--config", config]
+        for other in COMMANDS[command][2]:
+            if other != key:
+                argv += _REQUIRED.get(other, [])
+        if key != "out_dir":
+            argv += ["--out-dir", tmp / "out"]
+        code, err = run_quiet(*argv)
+        assert code == 1, err
+        assert OPTIONS[key].flag in err
+        assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
 
 
 class TestTopLevel:

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                    PROB_EPS, RhoMatrix, estimate_rho, fit_mcode, load_model,
-                   pseudo_joint, save_model, score_prod)
+                   save_model)
 from mcode.model import factor_features
 from mcode.errors import DataError
 
@@ -152,24 +151,6 @@ class TestRhoMatrixAndPseudoJoint:
         with pytest.raises(DomainError):
             RhoMatrix(np.array([0.5, 0.5]))
 
-    def test_pseudo_joint_known_value(self):
-        assert pseudo_joint([0.5, 0.5]) == 0.25
-
-    def test_pseudo_joint_equals_exp_neg_score(self):
-        gen = np.random.default_rng(3)
-        values = gen.uniform(0.05, 0.95, size=(10, 4))
-        rho = RhoMatrix(values)
-        scores = score_prod(rho).scores
-        for i in range(10):
-            assert pseudo_joint(values[i]) == pytest.approx(
-                math.exp(-scores[i]), rel=1e-12)
-
-    def test_pseudo_joint_validation(self):
-        with pytest.raises(DomainError):
-            pseudo_joint([[0.5]])
-        with pytest.raises(DomainError):
-            pseudo_joint([0.0, 0.5])
-
 
 class TestPersistence:
     def test_round_trip_preserves_rho_exactly(self, tmp_path,
@@ -200,14 +181,20 @@ class TestPersistence:
             (tmp_path / "m" / manifest["factors"][0]).read_text())
         assert factor_doc["kind"] == "constant"
 
-    def test_load_rejects_garbage(self, tmp_path):
+    def test_load_rejects_garbage(self, tmp_path, coupled_dataset):
         with pytest.raises(DataError):
             load_model(tmp_path / "missing")
         target = tmp_path / "corrupt"
         target.mkdir()
-        (target / "manifest.json").write_text("{}")
-        with pytest.raises(DataError):
-            load_model(target)
+        for manifest in (b"{}", b"[]", b"\xff\xfe{}"):
+            (target / "manifest.json").write_bytes(manifest)
+            with pytest.raises(DataError, match="manifest.json"):
+                load_model(target)
+        save_model(fit_mcode(coupled_dataset, INDEPENDENT, FixedLambda(1.0)),
+                   tmp_path / "m")
+        (tmp_path / "m" / "factor_000.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataError, match="factor_000.json"):
+            load_model(tmp_path / "m")
 
     def test_load_checks_factor_arity(self, tmp_path, coupled_dataset):
         model = fit_mcode(coupled_dataset, INDEPENDENT, FixedLambda(1.0))

@@ -6,7 +6,7 @@ import pytest
 from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    FULL_CONDITIONAL, INDEPENDENT, LogisticFactor, PROB_EPS,
                    cross_validate_lambda, fit_mcode, inject_outliers,
-                   penalized_nll, predict_prob, predict_prob_batch,
+                   penalized_nll, predict_prob_batch,
                    train_logistic)
 from mcode.dataset import make_rng
 from mcode.optim import factor_from_dict, factor_to_dict, optimizer_run_count
@@ -189,34 +189,26 @@ class TestPredict:
         factor = LogisticFactor(dim_index=0, lam=1.0,
                                 weights=np.array([1.0]), intercept=0.0,
                                 converged=True, final_gradient_norm=0.0)
-        assert predict_prob(factor, [math.log(3)]) == pytest.approx(0.75)
+        assert predict_prob_batch(factor, [[math.log(3)]])[0] == \
+            pytest.approx(0.75)
 
     def test_clamped_to_open_interval(self):
         factor = LogisticFactor(dim_index=0, lam=1.0,
                                 weights=np.array([100.0]), intercept=0.0,
                                 converged=True, final_gradient_norm=0.0)
-        assert predict_prob(factor, [50.0]) == 1.0 - PROB_EPS
-        assert predict_prob(factor, [-50.0]) == PROB_EPS
+        assert predict_prob_batch(factor, [[50.0]])[0] == 1.0 - PROB_EPS
+        assert predict_prob_batch(factor, [[-50.0]])[0] == PROB_EPS
 
     def test_constant_factor(self):
         factor = ConstantFactor(dim_index=0, prob_one=0.8)
-        assert predict_prob(factor, [1.0, 2.0]) == 0.8
+        assert predict_prob_batch(factor, [[1.0, 2.0]])[0] == 0.8
 
     def test_arity_mismatch(self):
         factor = LogisticFactor(dim_index=0, lam=1.0,
                                 weights=np.array([1.0, 2.0]), intercept=0.0,
                                 converged=True, final_gradient_norm=0.0)
         with pytest.raises(DomainError):
-            predict_prob(factor, [1.0])
-
-    def test_batch_matches_single(self, rng):
-        X, y, lam = random_problem(6, n=30, p=3)
-        factor = train_logistic(X, y, lam)
-        batch = predict_prob_batch(factor, X)
-        for i in range(X.shape[0]):
-            # matrix and single-row BLAS paths may differ in the last ulp
-            assert predict_prob(factor, X[i]) == pytest.approx(
-                batch[i], rel=1e-12)
+            predict_prob_batch(factor, [[1.0]])
 
 
 class TestCrossValidation:

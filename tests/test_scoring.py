@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mcode import (DataError, DomainError, LocalWeightMatrix, PROB_EPS,
-                   RhoMatrix, ScoreVector, WeightVector, brier_per_dimension,
-                   build_neighbor_index, global_weights, local_weights,
+from mcode import (DataError, DomainError, LocalWeightMatrix, NeighborIndex,
+                   PROB_EPS, RhoMatrix, ScoreVector, WeightVector,
+                   brier_per_dimension, global_weights, local_weights,
                    rank_descending, score_lrw, score_prod, score_rw)
 from mcode.scoring import load_score_table, write_score_table
 
@@ -19,42 +19,41 @@ def random_rho(seed, n=30, d=4, low=0.02, high=0.98):
 
 class TestNeighborIndex:
     def test_line_with_tie(self):
-        index = build_neighbor_index(np.array([[0.0], [1.0], [2.0], [3.0]]))
-        got = index.query(np.array([1.0]), k=2)
-        # distance ties (0 and 2 are both at distance 1) resolve to the
-        # smaller index
-        assert got.tolist() == [1, 0]
+        index = NeighborIndex(np.array([[0.0], [1.0], [2.0], [3.0]]))
+        # distance ties (0 and 2 are both at distance 1 from row 1)
+        # resolve to the smaller index
+        assert index.query_all(2)[1].tolist() == [1, 0]
 
     def test_duplicates_come_first(self):
         pts = np.array([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
-        index = build_neighbor_index(pts)
-        assert index.query(np.array([5.0, 5.0]), k=3).tolist() == [0, 2, 3]
+        neighbors = NeighborIndex(pts).query_all(3)
+        assert neighbors[0].tolist() == [0, 2, 3]
+        assert neighbors[2].tolist() == [0, 2, 3]
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_matches_brute_force(self, k):
         gen = np.random.default_rng(100 + k)
         pts = gen.normal(size=(50, 3))
-        index = build_neighbor_index(pts)
-        all_neighbors = index.query_all(k)
+        all_neighbors = NeighborIndex(pts).query_all(k)
         for i in range(50):
             expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
             assert all_neighbors[i].tolist() == expected
-            assert index.query(pts[i], k).tolist() == expected
 
     def test_k_bounds(self):
-        index = build_neighbor_index(np.zeros((4, 2)))
+        index = NeighborIndex(np.zeros((4, 2)))
         with pytest.raises(DomainError):
-            index.query(np.zeros(2), 5)
+            index.query_all(5)
         with pytest.raises(DomainError):
-            index.query(np.zeros(2), 0)
-        assert index.query(np.zeros(2), 4).tolist() == [0, 1, 2, 3]
+            index.query_all(0)
+        assert index.query_all(4)[0].tolist() == [0, 1, 2, 3]
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            build_neighbor_index(np.array([[np.nan]]))
-        index = build_neighbor_index(np.zeros((3, 2)))
+            NeighborIndex(np.array([[np.nan]]))
         with pytest.raises(DomainError):
-            index.query(np.zeros(3), 1)
+            NeighborIndex(np.zeros(3))
+        with pytest.raises(DomainError):
+            NeighborIndex(np.zeros((0, 2)))
 
 
 class TestGlobalWeights:
@@ -81,7 +80,7 @@ class TestLocalWeights:
     def test_k_equal_n_reproduces_global_exactly(self):
         rho = random_rho(5, n=25, d=3)
         gen = np.random.default_rng(6)
-        index = build_neighbor_index(gen.normal(size=(25, 2)))
+        index = NeighborIndex(gen.normal(size=(25, 2)))
         local = local_weights(rho, index, k=25)
         glob = global_weights(rho)
         for row in local.w:
@@ -90,7 +89,7 @@ class TestLocalWeights:
     def test_k_one_is_self_only(self):
         rho = random_rho(8, n=10, d=2)
         gen = np.random.default_rng(9)
-        index = build_neighbor_index(gen.normal(size=(10, 3)))
+        index = NeighborIndex(gen.normal(size=(10, 3)))
         local = local_weights(rho, index, k=1)
         np.testing.assert_allclose(local.w, 1.0 / (1.0 - rho.values),
                                    rtol=1e-15)
@@ -99,7 +98,7 @@ class TestLocalWeights:
         rho = random_rho(10, n=40, d=3)
         gen = np.random.default_rng(11)
         pts = gen.normal(size=(40, 2))
-        index = build_neighbor_index(pts)
+        index = NeighborIndex(pts)
         local = local_weights(rho, index, k=7)
         expected = oracles.oracle_local_weights(
             rho.values.tolist(), pts.tolist(), 7)
@@ -108,7 +107,7 @@ class TestLocalWeights:
 
     def test_size_mismatch(self):
         rho = random_rho(1, n=10)
-        index = build_neighbor_index(np.zeros((9, 2)))
+        index = NeighborIndex(np.zeros((9, 2)))
         with pytest.raises(DomainError):
             local_weights(rho, index, k=3)
 
@@ -139,7 +138,7 @@ class TestScores:
     def test_lrw_with_full_neighborhood_equals_rw(self):
         rho = random_rho(22, n=20, d=4)
         gen = np.random.default_rng(23)
-        index = build_neighbor_index(gen.normal(size=(20, 3)))
+        index = NeighborIndex(gen.normal(size=(20, 3)))
         lrw = score_lrw(rho, local_weights(rho, index, k=20))
         rw = score_rw(rho, global_weights(rho))
         assert np.array_equal(lrw.scores, rw.scores)
@@ -148,7 +147,7 @@ class TestScores:
         rho = random_rho(30, n=35, d=3)
         gen = np.random.default_rng(31)
         pts = gen.normal(size=(35, 2))
-        lrw = score_lrw(rho, local_weights(rho, build_neighbor_index(pts), 6))
+        lrw = score_lrw(rho, local_weights(rho, NeighborIndex(pts), 6))
         w_oracle = oracles.oracle_local_weights(
             rho.values.tolist(), pts.tolist(), 6)
         for i in range(35):
