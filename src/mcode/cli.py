@@ -26,12 +26,12 @@ from . import __version__
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .dataset import inject_outliers, load_csv, load_log, save_csv, save_log
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, MODES,
-                    fit_mcode, save_model)
+                    check_mode, fit_mcode, save_model)
 from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID,
                     optimizer_run_count)
 from .scoring import load_score_table, write_score_table, ScoreVector
-from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar, run_experiment,
-                         tpar_curve)
+from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar,
+                         check_experiment, run_experiment, tpar_curve)
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,6 @@ OPTIONS = {
     "out_dir": Option("--out-dir", "str", "mcode_out", "artifact directory"),
 }
 
-# Options every subcommand takes, after its own.
-_COMMON = ("seed", "out_dir")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage problems; route them through
@@ -161,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             _add_flag(sub, key)
         sub.add_argument("--config", help="JSON file of flag defaults")
-        for key in _COMMON:
-            _add_flag(sub, key)
         sub.set_defaults(func=func)
     return parser
 
@@ -187,7 +182,7 @@ def _check(key, value):
 def _resolve(args) -> dict:
     """Merge flag values over config-file values over the defaults of
     OPTIONS, and check every value against its option."""
-    keys = COMMANDS[args.command][2] + _COMMON
+    keys = COMMANDS[args.command][2]
     file_values = {}
     if args.config:
         path = Path(args.config)
@@ -272,6 +267,8 @@ def cmd_fit(args) -> int:
 
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
     policy = _lambda_policy(resolved)
+    for mode in resolved["modes"]:
+        check_mode(mode, ds.d)
 
     out = Path(resolved["out_dir"])
     for mode in resolved["modes"]:
@@ -297,6 +294,8 @@ def cmd_detect(args) -> int:
     cfg_hash = _config_hash(resolved)
 
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
+    check_experiment(ds, resolved["methods"], resolved["repeats"],
+                     resolved["k_lof"], resolved["k_lrw"])
 
     out = Path(resolved["out_dir"])
     (out / "scores").mkdir(parents=True, exist_ok=True)
@@ -403,13 +402,15 @@ def main(argv=None) -> int:
 # subcommand: (handler, help text, its options in flag order)
 COMMANDS = {
     "simulate": (cmd_simulate, "inject output-bit outliers into a dataset",
-                 ("dataset", "n_outputs", "ratio", "dim_fraction")),
+                 ("dataset", "n_outputs", "ratio", "dim_fraction", "seed",
+                  "out_dir")),
     "fit": (cmd_fit, "fit factor models and persist them",
-            ("dataset", "n_outputs", "modes", "lam", "cv_grid", "cv_folds")),
+            ("dataset", "n_outputs", "modes", "lam", "cv_grid", "cv_folds",
+             "seed", "out_dir")),
     "detect": (cmd_detect, "inject, fit, score, and evaluate in one run",
                ("dataset", "n_outputs", "methods", "ratio", "dim_fraction",
                 "k_lof", "k_lrw", "lam", "cv_grid", "cv_folds", "repeats",
-                "upper", "fit_on_original")),
+                "upper", "fit_on_original", "seed", "out_dir")),
     "eval": (cmd_eval, "re-evaluate a stored score table against a "
                        "perturbation log",
              ("scores", "log_path", "upper", "curve_out")),

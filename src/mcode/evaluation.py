@@ -64,45 +64,32 @@ def _alert_count(rate: float, n: int) -> int:
     return max(1, round_half_up(rate * n))
 
 
+def _precision_at(scores: ScoreVector, truth, a_max: int) -> np.ndarray:
+    """TPAR at each alert count 1 .. a_max, from one ranking."""
+    mask = _check_truth(scores, truth)
+    hits = np.cumsum(mask[rank_descending(scores.scores)][:a_max])
+    return hits / np.arange(1, a_max + 1)
+
+
 def tpar(scores: ScoreVector, truth, alert_rate: float) -> float:
     """Fraction of the top-scoring alerts that are true outliers."""
-    mask = _check_truth(scores, truth)
     a = _alert_count(alert_rate, scores.scores.shape[0])
-    top = rank_descending(scores.scores)[:a]
-    return float(mask[top].sum() / a)
+    return float(_precision_at(scores, truth, a)[-1])
 
 
 def atpar(scores: ScoreVector, truth, upper: float = DEFAULT_UPPER_RATE) -> float:
     """Mean TPAR over alert counts 1 .. max(1, round(upper * N))."""
-    mask = _check_truth(scores, truth)
+    a_max = _alert_count(upper, scores.scores.shape[0])
+    return float(_precision_at(scores, truth, a_max).mean())
+
+
+def tpar_curve(scores: ScoreVector, truth) -> EvalCurve:
+    """TPAR at every achievable alert count from 1 to round(0.04 * N),
+    expressed as rates a/N."""
     n = scores.scores.shape[0]
-    a_max = _alert_count(upper, n)
-    hits = np.cumsum(mask[rank_descending(scores.scores)][:a_max])
-    counts = np.arange(1, a_max + 1)
-    return float((hits / counts).mean())
-
-
-def tpar_curve(scores: ScoreVector, truth, grid=None) -> EvalCurve:
-    """TPAR at each alert rate of the grid.
-
-    The default grid holds every achievable alert count from 1 to
-    round(0.04 * N), expressed as rates a/N.
-    """
-    n = scores.scores.shape[0]
-    if grid is None:
-        a_top = max(1, round_half_up(DEFAULT_CURVE_RATE * n))
-        grid = [a / n for a in range(1, a_top + 1)]
-    rates = [float(r) for r in grid]
-    if not rates:
-        raise ConfigError("alert rate grid must not be empty")
-    if sorted(rates) != rates or len(set(rates)) != len(rates):
-        raise ConfigError("alert rate grid must be strictly ascending")
-    mask = _check_truth(scores, truth)
-    counts = np.array([_alert_count(r, n) for r in rates])
-    # rates ascend, so the last count is the largest
-    hits = np.cumsum(mask[rank_descending(scores.scores)][:counts[-1]])
-    return EvalCurve(alert_rates=np.array(rates),
-                     tpar_values=hits[counts - 1] / counts)
+    a_top = max(1, round_half_up(DEFAULT_CURVE_RATE * n))
+    return EvalCurve(alert_rates=np.arange(1, a_top + 1) / n,
+                     tpar_values=_precision_at(scores, truth, a_top))
 
 
 def make_report(method: str, dim_fraction: float, values) -> TrialReport:
@@ -129,22 +116,33 @@ def _check_methods(methods, d: int):
     return tuple(seen)
 
 
+def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
+                     k_lrw: int) -> tuple:
+    """Reject settings that run_experiment cannot carry out on ds, before
+    it runs; returns the methods with duplicates dropped."""
+    methods = _check_methods(methods, ds.d)
+    if not isinstance(repeats, int) or repeats < 1:
+        raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
+    if "mlrw" in methods and k_lrw > ds.n:
+        raise ConfigError(f"k_lrw={k_lrw} exceeds the {ds.n} instances")
+    if "lof" in methods and k_lof >= ds.n:
+        raise ConfigError(f"k_lof={k_lof} must be below the {ds.n} instances")
+    return methods
+
+
 def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
-                  k_lof: int = 100, k_lrw: int = 100, fit_ds: Dataset = None,
-                  lrw_space: str = "x") -> dict:
+                  k_lof: int = 100, k_lrw: int = 100,
+                  fit_ds: Dataset = None) -> dict:
     """Score one contaminated dataset with each requested method.
 
     Returns {method name: ScoreVector}. Model-based methods fit on the
     scored (contaminated) data unless an uncontaminated fit_ds is given.
     Methods sharing the full-conditional model share one fit. The LRW
-    neighborhoods live in standardized input space by default; pass
-    lrw_space="xy" to append the raw outputs.
+    neighborhoods live in standardized input space.
     """
     methods = _check_methods(methods, perturbed.d)
     if fit_ds is None:
         fit_ds = perturbed
-    if lrw_space not in ("x", "xy"):
-        raise ConfigError(f"lrw_space must be 'x' or 'xy', got {lrw_space!r}")
     if lambda_policy is None:
         lambda_policy = CvLambda()
 
@@ -159,10 +157,8 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
         if "mrw" in methods:
             out["mrw"] = score_rw(rho, global_weights(rho))
         if "mlrw" in methods:
-            pts = std_ds.X if lrw_space == "x" else np.hstack(
-                [std_ds.X, perturbed.Y.astype(np.float64)])
             out["mlrw"] = score_lrw(
-                rho, local_weights(rho, NeighborIndex(pts), k_lrw))
+                rho, local_weights(rho, NeighborIndex(std_ds.X), k_lrw))
 
     if "iprod" in methods:
         model_i = fit_mcode(fit_ds, INDEPENDENT, lambda_policy)
@@ -178,7 +174,7 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
 def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
                    repeats: int = 10, seed: int = 0, *, lambda_policy=None,
                    k_lof: int = 100, k_lrw: int = 100,
-                   fit_on_original: bool = False, lrw_space: str = "x",
+                   fit_on_original: bool = False,
                    upper: float = DEFAULT_UPPER_RATE,
                    on_repeat=None) -> dict:
     """Repeated inject-fit-score-evaluate loop.
@@ -190,21 +186,14 @@ def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
     (repeat index, PerturbationLog, {method: ScoreVector}) so callers can
     persist per-repeat artifacts.
     """
-    methods = _check_methods(methods, ds.d)
-    if not isinstance(repeats, int) or repeats < 1:
-        raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
-    if "mlrw" in methods and k_lrw > ds.n:
-        raise ConfigError(f"k_lrw={k_lrw} exceeds the {ds.n} instances")
-    if "lof" in methods and k_lof >= ds.n:
-        raise ConfigError(f"k_lof={k_lof} must be below the {ds.n} instances")
+    methods = check_experiment(ds, methods, repeats, k_lof, k_lrw)
 
     values = {name: [] for name in methods}
     for r in range(repeats):
         perturbed, log = inject_outliers(ds, ratio, dim_fraction, seed + r)
         scored = score_methods(
             perturbed, methods, lambda_policy=lambda_policy, k_lof=k_lof,
-            k_lrw=k_lrw, fit_ds=ds if fit_on_original else None,
-            lrw_space=lrw_space)
+            k_lrw=k_lrw, fit_ds=ds if fit_on_original else None)
         for name in methods:
             values[name].append(atpar(scored[name], log.outlier_rows, upper))
         if on_repeat is not None:

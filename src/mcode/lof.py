@@ -23,11 +23,12 @@ from scipy.spatial.distance import cdist
 from .errors import ConfigError, DomainError
 from .scoring import ScoreVector
 
+_DISTANCE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class LofConfig:
     k: int = 100
-    distance_floor: float = 1e-12
 
 
 def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
@@ -41,8 +42,6 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     k = config.k
     if not isinstance(k, (int, np.integer)) or not (1 <= k < n):
         raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
-    if not (config.distance_floor > 0.0):
-        raise ConfigError("distance_floor must be positive")
 
     dists = cdist(points, points)
     np.fill_diagonal(dists, np.inf)  # self never counts as a neighbor
@@ -54,7 +53,7 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     for p in range(n):
         nbrs = neighborhoods[p]
         reach = np.maximum(kdist[nbrs], dists[p, nbrs])
-        reach = np.maximum(reach, config.distance_floor)
+        reach = np.maximum(reach, _DISTANCE_FLOOR)
         lrd[p] = nbrs.shape[0] / reach.sum()
 
     scores = np.empty(n)

@@ -98,7 +98,8 @@ def factor_features(mode: str, X_std: np.ndarray, Y: np.ndarray,
     return np.hstack([X_std, Y[:, other].astype(np.float64)])
 
 
-def _check_mode(mode: str, d: int):
+def check_mode(mode: str, d: int):
+    """Reject an unknown mode, or one the d output dimensions cannot fit."""
     if mode not in MODES:
         raise ConfigError(f"unknown model mode {mode!r}, expected one of {MODES}")
     if mode == FULL_CONDITIONAL and d < 2:
@@ -115,7 +116,7 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     with constant labels become ConstantFactors and skip the search; their
     recorded penalty is None.
     """
-    _check_mode(mode, ds.d)
+    check_mode(mode, ds.d)
     if lambda_policy is None:
         lambda_policy = CvLambda()
     if not isinstance(lambda_policy, (FixedLambda, CvLambda)):
@@ -226,7 +227,7 @@ def load_model(path) -> McodeModel:
         factor_files = manifest["factors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    _check_mode(mode, d)
+    check_mode(mode, d)
     if len(factor_files) != d:
         raise DataError(
             f"{manifest_path}: lists {len(factor_files)} factors for d={d}")

@@ -1,14 +1,16 @@
 """Reliability weights and outlier scores over a rho matrix.
 
-All scores are negative log products: an instance's score is
--sum_i w_i * log rho_i with weights depending on the variant.
+Every score is one formula, an instance's weighted negative log
+pseudo-joint -sum_i w_i * log rho_i, and the variants differ only in the
+shape of the weights:
 
-  PROD  unit weights.
-  RW    global reliability weights, w_i = N / sum_n (1 - rho_i^(n)):
-        the less a dimension's model errs across the dataset, the more
-        a surprise on that dimension counts.
-  LRW   the same construction restricted to each instance's k nearest
-        neighbors, giving per-instance weights.
+  PROD  the scalar 1: unit weights.
+  RW    a d-vector of global reliability weights,
+        w_i = N / sum_n (1 - rho_i^(n)): the less a dimension's model
+        errs across the dataset, the more a surprise on that dimension
+        counts.
+  LRW   an N x d matrix: the same construction restricted to each
+        instance's k nearest neighbors in input space.
 
 Errors are e = 1 - rho. Because rho is clamped to [eps, 1 - eps], every
 weight is finite and lies in [1, 1/eps].
@@ -94,19 +96,20 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
     if index.n != rho.n:
         raise DomainError(
             f"index holds {index.n} points but rho has {rho.n} rows")
-    neighborhoods = index.query_all(k)
-    errors = 1.0 - rho.values
-    w = np.empty_like(rho.values)
-    for n in range(rho.n):
-        members = np.sort(neighborhoods[n])
-        w[n] = k / errors[members].sum(axis=0)
-    return LocalWeightMatrix(w=w, k=k)
+    members = np.sort(index.query_all(k), axis=1)
+    return LocalWeightMatrix(w=k / (1.0 - rho.values)[members].sum(axis=1),
+                             k=k)
+
+
+def _weighted_score(rho: RhoMatrix, w, method: str) -> ScoreVector:
+    """-sum_i w_i log rho_i per instance, w broadcast against rho."""
+    return ScoreVector(scores=(-np.log(rho.values) * w).sum(axis=1),
+                       method=method)
 
 
 def score_prod(rho: RhoMatrix) -> ScoreVector:
     """Unweighted negative log pseudo-joint of each instance."""
-    return ScoreVector(scores=(-np.log(rho.values)).sum(axis=1),
-                       method="PROD")
+    return _weighted_score(rho, 1.0, "PROD")
 
 
 def score_rw(rho: RhoMatrix, weights: WeightVector) -> ScoreVector:
@@ -114,8 +117,7 @@ def score_rw(rho: RhoMatrix, weights: WeightVector) -> ScoreVector:
     if weights.w.shape != (rho.d,):
         raise DomainError(
             f"expected {rho.d} weights, got shape {weights.w.shape}")
-    neg_log = -np.log(rho.values)
-    return ScoreVector(scores=(neg_log * weights.w).sum(axis=1), method="RW")
+    return _weighted_score(rho, weights.w, "RW")
 
 
 def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:
@@ -124,8 +126,7 @@ def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:
         raise DomainError(
             f"local weights shape {local.w.shape} does not match rho "
             f"shape {rho.values.shape}")
-    neg_log = -np.log(rho.values)
-    return ScoreVector(scores=(neg_log * local.w).sum(axis=1), method="LRW")
+    return _weighted_score(rho, local.w, "LRW")
 
 
 def brier_per_dimension(rho: RhoMatrix) -> np.ndarray:

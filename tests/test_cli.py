@@ -259,6 +259,12 @@ class TestEval:
         assert run("detect", "--dataset", undecodable, "--n-outputs", 1,
                    "--dim-fraction", "0.5", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--out-dir", "x"]])
+    def test_takes_no_seed_or_out_dir(self, tmp_path, flags):
+        # eval writes only to --curve-out and takes its seed from the log
+        assert run("eval", "--scores", tmp_path / "s.csv",
+                   "--log", tmp_path / "log.json", *flags) == 1
+
 
 def run_quiet(*argv):
     """(exit code, stderr) of one run."""
@@ -271,7 +277,8 @@ def run_quiet(*argv):
 
 class TestConfigValues:
     """Every malformed config value exits 1, names its key, and leaves
-    --out-dir uncreated."""
+    --out-dir uncreated; so does every setting the dataset cannot support,
+    though the dataset is read first."""
 
     @pytest.mark.parametrize("command,config,flags,key", [
         ("detect", {"cv_grid": 1.0}, [], "cv_grid"),
@@ -298,6 +305,25 @@ class TestConfigValues:
             *flags)
         assert code == 1
         assert err.startswith("mcode: error: ") and f"'{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,d,flags", [
+        ("detect", 3, ["--methods", "mlrw", "--dim-fraction", "0.5"]),
+        ("detect", 3, ["--methods", "lof", "--k-lof", 60,
+                       "--dim-fraction", "0.5"]),
+        ("detect", 1, ["--methods", "iprod", "mrw", "--dim-fraction", "1"]),
+        ("fit", 1, ["--modes", "independent", "full_conditional"]),
+    ], ids=["default_k_lrw_above_n", "k_lof_at_n", "model_method_d1",
+            "full_conditional_d1"])
+    def test_data_checks_before_any_artifact(self, tmp_path, command, d,
+                                             flags):
+        data = tmp_path / "data.csv"
+        save_csv(make_coupled_dataset(n=60, m=3, d=d, seed=100), data)
+        out = tmp_path / "out"
+        code, err = run_quiet(command, "--dataset", data, "--n-outputs", d,
+                              "--lambda", "1", "--out-dir", out, *flags)
+        assert code == 1 and err.startswith("mcode: error: ")
+        assert "unrecognized" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("upper", ["2", "0", "nan"])
@@ -392,7 +418,7 @@ _REQUIRED = {"dataset": ["--dataset", "absent.csv"],
 
 @pytest.mark.parametrize("command,key", [
     (command, key) for command, (_, _, keys) in COMMANDS.items()
-    for key in keys + ("seed", "out_dir")])
+    for key in keys])
 @settings(max_examples=12, deadline=None, database=None)
 @given(data=st.data())
 def test_invalid_config_value_exits_1(command, key, data):
@@ -405,7 +431,7 @@ def test_invalid_config_value_exits_1(command, key, data):
         for other in COMMANDS[command][2]:
             if other != key:
                 argv += _REQUIRED.get(other, [])
-        if key != "out_dir":
+        if key != "out_dir" and "out_dir" in COMMANDS[command][2]:
             argv += ["--out-dir", tmp / "out"]
         code, err = run_quiet(*argv)
         assert code == 1, err

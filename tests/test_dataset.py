@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mcode import (ConfigError, DataError, Dataset, DomainError,
                    inject_outliers, load_csv, load_log, round_half_up,
@@ -257,3 +261,62 @@ class TestPerturbationLog:
         path.write_text("not json")
         with pytest.raises(DataError):
             load_log(path)
+
+
+@st.composite
+def datasets(draw, names=None):
+    """Datasets of any finite float64 inputs, including -0.0 and
+    subnormals; names=None keeps the default column names."""
+    n, m, d = (draw(st.integers(1, hi)) for hi in (6, 3, 3))
+    X = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    Y = draw(hnp.arrays(np.int8, (n, d), elements=st.integers(0, 1)))
+    if names is None:
+        return Dataset(X, Y)
+    return Dataset(X, Y, tuple(draw(names) for _ in range(m)),
+                   tuple(draw(names) for _ in range(d)))
+
+
+def csv_round_trip(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(ds, path, comments=("a comment",))
+        return load_csv(path, n_outputs=ds.d)
+
+
+# Names the format reads back unchanged; README "File formats" lists the
+# names it reads differently. Each name here starts with a letter that no
+# spelling of a number (nan, inf, infinity) starts with, ends with no
+# whitespace, and may hold the CSV delimiter, the quote and '#'.
+_NAME = st.builds(lambda first, rest: first + rest.rstrip(),
+                  st.sampled_from("ABHJMOZabhjmoz_"),
+                  st.text(alphabet='az09_ ,"#-', max_size=6))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ds=datasets())
+def test_csv_round_trip_keeps_bits_and_default_names(ds):
+    back = csv_round_trip(ds)
+    assert np.array_equal(back.X.view(np.uint64), ds.X.view(np.uint64))
+    assert np.array_equal(back.Y, ds.Y)
+    assert (back.input_names, back.output_names) == \
+        (ds.input_names, ds.output_names)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(ds=datasets(names=_NAME))
+def test_csv_round_trip_keeps_names(ds):
+    back = csv_round_trip(ds)
+    assert (back.input_names, back.output_names) == \
+        (ds.input_names, ds.output_names)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ds=datasets(), ratio=st.floats(0.0, 1.0, exclude_min=True),
+       dim_fraction=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2 ** 63))
+def test_injection_twice_restores_outputs(ds, ratio, dim_fraction, seed):
+    once, log = inject_outliers(ds, ratio, dim_fraction, seed)
+    twice, log_again = inject_outliers(once, ratio, dim_fraction, seed)
+    assert np.array_equal(twice.Y, ds.Y) and twice.Y.dtype == ds.Y.dtype
+    assert log_again == log

@@ -111,19 +111,17 @@ class TestTparCurve:
         assert ((curve.tpar_values >= 0) & (curve.tpar_values <= 1)).all()
 
     def test_matches_tpar_pointwise(self):
-        sv = ranking_scores(100, [5, 50])
-        curve = tpar_curve(sv, {5, 50}, grid=[0.01, 0.05, 0.5])
-        for rate, value in zip(curve.alert_rates, curve.tpar_values):
-            assert value == tpar(sv, {5, 50}, rate)
-
-    def test_grid_validation(self):
-        sv = ranking_scores(10, [0])
-        with pytest.raises(ConfigError):
-            tpar_curve(sv, {0}, grid=[])
-        with pytest.raises(ConfigError):
-            tpar_curve(sv, {0}, grid=[0.5, 0.1])
-        with pytest.raises(ConfigError):
-            tpar_curve(sv, {0}, grid=[0.1, 0.1])
+        gen = np.random.default_rng(11)
+        for n in (1, 24, 100, 2417):
+            sv = ScoreVector(gen.integers(0, 5, size=n).astype(float), "RW")
+            truth = set(gen.choice(n, size=max(1, n // 20),
+                                   replace=False).tolist())
+            curve = tpar_curve(sv, truth)
+            assert curve.alert_rates.shape[0] == max(1, round(0.04 * n))
+            for a, (rate, value) in enumerate(
+                    zip(curve.alert_rates, curve.tpar_values), start=1):
+                assert rate == a / n
+                assert value == tpar(sv, truth, rate)
 
 
 class TestTrialReport:
@@ -227,14 +225,3 @@ class TestRunExperiment:
             ds, ["mprod", "mrw"], ratio=0.05, dim_fraction=0.34, repeats=2,
             seed=6, lambda_policy=FixedLambda(1.0), upper=0.05)
         assert reports["mprod"].atpar_values == reports["mrw"].atpar_values
-
-    def test_lrw_joint_space_option(self):
-        ds = make_coupled_dataset(n=60, m=3, d=3, seed=9)
-        reports = run_experiment(
-            ds, ["mlrw"], ratio=0.05, dim_fraction=0.34, repeats=1, seed=4,
-            lambda_policy=FixedLambda(1.0), k_lrw=10, lrw_space="xy",
-            upper=0.05)
-        assert 0.0 <= reports["mlrw"].mean <= 1.0
-        with pytest.raises(ConfigError):
-            run_experiment(ds, ["mlrw"], 0.05, 0.34, repeats=1, seed=4,
-                           lrw_space="z")

@@ -80,10 +80,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             lof_scores(pts, LofConfig(k=0))
 
-    def test_bad_floor(self):
-        with pytest.raises(ConfigError):
-            lof_scores(np.zeros((5, 2)), LofConfig(k=2, distance_floor=0.0))
-
     def test_bad_points(self):
         with pytest.raises(DomainError):
             lof_scores(np.array([[np.inf, 0.0], [0.0, 0.0]]), LofConfig(k=1))
