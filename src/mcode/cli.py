@@ -227,7 +227,8 @@ def _lambda_policy(resolved):
 
 def _config_hash(resolved: dict) -> str:
     # identifies the run parameters, not where the artifacts land
-    params = {k: v for k, v in resolved.items() if k != "out_dir"}
+    params = {k: v for k, v in resolved.items()
+              if k not in ("out_dir", "curve_out")}
     canon = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -294,8 +295,9 @@ def cmd_detect(args) -> int:
     cfg_hash = _config_hash(resolved)
 
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
+    policy = _lambda_policy(resolved)
     check_experiment(ds, resolved["methods"], resolved["repeats"],
-                     resolved["k_lof"], resolved["k_lrw"])
+                     resolved["k_lof"], resolved["k_lrw"], policy)
 
     out = Path(resolved["out_dir"])
     (out / "scores").mkdir(parents=True, exist_ok=True)
@@ -331,7 +333,7 @@ def cmd_detect(args) -> int:
         reports = run_experiment(
             ds, resolved["methods"], resolved["ratio"],
             resolved["dim_fraction"], repeats=resolved["repeats"],
-            seed=resolved["seed"], lambda_policy=_lambda_policy(resolved),
+            seed=resolved["seed"], lambda_policy=policy,
             k_lof=resolved["k_lof"], k_lrw=resolved["k_lrw"],
             fit_on_original=resolved["fit_on_original"],
             upper=resolved["upper"], on_repeat=on_repeat)

@@ -117,12 +117,18 @@ def _check_methods(methods, d: int):
 
 
 def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
-                     k_lrw: int) -> tuple:
+                     k_lrw: int, lambda_policy=None) -> tuple:
     """Reject settings that run_experiment cannot carry out on ds, before
     it runs; returns the methods with duplicates dropped."""
     methods = _check_methods(methods, ds.d)
     if not isinstance(repeats, int) or repeats < 1:
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
+    if lambda_policy is None:
+        lambda_policy = CvLambda()
+    if (isinstance(lambda_policy, CvLambda) and lambda_policy.folds > ds.n
+            and any(name != "lof" for name in methods)):
+        raise ConfigError(f"cv_folds={lambda_policy.folds} exceeds the "
+                          f"{ds.n} instances")
     if "mlrw" in methods and k_lrw > ds.n:
         raise ConfigError(f"k_lrw={k_lrw} exceeds the {ds.n} instances")
     if "lof" in methods and k_lof >= ds.n:
@@ -186,7 +192,8 @@ def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
     (repeat index, PerturbationLog, {method: ScoreVector}) so callers can
     persist per-repeat artifacts.
     """
-    methods = check_experiment(ds, methods, repeats, k_lof, k_lrw)
+    methods = check_experiment(ds, methods, repeats, k_lof, k_lrw,
+                               lambda_policy)
 
     values = {name: [] for name in methods}
     for r in range(repeats):

@@ -11,6 +11,9 @@ The neighborhood N_k(p) excludes p itself and contains every other point
 within the k-distance, so it can exceed k members when distances tie.
 Reach distances are floored at a small positive value before dividing so
 duplicated points produce large but finite densities.
+
+Neighborhoods come from NeighborIndex's blocked walker, as LRW's do, so
+memory is O(block x N) plus the neighbor lists; lrd and LOF are gathers.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DomainError
-from .scoring import ScoreVector
+from .scoring import NeighborIndex, ScoreVector
 
 _DISTANCE_FLOOR = 1e-12
 
@@ -33,31 +35,34 @@ class LofConfig:
 
 def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     """LOF score for every point of the set, as a ScoreVector."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise DomainError("points must be a 2-dimensional array of >= 2 rows")
-    if not np.isfinite(points).all():
-        raise DomainError("points contain non-finite values")
-    n = points.shape[0]
+    index = NeighborIndex(points)
+    n = index.n
+    if n < 2:
+        raise DomainError("LOF needs at least 2 points")
     k = config.k
     if not isinstance(k, (int, np.integer)) or not (1 <= k < n):
         raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
 
-    dists = cdist(points, points)
-    np.fill_diagonal(dists, np.inf)  # self never counts as a neighbor
-    kdist = np.sort(dists, axis=1)[:, k - 1]
+    # (point, neighbor, distance) triples, by point, then by neighbor
+    parts = []
+    for rows, dist, kth in index._blocks(k, exclude_self=True):
+        r, c = np.nonzero(dist <= kth)
+        parts.append((rows[r], c, dist[r, c], kth[:, 0]))
+    owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*parts))
+    sizes = np.bincount(owner, minlength=n)
 
-    neighborhoods = [np.flatnonzero(dists[p] <= kdist[p]) for p in range(n)]
-
-    lrd = np.empty(n)
-    for p in range(n):
-        nbrs = neighborhoods[p]
-        reach = np.maximum(kdist[nbrs], dists[p, nbrs])
-        reach = np.maximum(reach, _DISTANCE_FLOOR)
-        lrd[p] = nbrs.shape[0] / reach.sum()
-
-    scores = np.empty(n)
-    for p in range(n):
-        nbrs = neighborhoods[p]
-        scores[p] = (lrd[nbrs] / lrd[p]).mean()
+    reach = np.maximum(np.maximum(kdist[nbr], nbr_dist), _DISTANCE_FLOOR)
+    lrd = sizes / _row_sums(reach, sizes)
+    scores = _row_sums(lrd[nbr] / lrd[owner], sizes) / sizes
     return ScoreVector(scores=scores, method="LOF")
+
+
+def _row_sums(values, sizes) -> np.ndarray:
+    """Sum of each point's run of values, runs laid end to end; runs of one
+    length are the rows of one block, so each sums bitwise as its own."""
+    sums = np.empty(sizes.shape[0])
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return sums

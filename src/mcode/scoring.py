@@ -26,6 +26,8 @@ from scipy.spatial.distance import cdist
 from .errors import DomainError
 from .model import RhoMatrix
 
+_BLOCK_ENTRIES = 1 << 18  # distances per block; rows = max(1, this // N)
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -52,7 +54,9 @@ class NeighborIndex:
 
     query_all lists each point's neighbors among the same points in
     non-decreasing distance order, ties broken by ascending index, so a
-    point counts as its own neighbor at distance zero.
+    point counts as its own neighbor at distance zero. One blocked walker
+    computes all distances, for query_all and LOF: a block of rows
+    against all N points, so memory is O(block x N).
     """
 
     def __init__(self, points):
@@ -72,11 +76,30 @@ class NeighborIndex:
             raise DomainError(
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
+    def _blocks(self, k: int, exclude_self: bool = False):
+        """Yield (rows, their distances to all points, k-th smallest); the
+        last is a copy, so it keeps no partitioned block alive."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        for start in range(0, self.n, step):
+            rows = np.arange(start, min(start + step, self.n))
+            dist = cdist(self.points[rows], self.points)
+            if exclude_self:
+                dist[np.arange(rows.shape[0]), rows] = np.inf
+            yield rows, dist, np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
         self._check_k(k)
-        dists = cdist(self.points, self.points)
-        return np.argsort(dists, axis=1, kind="stable")[:, :k]
+        out = np.empty((self.n, k), dtype=np.intp)
+        for rows, dist, kth in self._blocks(k):
+            below, ties = dist < kth, dist == kth
+            room = k - below.sum(axis=1, keepdims=True)
+            keep = below | (ties & (np.cumsum(ties, axis=1) <= room))
+            cols = np.nonzero(keep)[1].reshape(rows.shape[0], k)
+            order = np.argsort(np.take_along_axis(dist, cols, axis=1),
+                               axis=1, kind="stable")
+            out[rows] = np.take_along_axis(cols, order, axis=1)
+        return out
 
 
 def global_weights(rho: RhoMatrix) -> WeightVector:

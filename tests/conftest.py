@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mcode.scoring
 from mcode import Dataset
 
 
@@ -25,3 +28,27 @@ def make_coupled_dataset(n=200, m=4, d=3, seed=42, coupling=True):
 @pytest.fixture
 def coupled_dataset():
     return make_coupled_dataset()
+
+
+@pytest.fixture(params=[1, 7, 150])
+def small_blocks(request, monkeypatch):
+    """Shrink the kNN block budget so that a block holds one row or a few
+    (rows per block = max(1, entries // N))."""
+    monkeypatch.setattr(mcode.scoring, "_BLOCK_ENTRIES", request.param)
+
+
+def grid_with_duplicates(seed, n=40):
+    """Points on a 4 x 4 integer grid, most of them repeated, so distance
+    ties and zero distances fall on both sides of every block edge."""
+    gen = np.random.default_rng(seed)
+    return gen.integers(0, 4, size=(n, 2)).astype(np.float64)
+
+
+def traced_peak(func) -> int:
+    """Peak bytes allocated, as tracemalloc sees them, while func runs."""
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -259,6 +259,21 @@ class TestEval:
         assert run("detect", "--dataset", undecodable, "--n-outputs", 1,
                    "--dim-fraction", "0.5", "--out-dir", tmp_path) == 2
 
+    def test_curve_hash_ignores_curve_out(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("instance_index,method,score\n0,RW,1.0\n"
+                          "1,RW,0.5\n")
+        log = tmp_path / "log.json"
+        save_log(PerturbationLog(seed=0, ratio=0.5, dim_fraction=1.0,
+                                 outlier_rows=frozenset({0}),
+                                 flipped_cells=((0, 0),)), log)
+        for name in ("a.csv", "b.csv"):
+            assert run_quiet("eval", "--scores", scores, "--log", log,
+                             "--curve-out", tmp_path / name)[0] == 0
+        a, b = ((tmp_path / name).read_text().splitlines()[2]
+                for name in ("a.csv", "b.csv"))
+        assert a == b and a.startswith("# config=")
+
     @pytest.mark.parametrize("flags", [["--seed", "1"], ["--out-dir", "x"]])
     def test_takes_no_seed_or_out_dir(self, tmp_path, flags):
         # eval writes only to --curve-out and takes its seed from the log
@@ -308,20 +323,25 @@ class TestConfigValues:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,d,flags", [
-        ("detect", 3, ["--methods", "mlrw", "--dim-fraction", "0.5"]),
+        ("detect", 3, ["--methods", "mlrw", "--dim-fraction", "0.5",
+                       "--lambda", "1"]),
         ("detect", 3, ["--methods", "lof", "--k-lof", 60,
-                       "--dim-fraction", "0.5"]),
-        ("detect", 1, ["--methods", "iprod", "mrw", "--dim-fraction", "1"]),
-        ("fit", 1, ["--modes", "independent", "full_conditional"]),
+                       "--dim-fraction", "0.5", "--lambda", "1"]),
+        ("detect", 1, ["--methods", "iprod", "mrw", "--dim-fraction", "1",
+                       "--lambda", "1"]),
+        ("fit", 1, ["--modes", "independent", "full_conditional",
+                    "--lambda", "1"]),
+        ("detect", 3, ["--methods", "iprod", "--dim-fraction", "1",
+                       "--cv-folds", 61]),
     ], ids=["default_k_lrw_above_n", "k_lof_at_n", "model_method_d1",
-            "full_conditional_d1"])
+            "full_conditional_d1", "cv_folds_above_n"])
     def test_data_checks_before_any_artifact(self, tmp_path, command, d,
                                              flags):
         data = tmp_path / "data.csv"
         save_csv(make_coupled_dataset(n=60, m=3, d=d, seed=100), data)
         out = tmp_path / "out"
         code, err = run_quiet(command, "--dataset", data, "--n-outputs", d,
-                              "--lambda", "1", "--out-dir", out, *flags)
+                              "--out-dir", out, *flags)
         assert code == 1 and err.startswith("mcode: error: ")
         assert "unrecognized" not in err
         assert not out.exists()

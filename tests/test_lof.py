@@ -4,6 +4,7 @@ import pytest
 from mcode import ConfigError, DomainError, LofConfig, lof_scores
 
 import oracles
+from conftest import grid_with_duplicates, traced_peak
 
 
 class TestKnownGeometries:
@@ -49,6 +50,26 @@ class TestAgainstOracle:
         scores = lof_scores(pts, LofConfig(k=3)).scores
         expected = oracles.oracle_lof(pts.tolist(), 3)
         np.testing.assert_allclose(scores, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_grid_with_duplicates(self, k):
+        # repeated points: zero k-distances and floored reach distances
+        pts = grid_with_duplicates(300 + k)
+        scores = lof_scores(pts, LofConfig(k=k)).scores
+        expected = oracles.oracle_lof(pts.tolist(), k)
+        np.testing.assert_allclose(scores, expected, rtol=1e-9)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestAgainstOracleInBlocks(TestAgainstOracle):
+    """Every TestAgainstOracle case again, in blocks of one or a few rows."""
+
+
+def test_holds_no_n_by_n_matrix():
+    # a quarter of one N x N float64 matrix at N = 3000, about 17 MiB
+    pts = np.random.default_rng(5).normal(size=(3000, 5))
+    assert traced_peak(lambda: lof_scores(pts, LofConfig(k=10))) < \
+        3000 * 3000 * 8 // 4
 
 
 class TestProperties:

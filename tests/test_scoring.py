@@ -10,6 +10,7 @@ from mcode import (DataError, DomainError, LocalWeightMatrix, NeighborIndex,
 from mcode.scoring import load_score_table, write_score_table
 
 import oracles
+from conftest import grid_with_duplicates, traced_peak
 
 
 def random_rho(seed, n=30, d=4, low=0.02, high=0.98):
@@ -39,6 +40,14 @@ class TestNeighborIndex:
             expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
             assert all_neighbors[i].tolist() == expected
 
+    @pytest.mark.parametrize("k", [1, 3, 17, 40])
+    def test_grid_duplicates_match_brute_force(self, k):
+        pts = grid_with_duplicates(k)
+        all_neighbors = NeighborIndex(pts).query_all(k)
+        for i in range(len(pts)):
+            expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
+            assert all_neighbors[i].tolist() == expected
+
     def test_k_bounds(self):
         index = NeighborIndex(np.zeros((4, 2)))
         with pytest.raises(DomainError):
@@ -54,6 +63,18 @@ class TestNeighborIndex:
             NeighborIndex(np.zeros(3))
         with pytest.raises(DomainError):
             NeighborIndex(np.zeros((0, 2)))
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestNeighborIndexInBlocks(TestNeighborIndex):
+    """Every TestNeighborIndex case again, in blocks of one or a few rows."""
+
+
+def test_query_all_holds_no_n_by_n_matrix():
+    # a quarter of one N x N float64 matrix at N = 3000, about 17 MiB
+    pts = np.random.default_rng(5).normal(size=(3000, 5))
+    assert traced_peak(lambda: NeighborIndex(pts).query_all(10)) < \
+        3000 * 3000 * 8 // 4
 
 
 class TestGlobalWeights:
