@@ -32,6 +32,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def json_int(value) -> int:
+    """An integer field read from JSON: an int or an integral float, else
+    ValueError (a bool, a string, 1.7, nan) or OverflowError (inf, which
+    is how json reads 1e400)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def round_half_up(x: float) -> int:
     """Nearest integer with halves rounded up.
 
@@ -142,15 +152,17 @@ class PerturbationLog:
     def from_dict(cls, doc: dict) -> "PerturbationLog":
         try:
             return cls(
-                seed=int(doc["seed"]),
+                seed=json_int(doc["seed"]),
                 ratio=float(doc["ratio"]),
                 dim_fraction=float(doc["dim_fraction"]),
-                outlier_rows=frozenset(int(r) for r in doc["outlier_rows"]),
+                outlier_rows=frozenset(
+                    json_int(r) for r in doc["outlier_rows"]),
                 flipped_cells=tuple(
-                    (int(r), int(c)) for r, c in doc["flipped_cells"]),
+                    (json_int(r), json_int(c))
+                    for r, c in doc["flipped_cells"]),
                 rng=str(doc.get("rng", RNG_ALGORITHM)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed perturbation log: {exc}") from exc
 
 

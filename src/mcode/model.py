@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .dataset import Dataset, StandardizationStats, standardize
+from .dataset import Dataset, StandardizationStats, json_int, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
                     cross_validate_lambda, factor_from_dict, factor_to_dict,
                     predict_prob_batch, train_logistic)
@@ -217,31 +217,37 @@ def load_model(path) -> McodeModel:
         raise DataError(f"{manifest_path}: not a model manifest")
     try:
         mode = manifest["mode"]
-        m = int(manifest["m"])
-        d = int(manifest["d"])
+        m = json_int(manifest["m"])
+        d = json_int(manifest["d"])
         stats = StandardizationStats(
             means=np.asarray(manifest["means"], dtype=np.float64),
             std_devs=np.asarray(manifest["std_devs"], dtype=np.float64))
         lambdas = tuple(None if v is None else float(v)
                         for v in manifest["lambdas"])
-        factor_files = manifest["factors"]
-    except (KeyError, TypeError, ValueError) as exc:
+        factor_paths = [root / name for name in manifest["factors"]]
+        if len(factor_paths) != d or len(lambdas) != d:
+            raise DataError(
+                f"{manifest_path}: lists {len(factor_paths)} factors and "
+                f"{len(lambdas)} lambdas for d={d}")
+        check_mode(mode, d)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            ConfigError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    check_mode(mode, d)
-    if len(factor_files) != d:
+    if stats.means.shape != (m,) or stats.std_devs.shape != (m,):
         raise DataError(
-            f"{manifest_path}: lists {len(factor_files)} factors for d={d}")
+            f"{manifest_path}: means and std_devs must each hold m={m} values")
 
-    factors = []
-    for name in factor_files:
-        factors.append(factor_from_dict(_load_json(root / name)))
-
+    factors = tuple(factor_from_dict(_load_json(p)) for p in factor_paths)
     expected_arity = {FULL_CONDITIONAL: m + d - 1, INDEPENDENT: m}[mode]
-    for factor in factors:
+    for i, factor in enumerate(factors):
+        if factor.dim_index != i:
+            raise DataError(
+                f"{manifest_path}: lists the factor of dimension "
+                f"{factor.dim_index} at position {i}")
         if not isinstance(factor, ConstantFactor) and \
                 factor.arity != expected_arity:
             raise DataError(
                 f"{root}: factor {factor.dim_index} has arity {factor.arity}, "
                 f"expected {expected_arity}")
     return McodeModel(mode=mode, m=m, d=d, stats=stats,
-                      factors=tuple(factors), lambdas=lambdas)
+                      factors=factors, lambdas=lambdas)

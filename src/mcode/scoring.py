@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 from .errors import DomainError
 from .model import RhoMatrix
 
-_BLOCK_ENTRIES = 1 << 18  # distances per block; rows = max(1, this // N)
+_BLOCK_ENTRIES = 1 << 18  # per block: N distances, or k x d errors, a row
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,26 @@ class NeighborIndex:
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
     def _blocks(self, k: int, exclude_self: bool = False):
-        """Yield (rows, their distances to all points, k-th smallest); the
-        last is a copy, so it keeps no partitioned block alive."""
+        """Yield (rows, their distances to all points, k-th smallest).
+
+        The distances and their partition fill two buffers allocated once
+        per walk, not two fresh arrays per block that the allocator maps
+        and pages in anew; the next block overwrites the distances, and
+        the k-th smallest are a copy.
+        """
         step = max(1, _BLOCK_ENTRIES // self.n)
+        dist_buf = np.empty((min(step, self.n), self.n))
+        part_buf = np.empty_like(dist_buf)
         for start in range(0, self.n, step):
             rows = np.arange(start, min(start + step, self.n))
-            dist = cdist(self.points[rows], self.points)
+            dist = cdist(self.points[rows], self.points,
+                         out=dist_buf[:rows.shape[0]])
             if exclude_self:
                 dist[np.arange(rows.shape[0]), rows] = np.inf
-            yield rows, dist, np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+            part = part_buf[:rows.shape[0]]
+            np.copyto(part, dist)
+            part.partition(k - 1, axis=1)
+            yield rows, dist, part[:, [k - 1]]
 
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
@@ -94,7 +105,9 @@ class NeighborIndex:
         for rows, dist, kth in self._blocks(k):
             below, ties = dist < kth, dist == kth
             room = k - below.sum(axis=1, keepdims=True)
-            keep = below | (ties & (np.cumsum(ties, axis=1) <= room))
+            # rank of each tie in its row; int32 halves this block array
+            rank = np.cumsum(ties, axis=1, dtype=np.int32)
+            keep = below | (ties & (rank <= room))
             cols = np.nonzero(keep)[1].reshape(rows.shape[0], k)
             order = np.argsort(np.take_along_axis(dist, cols, axis=1),
                                axis=1, kind="stable")
@@ -114,14 +127,20 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
 
     Neighborhoods come from the index (the instance itself included,
     being at distance zero), and errors are summed in ascending index
-    order so that k = N reproduces global_weights exactly.
+    order so that k = N reproduces global_weights exactly. The errors are
+    gathered a block of rows at a time, never as one N x k x d array.
     """
     if index.n != rho.n:
         raise DomainError(
             f"index holds {index.n} points but rho has {rho.n} rows")
     members = np.sort(index.query_all(k), axis=1)
-    return LocalWeightMatrix(w=k / (1.0 - rho.values)[members].sum(axis=1),
-                             k=k)
+    errors = 1.0 - rho.values
+    w = np.empty_like(errors)
+    step = max(1, _BLOCK_ENTRIES // (k * rho.d))
+    for start in range(0, rho.n, step):
+        rows = slice(start, start + step)
+        w[rows] = k / errors[members[rows]].sum(axis=1)
+    return LocalWeightMatrix(w=w, k=k)
 
 
 def _weighted_score(rho: RhoMatrix, w, method: str) -> ScoreVector:

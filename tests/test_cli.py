@@ -258,6 +258,17 @@ class TestEval:
         assert run("eval", "--scores", scores, "--log", undecodable) == 2
         assert run("detect", "--dataset", undecodable, "--n-outputs", 1,
                    "--dim-fraction", "0.5", "--out-dir", tmp_path) == 2
+        scores.write_text("instance_index,method,score\n0,RW,1.0\n"
+                          "1,RW,0.5\n")
+        good = {"seed": 0, "ratio": 0.5, "dim_fraction": 1.0,
+                "outlier_rows": [0], "flipped_cells": [[0, 0]]}
+        # json reads 1e400 as inf; 1.7 must not be truncated to row 1
+        for key, value in (("seed", "1e400"), ("outlier_rows", ["1e400"]),
+                           ("flipped_cells", [["1e400", 0]]),
+                           ("outlier_rows", [1.7])):
+            log.write_text(json.dumps({**good, key: value})
+                           .replace('"1e400"', "1e400"))
+            assert run("eval", "--scores", scores, "--log", log) == 2, key
 
     def test_curve_hash_ignores_curve_out(self, tmp_path):
         scores = tmp_path / "scores.csv"

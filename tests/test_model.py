@@ -192,7 +192,30 @@ class TestPersistence:
                 load_model(target)
         save_model(fit_mcode(coupled_dataset, INDEPENDENT, FixedLambda(1.0)),
                    tmp_path / "m")
-        (tmp_path / "m" / "factor_000.json").write_bytes(b"\xff\xfe{}")
+        manifest_path = tmp_path / "m" / "manifest.json"
+        good = json.loads(manifest_path.read_text())
+
+        def with_value(doc, key, value):
+            # json reads 1e400 as inf, which int() cannot convert
+            return json.dumps({**doc, key: value}).replace('"1e400"', "1e400")
+
+        for key, value in (("factors", good["factors"][::-1]),
+                           ("lambdas", good["lambdas"][:-1]),
+                           ("lambdas", good["lambdas"] + [1.0]),
+                           ("means", good["means"] + [0.0]),
+                           ("std_devs", good["std_devs"][:-1]),
+                           ("m", "1e400"), ("d", "1e400"),
+                           ("factors", [0, 1, 2]), ("mode", "mystery")):
+            manifest_path.write_text(with_value(good, key, value))
+            with pytest.raises(DataError, match="manifest.json"):
+                load_model(tmp_path / "m")
+        manifest_path.write_text(json.dumps(good))
+        factor_path = tmp_path / "m" / "factor_000.json"
+        factor_path.write_text(with_value(
+            json.loads(factor_path.read_text()), "dim_index", "1e400"))
+        with pytest.raises(DomainError, match="malformed factor"):
+            load_model(tmp_path / "m")
+        factor_path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(DataError, match="factor_000.json"):
             load_model(tmp_path / "m")
 

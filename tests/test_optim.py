@@ -6,8 +6,8 @@ import pytest
 from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    FULL_CONDITIONAL, INDEPENDENT, LogisticFactor, PROB_EPS,
                    cross_validate_lambda, fit_mcode, inject_outliers,
-                   penalized_nll, predict_prob_batch,
-                   train_logistic)
+                   factor_features, penalized_nll, predict_prob_batch,
+                   standardize, train_logistic)
 from mcode.dataset import make_rng
 from mcode.optim import factor_from_dict, factor_to_dict, optimizer_run_count
 
@@ -135,9 +135,9 @@ class TestTrainer:
             factor.final_gradient_norm)
 
     def test_every_benchmark_factor_converges(self):
-        # Some of these factors end where the predicted decrease is below
-        # the float64 resolution of the objective, so the Armijo test
-        # alone rejects every step short of the tolerance.
+        # Some of these factors end where the predicted decrease of f is
+        # below its float64 resolution; a line search that tests f rather
+        # than ||g|| rejects every step there, short of the tolerance.
         ds = make_benchmark_dataset()
         for seed in range(5):
             perturbed, _ = inject_outliers(ds, 0.01, 0.25, seed)
@@ -145,6 +145,23 @@ class TestTrainer:
                 model = fit_mcode(perturbed, mode, FixedLambda(1.0))
                 for factor in model.factors:
                     assert factor.converged, (seed, mode, factor.dim_index)
+
+    def test_cv_folds_at_n_8000_converge(self):
+        # At N=8000 the full Newton step from these fold fits reaches
+        # ||g|| ~ 1e-13, but f, a sum of 6,400 terms, comes out about
+        # 22 ulp higher, so a line search on f rejected it and the fits
+        # ran MAX_ITER iterations with ||g|| stuck near 1e-6.
+        ds = make_benchmark_dataset(n=8000, seed=11)
+        perturbed, _ = inject_outliers(ds, 0.01, 0.25, 0)
+        X_std = standardize(perturbed)[0].X
+        folds = np.array_split(make_rng(0).permutation(ds.n), 5)
+        for dim, fold in ((0, 4), (1, 1), (2, 3)):
+            train = np.ones(ds.n, dtype=bool)
+            train[folds[fold]] = False
+            feats = factor_features(FULL_CONDITIONAL, X_std, perturbed.Y, dim)
+            labels = perturbed.Y[:, dim].astype(np.float64)
+            factor = train_logistic(feats[train], labels[train], 0.1)
+            assert factor.converged, (dim, fold, factor.final_gradient_norm)
 
     def test_separable_unpenalized_stops_finite(self):
         # lam = 0 on separable labels has no finite optimum

@@ -77,6 +77,16 @@ def test_query_all_holds_no_n_by_n_matrix():
         3000 * 3000 * 8 // 4
 
 
+def test_local_weights_hold_no_n_by_k_by_d_array():
+    # a quarter of one N x k x d float64 gather at N = 2000, k = 100,
+    # d = 32, about 12 MiB
+    gen = np.random.default_rng(6)
+    index = NeighborIndex(gen.normal(size=(2000, 5)))
+    rho = RhoMatrix(gen.uniform(0.02, 0.98, size=(2000, 32)))
+    assert traced_peak(lambda: local_weights(rho, index, 100)) < \
+        2000 * 100 * 32 * 8 // 4
+
+
 class TestGlobalWeights:
     def test_known_value(self):
         rho = RhoMatrix(np.array([[0.8], [0.6], [0.4]]))
@@ -131,6 +141,11 @@ class TestLocalWeights:
         index = NeighborIndex(np.zeros((9, 2)))
         with pytest.raises(DomainError):
             local_weights(rho, index, k=3)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLocalWeightsInBlocks(TestLocalWeights):
+    """Every TestLocalWeights case again, in blocks of one or a few rows."""
 
 
 class TestScores:
