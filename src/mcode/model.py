@@ -206,6 +206,13 @@ def _load_json(path):
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _load_factor(path):
+    try:
+        return factor_from_dict(_load_json(path))
+    except DomainError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_model(path) -> McodeModel:
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -237,7 +244,7 @@ def load_model(path) -> McodeModel:
         raise DataError(
             f"{manifest_path}: means and std_devs must each hold m={m} values")
 
-    factors = tuple(factor_from_dict(_load_json(p)) for p in factor_paths)
+    factors = tuple(_load_factor(p) for p in factor_paths)
     expected_arity = {FULL_CONDITIONAL: m + d - 1, INDEPENDENT: m}[mode]
     for i, factor in enumerate(factors):
         if factor.dim_index != i:

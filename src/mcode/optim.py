@@ -269,20 +269,31 @@ def factor_to_dict(factor) -> dict:
 
 
 def factor_from_dict(doc: dict):
+    """Inverse of factor_to_dict; a missing, mistyped or non-finite
+    parameter is a DomainError."""
     try:
         kind = doc["kind"]
         if kind == "constant":
             return ConstantFactor(dim_index=json_int(doc["dim_index"]),
-                                  prob_one=float(doc["prob_one"]))
+                                  prob_one=_finite(float(doc["prob_one"]),
+                                                   "prob_one"))
         if kind == "logistic":
             return LogisticFactor(
                 dim_index=json_int(doc["dim_index"]),
-                lam=float(doc["lambda"]),
-                weights=np.asarray(doc["weights"], dtype=np.float64),
-                intercept=float(doc["intercept"]),
+                lam=_finite(float(doc["lambda"]), "lambda"),
+                weights=_finite(np.asarray(doc["weights"], dtype=np.float64),
+                                "weights"),
+                intercept=_finite(float(doc["intercept"]), "intercept"),
                 converged=bool(doc["converged"]),
                 final_gradient_norm=float(doc["final_gradient_norm"]),
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed factor document: {exc}") from exc
     raise DomainError(f"unknown factor kind {doc.get('kind')!r}")
+
+
+def _finite(value, key: str):
+    """value unchanged if every entry is finite; json reads 1e400 as inf."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"non-finite {key}")
+    return value

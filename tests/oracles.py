@@ -18,6 +18,18 @@ def brute_knn(points, query, k):
     return [i for _, i in dists[:k]]
 
 
+def ties_across_cut(points, k, exclude_self=False):
+    """Whether each point has more than k points within its k-th smallest
+    distance: the (k+1)-th smallest equals the k-th."""
+    flags = []
+    for i, query in enumerate(points):
+        dists = sorted(
+            math.sqrt(sum((a - b) ** 2 for a, b in zip(p, query)))
+            for j, p in enumerate(points) if not (exclude_self and j == i))
+        flags.append(len(dists) > k and dists[k] == dists[k - 1])
+    return flags
+
+
 def oracle_local_weights(rho_values, points, k):
     """Per-instance reliability weights from explicit neighborhood loops."""
     n = len(rho_values)

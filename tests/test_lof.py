@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import mcode.scoring
 from mcode import ConfigError, DomainError, LofConfig, lof_scores
 
 import oracles
-from conftest import grid_with_duplicates, traced_peak
+from conftest import grid_with_duplicates, mixed_ties, tie_pattern, traced_peak
 
 
 class TestKnownGeometries:
@@ -63,6 +64,25 @@ class TestAgainstOracle:
 @pytest.mark.usefixtures("small_blocks")
 class TestAgainstOracleInBlocks(TestAgainstOracle):
     """Every TestAgainstOracle case again, in blocks of one or a few rows."""
+
+
+@pytest.mark.usefixtures("small_blocks", "workers")
+class TestAgainstOracleOnWorkers(TestAgainstOracle):
+    """Every TestAgainstOracle case again, the walk split over workers."""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_mixed_tie_blocks_match_oracle(monkeypatch, cpus, k):
+    monkeypatch.setattr(mcode.scoring, "_cpu_count", lambda: cpus)
+    pts = mixed_ties(k)
+    blocks = tie_pattern(pts, k, exclude_self=True)
+    assert all(tied.any() and not tied.all() for tied in blocks)
+    assert np.concatenate(blocks).tolist() == \
+        oracles.ties_across_cut(pts.tolist(), k, exclude_self=True)
+    scores = lof_scores(pts, LofConfig(k=k)).scores
+    expected = oracles.oracle_lof(pts.tolist(), k)
+    np.testing.assert_allclose(scores, expected, rtol=1e-9)
 
 
 def test_holds_no_n_by_n_matrix():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -211,10 +212,26 @@ class TestPersistence:
                 load_model(tmp_path / "m")
         manifest_path.write_text(json.dumps(good))
         factor_path = tmp_path / "m" / "factor_000.json"
-        factor_path.write_text(with_value(
-            json.loads(factor_path.read_text()), "dim_index", "1e400"))
-        with pytest.raises(DomainError, match="malformed factor"):
-            load_model(tmp_path / "m")
+        factor = json.loads(factor_path.read_text())
+        # json writes nan as NaN and reads it back as nan
+        for key, value in (("dim_index", "1e400"),
+                           ("weights", ["1e400"] + factor["weights"][1:]),
+                           ("intercept", math.nan), ("lambda", "1e400"),
+                           ("lambda", -math.inf)):
+            factor_path.write_text(with_value(factor, key, value))
+            with pytest.raises(DataError,
+                               match="factor_000.json: malformed factor"):
+                load_model(tmp_path / "m")
+        constant = tmp_path / "m" / "constant.json"
+        for prob_one in ("1e400", math.nan):
+            constant.write_text(with_value(
+                {"kind": "constant", "dim_index": 0}, "prob_one", prob_one))
+            factors = ["constant.json"] + good["factors"][1:]
+            manifest_path.write_text(json.dumps({**good, "factors": factors}))
+            with pytest.raises(DataError,
+                               match="constant.json: malformed factor"):
+                load_model(tmp_path / "m")
+        manifest_path.write_text(json.dumps(good))
         factor_path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(DataError, match="factor_000.json"):
             load_model(tmp_path / "m")
