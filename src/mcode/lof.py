@@ -17,8 +17,7 @@ memory is O(block x N) plus the neighbor lists; lrd and LOF are gathers.
 Each block's argpartition picks every row's k nearest columns. A row
 with exactly k points within its k-distance takes those k as they are;
 only a row with more, a tie across the cut, is scanned in full for every
-point within its k-distance. The walk runs on one thread per CPU the
-process may use, within the same total block budget.
+point within its k-distance.
 """
 
 from __future__ import annotations
@@ -48,23 +47,23 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     if not isinstance(k, (int, np.integer)) or not (1 <= k < n):
         raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
 
-    def runs(rows, dist, cols, near, kth, tied):
-        # (point, neighbor, distance) runs, by point, then by neighbor:
-        # an untied row is its k selected columns, a tied row every
-        # column within its k-distance; both come in ascending column
-        # order, which the stable sort by point keeps
+    # (point, neighbor, distance) runs, by point, then by neighbor: an
+    # untied row is its k selected columns, a tied row every column
+    # within its k-distance; both come in ascending column order, which
+    # the stable sort by point keeps
+    parts = []
+    for rows, dist, cols, near, kth, tied in index._blocks(
+            k, exclude_self=True):
         untied, tied = np.flatnonzero(~tied), np.flatnonzero(tied)
         r, c = np.nonzero(dist[tied] <= kth[tied, None])
         owner = np.concatenate([np.repeat(untied, k), tied[r]])
         order = np.argsort(owner, kind="stable")
-        return (rows[owner[order]],
-                np.concatenate([cols[untied].ravel(), c])[order],
-                np.concatenate([near[untied].ravel(),
-                                dist[tied[r], c]])[order],
-                kth)
-
-    blocks = index._blocks(k, runs, exclude_self=True)
-    owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*blocks))
+        parts.append((rows[owner[order]],
+                      np.concatenate([cols[untied].ravel(), c])[order],
+                      np.concatenate([near[untied].ravel(),
+                                      dist[tied[r], c]])[order],
+                      kth))
+    owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*parts))
     sizes = np.bincount(owner, minlength=n)
 
     reach = np.maximum(np.maximum(kdist[nbr], nbr_dist), _DISTANCE_FLOOR)

@@ -18,8 +18,6 @@ weight is finite and lies in [1, 1/eps].
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +26,7 @@ from scipy.spatial.distance import cdist
 from .errors import DomainError
 from .model import RhoMatrix
 
-# per block: N distances, or k x d errors, a row; kNN workers share it
-_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 18  # per block: N distances, or k x d errors, a row
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,7 @@ class NeighborIndex:
     against all N points, so memory is O(block x N). Each block selects
     its k nearest columns with argpartition; only rows with more than k
     points at their k-th distance, a tie across the cut, need the
-    lowest-index rule applied over the whole row. The walk is split over
-    one thread per CPU the process may use, inside the same total block
-    budget.
+    lowest-index rule applied over the whole row.
     """
 
     def __init__(self, points):
@@ -84,9 +79,9 @@ class NeighborIndex:
             raise DomainError(
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
-    def _blocks(self, k: int, consume, exclude_self: bool = False) -> list:
-        """consume(rows, dist, cols, near, kth, tied) for every block of
-        rows, returning the results in row order.
+    def _blocks(self, k: int, exclude_self: bool = False):
+        """Yield (rows, dist, cols, near, kth, tied) for every block of
+        rows, in row order.
 
         For each row of a block: dist holds its distances to all points;
         cols its k nearest columns from argpartition, in ascending column
@@ -96,52 +91,32 @@ class NeighborIndex:
         some of those at kth, not necessarily the lowest-indexed. An
         untied row's cols are exactly the points within its kth.
 
-        The rows are split into one contiguous range per worker, up to
-        one per CPU the process may use. The calling thread walks the
-        first range and a pool thread each of the others, cdist and
-        argpartition releasing the GIL. The _BLOCK_ENTRIES budget is
-        shared among the workers, so all blocks in flight together hold
-        as many distances as one block did; each range fills one distance
-        buffer allocated once, and consume runs in the worker, on the
-        block it has just computed.
+        The distances fill one buffer allocated once per walk, which the
+        next block overwrites; cols, near, kth and tied are the block's
+        own.
         """
         n = self.n
-        workers = min(_cpu_count(), n)
-        step = max(1, _BLOCK_ENTRIES // (n * workers))
-        edges = [n * i // workers for i in range(workers + 1)]
-
-        def walk(lo, hi):
-            dist_buf = np.empty((min(step, hi - lo), n))
-            done = []
-            for start in range(lo, hi, step):
-                rows = np.arange(start, min(start + step, hi))
-                dist = cdist(self.points[rows], self.points,
-                             out=dist_buf[:rows.shape[0]])
-                if exclude_self:
-                    dist[np.arange(rows.shape[0]), rows] = np.inf
-                cols = np.sort(
-                    np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-                near = np.take_along_axis(dist, cols, axis=1)
-                kth = near.max(axis=1)
-                tied = np.count_nonzero(dist <= kth[:, None], axis=1) > k
-                done.append(consume(rows, dist, cols, near, kth, tied))
-            return done
-
-        # a pool starts its threads on submit: none for one worker
-        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            rest = [pool.submit(walk, lo, hi)
-                    for lo, hi in zip(edges[1:-1], edges[2:])]
-            done = walk(edges[0], edges[1])
-            for future in rest:
-                done += future.result()
-        return done
+        step = max(1, _BLOCK_ENTRIES // n)
+        dist_buf = np.empty((min(step, n), n))
+        for start in range(0, n, step):
+            rows = np.arange(start, min(start + step, n))
+            dist = cdist(self.points[rows], self.points,
+                         out=dist_buf[:rows.shape[0]])
+            if exclude_self:
+                dist[np.arange(rows.shape[0]), rows] = np.inf
+            cols = np.sort(
+                np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+            near = np.take_along_axis(dist, cols, axis=1)
+            kth = near.max(axis=1)
+            tied = np.count_nonzero(dist <= kth[:, None], axis=1) > k
+            yield rows, dist, cols, near, kth, tied
 
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
 
-        def place(rows, dist, cols, near, kth, tied):
+        for rows, dist, cols, near, kth, tied in self._blocks(k):
             tied = np.flatnonzero(tied)
             if tied.size:
                 # lowest-index rule: every point below kth, then the
@@ -156,18 +131,7 @@ class NeighborIndex:
                 near[tied] = np.take_along_axis(dist, cols[tied], axis=1)
             order = np.argsort(near, axis=1, kind="stable")
             out[rows] = np.take_along_axis(cols, order, axis=1)
-
-        self._blocks(k, place)
         return out
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else every CPU of the machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def global_weights(rho: RhoMatrix) -> WeightVector:

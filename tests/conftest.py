@@ -37,14 +37,6 @@ def small_blocks(request, monkeypatch):
     monkeypatch.setattr(mcode.scoring, "_BLOCK_ENTRIES", request.param)
 
 
-@pytest.fixture(params=[1, 2, 3, 100], ids="workers{}".format)
-def workers(request, monkeypatch):
-    """Split the kNN walk over this many workers, capped at N: 100 exceeds
-    N in every test that uses this fixture, so each row becomes its own
-    range."""
-    monkeypatch.setattr(mcode.scoring, "_cpu_count", lambda: request.param)
-
-
 def grid_with_duplicates(seed, n=40):
     """Points on a 4 x 4 integer grid, most of them repeated, so distance
     ties and zero distances fall on both sides of every block edge."""
@@ -65,8 +57,7 @@ def mixed_ties(seed, n=30):
 def tie_pattern(pts, k, exclude_self=False):
     """The kNN walk's tied flag of every row, one array per block."""
     index = mcode.scoring.NeighborIndex(pts)
-    return index._blocks(k, lambda rows, dist, cols, near, kth, tied: tied,
-                         exclude_self=exclude_self)
+    return [tied for *_, tied in index._blocks(k, exclude_self)]
 
 
 def traced_peak(func) -> int:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mcode.scoring
 from mcode import ConfigError, DomainError, LofConfig, lof_scores
 
 import oracles
@@ -66,15 +65,8 @@ class TestAgainstOracleInBlocks(TestAgainstOracle):
     """Every TestAgainstOracle case again, in blocks of one or a few rows."""
 
 
-@pytest.mark.usefixtures("small_blocks", "workers")
-class TestAgainstOracleOnWorkers(TestAgainstOracle):
-    """Every TestAgainstOracle case again, the walk split over workers."""
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 17])
-def test_mixed_tie_blocks_match_oracle(monkeypatch, cpus, k):
-    monkeypatch.setattr(mcode.scoring, "_cpu_count", lambda: cpus)
+def test_mixed_tie_blocks_match_oracle(k):
     pts = mixed_ties(k)
     blocks = tie_pattern(pts, k, exclude_self=True)
     assert all(tied.any() and not tied.all() for tied in blocks)

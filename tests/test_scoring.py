@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import mcode.scoring
-from mcode import (DataError, DomainError, LocalWeightMatrix, LofConfig,
-                   NeighborIndex, PROB_EPS, RhoMatrix, ScoreVector,
-                   WeightVector, brier_per_dimension, global_weights,
-                   local_weights, lof_scores, rank_descending, score_lrw,
-                   score_prod, score_rw)
+from mcode import (DataError, DomainError, LocalWeightMatrix, NeighborIndex,
+                   PROB_EPS, RhoMatrix, ScoreVector, WeightVector,
+                   brier_per_dimension, global_weights, local_weights,
+                   rank_descending, score_lrw, score_prod, score_rw)
 from mcode.scoring import load_score_table, write_score_table
 
 import oracles
@@ -72,15 +70,8 @@ class TestNeighborIndexInBlocks(TestNeighborIndex):
     """Every TestNeighborIndex case again, in blocks of one or a few rows."""
 
 
-@pytest.mark.usefixtures("small_blocks", "workers")
-class TestNeighborIndexOnWorkers(TestNeighborIndex):
-    """Every TestNeighborIndex case again, the walk split over workers."""
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 17])
-def test_mixed_tie_blocks_match_brute_force(monkeypatch, cpus, k):
-    monkeypatch.setattr(mcode.scoring, "_cpu_count", lambda: cpus)
+def test_mixed_tie_blocks_match_brute_force(k):
     pts = mixed_ties(k)
     blocks = tie_pattern(pts, k)
     assert all(tied.any() and not tied.all() for tied in blocks)
@@ -90,20 +81,6 @@ def test_mixed_tie_blocks_match_brute_force(monkeypatch, cpus, k):
     for i in range(len(pts)):
         expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
         assert all_neighbors[i].tolist() == expected
-
-
-@pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("k", [1, 3, 17])
-def test_same_results_on_every_worker_count(monkeypatch, k):
-    pts = grid_with_duplicates(500 + k)
-    results = []
-    for cpus in (1, 2, 3, 100):
-        monkeypatch.setattr(mcode.scoring, "_cpu_count", lambda: cpus)
-        results.append((NeighborIndex(pts).query_all(k),
-                        lof_scores(pts, LofConfig(k=k)).scores))
-    for neighbors, lof in results[1:]:
-        assert np.array_equal(neighbors, results[0][0])
-        assert np.array_equal(lof, results[0][1])
 
 
 def test_query_all_holds_no_n_by_n_matrix():
@@ -182,11 +159,6 @@ class TestLocalWeights:
 @pytest.mark.usefixtures("small_blocks")
 class TestLocalWeightsInBlocks(TestLocalWeights):
     """Every TestLocalWeights case again, in blocks of one or a few rows."""
-
-
-@pytest.mark.usefixtures("small_blocks", "workers")
-class TestLocalWeightsOnWorkers(TestLocalWeights):
-    """Every TestLocalWeights case again, the walk split over workers."""
 
 
 class TestScores:
