@@ -279,12 +279,12 @@ def cmd_fit(args) -> int:
         target = out / f"model_{mode}"
         save_model(model, target, meta=_meta(resolved["seed"], cfg_hash))
         print(f"mode={mode}  optimizer runs: {runs}  -> {target}")
-        for factor, lam in zip(model.factors, model.lambdas):
+        for i, factor in enumerate(model.factors):
             if isinstance(factor, ConstantFactor):
-                print(f"  dim {factor.dim_index}: constant "
+                print(f"  dim {i}: constant "
                       f"prob_one={factor.prob_one:.6g}")
             else:
-                print(f"  dim {factor.dim_index}: lambda={lam:g} "
+                print(f"  dim {i}: lambda={factor.lam:g} "
                       f"converged={factor.converged} "
                       f"grad_norm={factor.final_gradient_norm:.3e}")
     return 0

@@ -150,11 +150,21 @@ class PerturbationLog:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PerturbationLog":
+        """Inverse of to_dict; the seed and rates must obey the rules of
+        make_rng and inject_outliers."""
+        def rate(name):
+            value = float(doc[name])
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+            return value
+
         try:
+            seed = json_int(doc["seed"])
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
             return cls(
-                seed=json_int(doc["seed"]),
-                ratio=float(doc["ratio"]),
-                dim_fraction=float(doc["dim_fraction"]),
+                seed=seed, ratio=rate("ratio"),
+                dim_fraction=rate("dim_fraction"),
                 outlier_rows=frozenset(
                     json_int(r) for r in doc["outlier_rows"]),
                 flipped_cells=tuple(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .dataset import Dataset, StandardizationStats, json_int, standardize
+from .dataset import Dataset, StandardizationStats, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
                     cross_validate_lambda, factor_from_dict, factor_to_dict,
                     predict_prob_batch, train_logistic)
@@ -75,14 +75,26 @@ class RhoMatrix:
 
 @dataclass(frozen=True)
 class McodeModel:
-    """Bundle of d fitted factors plus the feature standardization used."""
+    """The fitted factors, one per output dimension in order, plus the
+    feature standardization they were fit under."""
 
     mode: str
-    m: int
-    d: int
     stats: StandardizationStats
     factors: tuple
-    lambdas: tuple  # chosen penalty per dimension, None for constant factors
+
+    @property
+    def m(self) -> int:
+        return self.stats.means.shape[0]
+
+    @property
+    def d(self) -> int:
+        return len(self.factors)
+
+    @property
+    def lambdas(self) -> tuple:
+        """Each factor's penalty, None for a ConstantFactor."""
+        return tuple(None if isinstance(f, ConstantFactor) else f.lam
+                     for f in self.factors)
 
 
 def factor_features(mode: str, X_std: np.ndarray, Y: np.ndarray,
@@ -126,44 +138,44 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     X_std = ds_std.X
 
     factors = []
-    lambdas = []
     for i in range(ds.d):
         labels = ds.Y[:, i].astype(np.float64)
         feats = factor_features(mode, X_std, ds.Y, i)
         if labels.min() == labels.max():
-            factor = train_logistic(feats, labels, 0.0, dim_index=i)
-            lambdas.append(None)
+            lam = 0.0
+        elif isinstance(lambda_policy, FixedLambda):
+            lam = float(lambda_policy.value)
         else:
-            if isinstance(lambda_policy, FixedLambda):
-                lam = float(lambda_policy.value)
-            else:
-                lam = cross_validate_lambda(
-                    feats, labels, grid=lambda_policy.grid,
-                    n_folds=lambda_policy.folds, seed=lambda_policy.seed)
-            factor = train_logistic(feats, labels, lam, dim_index=i)
-            lambdas.append(lam)
-        factors.append(factor)
+            lam = cross_validate_lambda(
+                feats, labels, grid=lambda_policy.grid,
+                n_folds=lambda_policy.folds, seed=lambda_policy.seed)
+        factors.append(train_logistic(feats, labels, lam))
 
-    return McodeModel(mode=mode, m=ds.m, d=ds.d, stats=stats,
-                      factors=tuple(factors), lambdas=tuple(lambdas))
+    return McodeModel(mode=mode, stats=stats, factors=tuple(factors))
 
 
 def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
     """Probability each fitted factor assigns to the observed output values.
 
     rho[n, i] = P(y_i = 1 | features) when instance n has y_i = 1, and the
-    complement when it has y_i = 0.
+    complement when it has y_i = 0. A standardized input or a logit that
+    overflows to +-inf gives its limit; one left undefined (inf - inf) is a
+    DomainError, which a model of finite but extreme parameters can raise.
     """
     if ds.m != model.m or ds.d != model.d:
         raise DomainError(
             f"dataset shape (m={ds.m}, d={ds.d}) does not match model "
             f"(m={model.m}, d={model.d})")
-    X_std = model.stats.apply(ds.X)
     values = np.empty((ds.n, ds.d))
-    for i, factor in enumerate(model.factors):
-        feats = factor_features(model.mode, X_std, ds.Y, i)
-        p = predict_prob_batch(factor, feats)
-        values[:, i] = np.where(ds.Y[:, i] == 1, p, 1.0 - p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X_std = model.stats.apply(ds.X)
+        for i, factor in enumerate(model.factors):
+            feats = factor_features(model.mode, X_std, ds.Y, i)
+            p = predict_prob_batch(factor, feats)
+            values[:, i] = np.where(ds.Y[:, i] == 1, p, 1.0 - p)
+    if np.isnan(values).any():
+        raise DomainError("the model's parameters overflow float64 on this "
+                          "data: a logit is undefined")
     return RhoMatrix(np.clip(values, PROB_EPS, 1.0 - PROB_EPS))
 
 
@@ -178,17 +190,14 @@ def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
     for i, factor in enumerate(model.factors):
         name = f"factor_{i:03d}.json"
         with open(root / name, "w") as fh:
-            json.dump(factor_to_dict(factor), fh, indent=2, sort_keys=True)
+            json.dump(factor_to_dict(factor, i), fh, indent=2, sort_keys=True)
             fh.write("\n")
         factor_files.append(name)
     manifest = {
         "format": "mcode-model",
         "mode": model.mode,
-        "m": int(model.m),
-        "d": int(model.d),
         "means": [float(v) for v in model.stats.means],
         "std_devs": [float(v) for v in model.stats.std_devs],
-        "lambdas": [None if v is None else float(v) for v in model.lambdas],
         "factors": factor_files,
     }
     if meta:
@@ -199,21 +208,24 @@ def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
 
 
 def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _load_factor(path):
     try:
-        return factor_from_dict(_load_json(path))
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable bytes or JSON, or a NUL in the name
+        raise DataError(f"{path}: not readable JSON: {exc}") from exc
+
+
+def _load_factor(path, dim_index: int):
+    try:
+        return factor_from_dict(_load_json(path), dim_index)
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def load_model(path) -> McodeModel:
+    """Read a directory written by save_model. Manifest keys it does not
+    read (m, d and lambdas, which older versions wrote) are ignored."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -224,37 +236,34 @@ def load_model(path) -> McodeModel:
         raise DataError(f"{manifest_path}: not a model manifest")
     try:
         mode = manifest["mode"]
-        m = json_int(manifest["m"])
-        d = json_int(manifest["d"])
-        stats = StandardizationStats(
-            means=np.asarray(manifest["means"], dtype=np.float64),
-            std_devs=np.asarray(manifest["std_devs"], dtype=np.float64))
-        lambdas = tuple(None if v is None else float(v)
-                        for v in manifest["lambdas"])
-        factor_paths = [root / name for name in manifest["factors"]]
-        if len(factor_paths) != d or len(lambdas) != d:
-            raise DataError(
-                f"{manifest_path}: lists {len(factor_paths)} factors and "
-                f"{len(lambdas)} lambdas for d={d}")
-        check_mode(mode, d)
+        means = np.asarray(manifest["means"], dtype=np.float64)
+        std_devs = np.asarray(manifest["std_devs"], dtype=np.float64)
+        names = manifest["factors"]
+        if means.ndim != 1 or not means.size or \
+                means.shape != std_devs.shape:
+            raise ValueError("means and std_devs must be non-empty lists of "
+                             "equal length")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        if not (np.isfinite(std_devs) & (std_devs > 0.0)).all():
+            raise ValueError("std_devs must be finite and positive")
+        if not isinstance(names, list) or not names or \
+                not all(isinstance(name, str) for name in names):
+            raise ValueError("factors must be a non-empty list of file names")
+        check_mode(mode, len(names))
     except (KeyError, TypeError, ValueError, OverflowError,
             ConfigError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    if stats.means.shape != (m,) or stats.std_devs.shape != (m,):
-        raise DataError(
-            f"{manifest_path}: means and std_devs must each hold m={m} values")
 
-    factors = tuple(_load_factor(p) for p in factor_paths)
-    expected_arity = {FULL_CONDITIONAL: m + d - 1, INDEPENDENT: m}[mode]
-    for i, factor in enumerate(factors):
-        if factor.dim_index != i:
-            raise DataError(
-                f"{manifest_path}: lists the factor of dimension "
-                f"{factor.dim_index} at position {i}")
+    factors = tuple(_load_factor(root / name, i)
+                    for i, name in enumerate(names))
+    model = McodeModel(mode, StandardizationStats(means, std_devs), factors)
+    expected_arity = {FULL_CONDITIONAL: model.m + model.d - 1,
+                      INDEPENDENT: model.m}[mode]
+    for i, factor in enumerate(model.factors):
         if not isinstance(factor, ConstantFactor) and \
                 factor.arity != expected_arity:
             raise DataError(
-                f"{root}: factor {factor.dim_index} has arity {factor.arity}, "
+                f"{root / names[i]}: factor {i} has arity {factor.arity}, "
                 f"expected {expected_arity}")
-    return McodeModel(mode=mode, m=m, d=d, stats=stats,
-                      factors=factors, lambdas=lambdas)
+    return model

@@ -16,6 +16,7 @@ a Laplace-smoothed probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,18 @@ def optimizer_run_count() -> int:
 class LogisticFactor:
     """Fitted logistic factor for one output dimension."""
 
-    dim_index: int
     lam: float
     weights: np.ndarray
     intercept: float
-    converged: bool
     final_gradient_norm: float
 
     @property
     def arity(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def converged(self) -> bool:
+        return self.final_gradient_norm <= GRAD_TOL
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class ConstantFactor:
     prob_one is Laplace-smoothed: (count of ones + 1) / (N + 2).
     """
 
-    dim_index: int
     prob_one: float
 
 
@@ -152,7 +154,7 @@ def _check_training_inputs(features, labels, lam):
     return features, labels, float(lam)
 
 
-def train_logistic(features, labels, lam, *, dim_index=0, init=None):
+def train_logistic(features, labels, lam, *, init=None):
     """Fit one factor; returns LogisticFactor or ConstantFactor.
 
     Deterministic given its inputs: the optimizer starts from zeros (or
@@ -163,8 +165,7 @@ def train_logistic(features, labels, lam, *, dim_index=0, init=None):
 
     ones = int(labels.sum())
     if ones == 0 or ones == n:
-        return ConstantFactor(dim_index=dim_index,
-                              prob_one=(ones + 1) / (n + 2))
+        return ConstantFactor(prob_one=(ones + 1) / (n + 2))
 
     if init is None:
         x0 = np.zeros(p + 1)
@@ -175,14 +176,9 @@ def train_logistic(features, labels, lam, *, dim_index=0, init=None):
                 f"init must be {p + 1} finite reals (weights then intercept)")
 
     params, gnorm = _newton(features, labels, lam, x0)
-    return LogisticFactor(
-        dim_index=dim_index,
-        lam=lam,
-        weights=params[:-1],
-        intercept=float(params[-1]),
-        converged=gnorm <= GRAD_TOL,
-        final_gradient_norm=gnorm,
-    )
+    return LogisticFactor(lam=lam, weights=params[:-1],
+                          intercept=float(params[-1]),
+                          final_gradient_norm=gnorm)
 
 
 def _clamp(p):
@@ -253,47 +249,60 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     return best_lam
 
 
-def factor_to_dict(factor) -> dict:
-    """Serializable form; floats survive the JSON round trip exactly."""
+def factor_to_dict(factor, dim_index: int) -> dict:
+    """Serializable form of the factor of output dimension dim_index;
+    floats survive the JSON round trip exactly."""
     if isinstance(factor, ConstantFactor):
         return {"kind": "constant",
-                "dim_index": int(factor.dim_index),
+                "dim_index": int(dim_index),
                 "prob_one": float(factor.prob_one)}
     return {"kind": "logistic",
-            "dim_index": int(factor.dim_index),
+            "dim_index": int(dim_index),
             "lambda": float(factor.lam),
             "intercept": float(factor.intercept),
             "weights": [float(w) for w in factor.weights],
-            "converged": bool(factor.converged),
             "final_gradient_norm": float(factor.final_gradient_norm)}
 
 
-def factor_from_dict(doc: dict):
-    """Inverse of factor_to_dict; a missing, mistyped or non-finite
-    parameter is a DomainError."""
+def factor_from_dict(doc: dict, dim_index: int):
+    """Inverse of factor_to_dict. The document must record dim_index, so a
+    factor read from the wrong position is caught; a missing, mistyped or
+    out-of-range value is a DomainError. Keys it does not read, such as
+    the "converged" flag older files carry, are ignored."""
     try:
         kind = doc["kind"]
+        stored = json_int(doc["dim_index"])
         if kind == "constant":
-            return ConstantFactor(dim_index=json_int(doc["dim_index"]),
-                                  prob_one=_finite(float(doc["prob_one"]),
-                                                   "prob_one"))
-        if kind == "logistic":
-            return LogisticFactor(
-                dim_index=json_int(doc["dim_index"]),
-                lam=_finite(float(doc["lambda"]), "lambda"),
-                weights=_finite(np.asarray(doc["weights"], dtype=np.float64),
-                                "weights"),
-                intercept=_finite(float(doc["intercept"]), "intercept"),
-                converged=bool(doc["converged"]),
-                final_gradient_norm=float(doc["final_gradient_norm"]),
-            )
+            factor = ConstantFactor(
+                prob_one=_number(doc, "prob_one", lambda p: 0.0 < p < 1.0))
+        elif kind == "logistic":
+            weights = np.asarray(doc["weights"], dtype=np.float64)
+            if weights.ndim != 1 or not np.isfinite(weights).all():
+                raise ValueError("weights must be a list of finite numbers")
+            factor = LogisticFactor(
+                lam=_number(doc, "lambda", _finite_non_negative),
+                weights=weights,
+                intercept=_number(doc, "intercept"),
+                final_gradient_norm=_number(doc, "final_gradient_norm",
+                                            _finite_non_negative))
+        else:
+            raise ValueError(f"unknown factor kind {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed factor document: {exc}") from exc
-    raise DomainError(f"unknown factor kind {doc.get('kind')!r}")
+    if stored != dim_index:
+        raise DomainError(
+            f"holds the factor of dimension {stored}, listed at position "
+            f"{dim_index}")
+    return factor
 
 
-def _finite(value, key: str):
-    """value unchanged if every entry is finite; json reads 1e400 as inf."""
-    if not np.isfinite(value).all():
-        raise ValueError(f"non-finite {key}")
+def _finite_non_negative(value: float) -> bool:
+    return 0.0 <= value < math.inf
+
+
+def _number(doc: dict, key: str, ok=math.isfinite) -> float:
+    """doc[key] as a float that passes ok; json reads 1e400 as inf."""
+    value = float(doc[key])
+    if not ok(value):
+        raise ValueError(f"{key} out of range: {value!r}")
     return value

@@ -242,6 +242,9 @@ def load_score_table(path):
             score = float(parts[2])
         except ValueError as exc:
             raise DataError(f"{path}: line {line_num}: {exc}") from exc
+        if not np.isfinite(score):
+            raise DataError(f"{path}: line {line_num}: score {parts[2]!r} "
+                            f"is not finite")
         if method is None:
             method = parts[1]
         elif parts[1] != method:

@@ -265,10 +265,15 @@ class TestEval:
         # json reads 1e400 as inf; 1.7 must not be truncated to row 1
         for key, value in (("seed", "1e400"), ("outlier_rows", ["1e400"]),
                            ("flipped_cells", [["1e400", 0]]),
-                           ("outlier_rows", [1.7])):
+                           ("outlier_rows", [1.7]), ("seed", -1),
+                           ("ratio", 2.0), ("dim_fraction", math.nan)):
             log.write_text(json.dumps({**good, key: value})
                            .replace('"1e400"', "1e400"))
             assert run("eval", "--scores", scores, "--log", log) == 2, key
+        log.write_text(json.dumps(good))
+        scores.write_text("instance_index,method,score\n0,RW,nan\n"
+                          "1,RW,0.5\n")
+        assert run("eval", "--scores", scores, "--log", log) == 2
 
     def test_curve_hash_ignores_curve_out(self, tmp_path):
         scores = tmp_path / "scores.csv"

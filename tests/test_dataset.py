@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcode import (ConfigError, DataError, Dataset, DomainError,
-                   inject_outliers, load_csv, load_log, round_half_up,
-                   save_csv, save_log, standardize)
+                   PerturbationLog, inject_outliers, load_csv, load_log,
+                   round_half_up, save_csv, save_log, standardize)
 from mcode.dataset import make_rng
 
 
@@ -261,6 +262,18 @@ class TestPerturbationLog:
         path.write_text("not json")
         with pytest.raises(DataError):
             load_log(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("ratio", 0.0), ("ratio", 1.5), ("ratio", math.nan),
+        ("dim_fraction", -0.25), ("dim_fraction", math.inf),
+        ("dim_fraction", math.nan)])
+    def test_seed_and_rates_obey_the_injection_rules(self, key, value):
+        # the rules inject_outliers and make_rng apply when writing a log
+        doc = {"seed": 0, "ratio": 0.5, "dim_fraction": 1.0,
+               "outlier_rows": [0], "flipped_cells": [[0, 0]]}
+        PerturbationLog.from_dict(doc)
+        with pytest.raises(DataError, match=key):
+            PerturbationLog.from_dict({**doc, key: value})
 
 
 @st.composite

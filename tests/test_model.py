@@ -1,14 +1,18 @@
 import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                    PROB_EPS, RhoMatrix, estimate_rho, fit_mcode, load_model,
                    save_model)
-from mcode.model import factor_features
+from mcode.model import MODES, factor_features
 from mcode.errors import DataError
 
 import oracles
@@ -171,16 +175,22 @@ class TestPersistence:
         Y[:, 0] = 0  # force one constant factor
         ds = Dataset(gen.normal(size=(25, 3)), Y)
         model = fit_mcode(ds, INDEPENDENT, FixedLambda(0.5))
+        assert (model.m, model.d, model.lambdas) == (3, 2, (None, 0.5))
         save_model(model, tmp_path / "m", meta={"seed": 1})
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert set(manifest) == {"format", "mode", "means", "std_devs",
+                                 "factors", "_meta"}
         assert manifest["format"] == "mcode-model"
         assert manifest["mode"] == INDEPENDENT
-        assert (manifest["m"], manifest["d"]) == (3, 2)
-        assert manifest["lambdas"] == [None, 0.5]
-        assert len(manifest["factors"]) == 2
-        factor_doc = json.loads(
-            (tmp_path / "m" / manifest["factors"][0]).read_text())
-        assert factor_doc["kind"] == "constant"
+        assert len(manifest["means"]) == len(manifest["std_devs"]) == 3
+        assert manifest["factors"] == ["factor_000.json", "factor_001.json"]
+        docs = [json.loads((tmp_path / "m" / name).read_text())
+                for name in manifest["factors"]]
+        assert docs[0] == {"kind": "constant", "dim_index": 0,
+                           "prob_one": 1 / 27}
+        assert set(docs[1]) == {"kind", "dim_index", "lambda", "intercept",
+                                "weights", "final_gradient_norm"}
+        assert (docs[1]["dim_index"], docs[1]["lambda"]) == (1, 0.5)
 
     def test_load_rejects_garbage(self, tmp_path, coupled_dataset):
         with pytest.raises(DataError):
@@ -200,30 +210,47 @@ class TestPersistence:
             # json reads 1e400 as inf, which int() cannot convert
             return json.dumps({**doc, key: value}).replace('"1e400"', "1e400")
 
-        for key, value in (("factors", good["factors"][::-1]),
-                           ("lambdas", good["lambdas"][:-1]),
-                           ("lambdas", good["lambdas"] + [1.0]),
-                           ("means", good["means"] + [0.0]),
-                           ("std_devs", good["std_devs"][:-1]),
-                           ("m", "1e400"), ("d", "1e400"),
-                           ("factors", [0, 1, 2]), ("mode", "mystery")):
+        std_devs = good["std_devs"]
+        for key, value in (("means", good["means"] + [0.0]),
+                           ("means", ["1e400"] + good["means"][1:]),
+                           ("means", [math.nan] + good["means"][1:]),
+                           ("means", good["means"][0]),
+                           ("std_devs", std_devs[:-1]),
+                           ("std_devs", [0.0] + std_devs[1:]),
+                           ("std_devs", [-1.0] + std_devs[1:]),
+                           ("std_devs", ["1e400"] + std_devs[1:]),
+                           ("factors", [0, 1, 2]), ("factors", []),
+                           ("factors", "factor_000.json"),
+                           ("mode", "mystery")):
             manifest_path.write_text(with_value(good, key, value))
-            with pytest.raises(DataError, match="manifest.json"):
+            with pytest.raises(DataError, match="manifest.json: malformed"):
                 load_model(tmp_path / "m")
+        manifest_path.write_text(with_value(good, "factors",
+                                            good["factors"][::-1]))
+        with pytest.raises(DataError, match="factor_002.json: .*position 0"):
+            load_model(tmp_path / "m")
+        manifest_path.write_text(with_value(good, "factors",
+                                            good["factors"] + ["gone.json"]))
+        with pytest.raises(DataError, match="gone.json"):
+            load_model(tmp_path / "m")
         manifest_path.write_text(json.dumps(good))
         factor_path = tmp_path / "m" / "factor_000.json"
         factor = json.loads(factor_path.read_text())
         # json writes nan as NaN and reads it back as nan
         for key, value in (("dim_index", "1e400"),
                            ("weights", ["1e400"] + factor["weights"][1:]),
+                           ("weights", 1.0), ("weights", [factor["weights"]]),
                            ("intercept", math.nan), ("lambda", "1e400"),
-                           ("lambda", -math.inf)):
+                           ("lambda", -math.inf), ("lambda", -1.0),
+                           ("final_gradient_norm", math.nan),
+                           ("final_gradient_norm", "1e400"),
+                           ("final_gradient_norm", -1e-9)):
             factor_path.write_text(with_value(factor, key, value))
             with pytest.raises(DataError,
                                match="factor_000.json: malformed factor"):
                 load_model(tmp_path / "m")
         constant = tmp_path / "m" / "constant.json"
-        for prob_one in ("1e400", math.nan):
+        for prob_one in ("1e400", math.nan, 0.0, 1.0):
             constant.write_text(with_value(
                 {"kind": "constant", "dim_index": 0}, "prob_one", prob_one))
             factors = ["constant.json"] + good["factors"][1:]
@@ -237,10 +264,128 @@ class TestPersistence:
             load_model(tmp_path / "m")
 
     def test_load_checks_factor_arity(self, tmp_path, coupled_dataset):
-        model = fit_mcode(coupled_dataset, INDEPENDENT, FixedLambda(1.0))
-        save_model(model, tmp_path / "m")
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        manifest["m"] = model.m + 1
-        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError):
-            load_model(tmp_path / "m")
+        # m is the length of means and d the number of factor files, so a
+        # manifest with one more input, or a full-conditional one with one
+        # factor fewer, no longer matches the stored weights
+        for mode, edit in ((INDEPENDENT, "means"),
+                           (FULL_CONDITIONAL, "factors")):
+            target = tmp_path / mode
+            save_model(fit_mcode(coupled_dataset, mode, FixedLambda(1.0)),
+                       target)
+            manifest = json.loads((target / "manifest.json").read_text())
+            if edit == "means":
+                manifest["means"].append(0.0)
+                manifest["std_devs"].append(1.0)
+            else:
+                manifest["factors"].pop()
+            (target / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(DataError, match="arity"):
+                load_model(target)
+
+    def test_loads_directory_with_stale_keys(self, tmp_path, coupled_dataset):
+        # Directories written before m, d, lambdas and converged were
+        # derived carry those keys; they load, and give the same rho
+        # bit for bit.
+        Y = coupled_dataset.Y.copy()
+        Y[:, 0] = 1  # one constant factor, whose lambda was written null
+        ds = Dataset(coupled_dataset.X, Y)
+        model = fit_mcode(ds, FULL_CONDITIONAL, FixedLambda(1.0))
+        root = tmp_path / "m"
+        save_model(model, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest.update(m=model.m, d=model.d, lambdas=list(model.lambdas))
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        for name, factor in zip(manifest["factors"], model.factors):
+            doc = json.loads((root / name).read_text())
+            if doc["kind"] == "logistic":
+                doc["converged"] = bool(factor.converged)
+            (root / name).write_text(json.dumps(doc))
+        back = load_model(root)
+        assert back.lambdas == (None, 1.0, 1.0)
+        assert np.array_equal(estimate_rho(back, ds).values,
+                              estimate_rho(model, ds).values)
+
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("manifest.json", "means", [1.7e308, 1.7e308]),
+        ("manifest.json", "std_devs", [5e-324, 5e-324]),
+        ("factor_000.json", "weights", [1.7e308, -1.7e308, 1e308, 1e308]),
+    ])
+    def test_extreme_parameters_overflow_cleanly(self, tmp_path, name, key,
+                                                  value):
+        # finite values of the right shape load, since no bound on them
+        # holds for every dataset; scoring data on which they overflow
+        # float64 is a DomainError, not a RuntimeWarning and a NaN rho
+        gen = np.random.default_rng(0)
+        ds = Dataset(gen.normal(size=(30, 2)), gen.integers(0, 2, (30, 3)))
+        save_model(fit_mcode(ds, FULL_CONDITIONAL, FixedLambda(1.0)),
+                   tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        (tmp_path / name).write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(DomainError, match="overflow"):
+            estimate_rho(load_model(tmp_path), ds)
+
+
+_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=8)
+
+
+def _json_like(value):
+    """Any JSON value, drawn as often as a single number, string or null
+    (which st.recursive alone seldom yields) and, for a list, a list of
+    as many of those, so the range checks on means, std_devs and weights
+    and the file-name checks are reached."""
+    if isinstance(value, list):
+        return _LEAF | _JSON | st.lists(_LEAF, min_size=len(value),
+                                        max_size=len(value))
+    return _LEAF | _JSON
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """One saved model per mode, each with a constant factor, and the
+    data they were fit on."""
+    ds = make_coupled_dataset(n=40, m=2, d=3, seed=12)
+    Y = ds.Y.copy()
+    Y[:, 1] = 0
+    ds = Dataset(ds.X, Y)
+    root = tmp_path_factory.mktemp("saved")
+    for mode in MODES:
+        save_model(fit_mcode(ds, mode, FixedLambda(1.0)), root / mode,
+                   meta={"seed": 0})
+    return root, ds
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_any_single_edit_loads_and_scores_or_is_a_data_error(saved_models,
+                                                             data):
+    root, ds = saved_models
+    mode = data.draw(st.sampled_from(MODES))
+    name = data.draw(st.sampled_from(
+        sorted(p.name for p in (root / mode).iterdir())))
+    doc = json.loads((root / mode / name).read_text())
+    key = data.draw(st.sampled_from(sorted(doc)))
+    value = data.draw(_json_like(doc[key]))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "m"
+        shutil.copytree(root / mode, target)
+        (target / name).write_text(json.dumps({**doc, key: value}))
+        try:
+            model = load_model(target)
+        except DataError:
+            return
+    try:
+        rho = estimate_rho(model, Dataset(ds.X, ds.Y[:, :model.d]))
+    except DomainError as exc:
+        # finite but extreme values, as in
+        # test_extreme_parameters_overflow_cleanly
+        stored = [model.stats.means, model.stats.std_devs] + [
+            np.append(f.weights, f.intercept) if hasattr(f, "weights")
+            else f.prob_one for f in model.factors]
+        assert "overflow" in str(exc)
+        assert all(np.isfinite(v).all() for v in stored)
+        return
+    assert rho.values.shape == (ds.n, model.d)

@@ -9,7 +9,8 @@ from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    factor_features, penalized_nll, predict_prob_batch,
                    standardize, train_logistic)
 from mcode.dataset import make_rng
-from mcode.optim import factor_from_dict, factor_to_dict, optimizer_run_count
+from mcode.optim import (GRAD_TOL, factor_from_dict, factor_to_dict,
+                         optimizer_run_count)
 
 import oracles
 from synthdata import make_benchmark_dataset
@@ -143,8 +144,8 @@ class TestTrainer:
             perturbed, _ = inject_outliers(ds, 0.01, 0.25, seed)
             for mode in (FULL_CONDITIONAL, INDEPENDENT):
                 model = fit_mcode(perturbed, mode, FixedLambda(1.0))
-                for factor in model.factors:
-                    assert factor.converged, (seed, mode, factor.dim_index)
+                for i, factor in enumerate(model.factors):
+                    assert factor.converged, (seed, mode, i)
 
     def test_cv_folds_at_n_8000_converge(self):
         # At N=8000 the full Newton step from these fold fits reaches
@@ -203,27 +204,27 @@ class TestTrainer:
 
 class TestPredict:
     def test_known_value(self):
-        factor = LogisticFactor(dim_index=0, lam=1.0,
+        factor = LogisticFactor(lam=1.0,
                                 weights=np.array([1.0]), intercept=0.0,
-                                converged=True, final_gradient_norm=0.0)
+                                final_gradient_norm=0.0)
         assert predict_prob_batch(factor, [[math.log(3)]])[0] == \
             pytest.approx(0.75)
 
     def test_clamped_to_open_interval(self):
-        factor = LogisticFactor(dim_index=0, lam=1.0,
+        factor = LogisticFactor(lam=1.0,
                                 weights=np.array([100.0]), intercept=0.0,
-                                converged=True, final_gradient_norm=0.0)
+                                final_gradient_norm=0.0)
         assert predict_prob_batch(factor, [[50.0]])[0] == 1.0 - PROB_EPS
         assert predict_prob_batch(factor, [[-50.0]])[0] == PROB_EPS
 
     def test_constant_factor(self):
-        factor = ConstantFactor(dim_index=0, prob_one=0.8)
+        factor = ConstantFactor(prob_one=0.8)
         assert predict_prob_batch(factor, [[1.0, 2.0]])[0] == 0.8
 
     def test_arity_mismatch(self):
-        factor = LogisticFactor(dim_index=0, lam=1.0,
+        factor = LogisticFactor(lam=1.0,
                                 weights=np.array([1.0, 2.0]), intercept=0.0,
-                                converged=True, final_gradient_norm=0.0)
+                                final_gradient_norm=0.0)
         with pytest.raises(DomainError):
             predict_prob_batch(factor, [[1.0]])
 
@@ -295,19 +296,31 @@ class TestCrossValidation:
 class TestFactorSerialization:
     def test_logistic_round_trip_exact(self):
         X, y, lam = random_problem(14, n=30, p=4, lam=0.25)
-        factor = train_logistic(X, y, lam, dim_index=2)
-        back = factor_from_dict(factor_to_dict(factor))
+        factor = train_logistic(X, y, lam)
+        doc = factor_to_dict(factor, 2)
+        assert doc["dim_index"] == 2 and "converged" not in doc
+        back = factor_from_dict(doc, 2)
         assert np.array_equal(back.weights, factor.weights)
         assert back.intercept == factor.intercept
         assert back.lam == factor.lam
-        assert back.dim_index == 2
+        assert back.final_gradient_norm == factor.final_gradient_norm
+        assert back.converged == factor.converged
 
     def test_constant_round_trip(self):
-        factor = ConstantFactor(dim_index=1, prob_one=0.125)
-        assert factor_from_dict(factor_to_dict(factor)) == factor
+        factor = ConstantFactor(prob_one=0.125)
+        assert factor_from_dict(factor_to_dict(factor, 1), 1) == factor
 
     def test_malformed_document(self):
         with pytest.raises(DomainError):
-            factor_from_dict({"kind": "mystery"})
+            factor_from_dict({"kind": "mystery", "dim_index": 0}, 0)
         with pytest.raises(DomainError):
-            factor_from_dict({"kind": "logistic", "weights": [1.0]})
+            factor_from_dict({"kind": "logistic", "weights": [1.0]}, 0)
+        with pytest.raises(DomainError, match="position 0"):
+            factor_from_dict(factor_to_dict(ConstantFactor(0.5), 1), 0)
+
+    def test_converged_is_the_gradient_test(self):
+        # one fact, one home: no stored flag can disagree with the norm
+        for norm in (0.0, GRAD_TOL, np.nextafter(GRAD_TOL, 1.0), 1.0):
+            factor = LogisticFactor(lam=1.0, weights=np.zeros(1),
+                                    intercept=0.0, final_gradient_norm=norm)
+            assert factor.converged == (norm <= GRAD_TOL)

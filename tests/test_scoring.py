@@ -277,6 +277,14 @@ class TestRankingAndTables:
         with pytest.raises(DataError):
             load_score_table(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400"])
+    def test_table_rejects_non_finite_scores(self, tmp_path, score):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"instance_index,method,score\n0,RW,1.0\n1,RW,{score}\n")
+        with pytest.raises(DataError, match="line 3"):
+            load_score_table(path)
+
     def test_table_rejects_mixed_methods(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(
