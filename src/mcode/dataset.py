@@ -191,7 +191,10 @@ def load_log(path) -> PerturbationLog:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    return PerturbationLog.from_dict(doc)
+    try:
+        return PerturbationLog.from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _parse_field(text: str):

@@ -25,7 +25,8 @@ from .errors import ConfigError, DataError, DomainError
 from .dataset import Dataset, StandardizationStats, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
                     cross_validate_lambda, factor_from_dict, factor_to_dict,
-                    predict_prob_batch, train_logistic)
+                    predict_prob_batch, train_logistic,
+                    train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
 INDEPENDENT = "independent"
@@ -137,20 +138,26 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     ds_std, stats = standardize(ds)
     X_std = ds_std.X
 
-    factors = []
+    Y = ds.Y.astype(np.float64)
+    lams = []
     for i in range(ds.d):
-        labels = ds.Y[:, i].astype(np.float64)
-        feats = factor_features(mode, X_std, ds.Y, i)
-        if labels.min() == labels.max():
-            lam = 0.0
+        if Y[:, i].min() == Y[:, i].max():
+            lams.append(0.0)
         elif isinstance(lambda_policy, FixedLambda):
-            lam = float(lambda_policy.value)
+            lams.append(float(lambda_policy.value))
         else:
-            lam = cross_validate_lambda(
-                feats, labels, grid=lambda_policy.grid,
-                n_folds=lambda_policy.folds, seed=lambda_policy.seed)
-        factors.append(train_logistic(feats, labels, lam))
+            lams.append(cross_validate_lambda(
+                factor_features(mode, X_std, ds.Y, i), Y[:, i],
+                grid=lambda_policy.grid, n_folds=lambda_policy.folds,
+                seed=lambda_policy.seed))
 
+    if mode == INDEPENDENT:
+        # Every factor reads X_std alone: one stack of d label columns.
+        factors = train_logistic_columns(X_std, Y, lams)
+    else:
+        factors = [train_logistic(factor_features(mode, X_std, ds.Y, i),
+                                  Y[:, i], lam)
+                   for i, lam in enumerate(lams)]
     return McodeModel(mode=mode, stats=stats, factors=tuple(factors))
 
 
@@ -223,6 +230,13 @@ def _load_factor(path, dim_index: int):
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _plain_file_name(name: str) -> bool:
+    """A name that can only mean a file in the directory itself: without
+    a separator no name is absolute or leaves the directory."""
+    return name not in ("", ".", "..") and "/" not in name and \
+        "\\" not in name
+
+
 def load_model(path) -> McodeModel:
     """Read a directory written by save_model. Manifest keys it does not
     read (m, d and lambdas, which older versions wrote) are ignored."""
@@ -250,6 +264,10 @@ def load_model(path) -> McodeModel:
         if not isinstance(names, list) or not names or \
                 not all(isinstance(name, str) for name in names):
             raise ValueError("factors must be a non-empty list of file names")
+        for name in names:
+            if not _plain_file_name(name):
+                raise ValueError(f"factor file {name!r} is not a plain file "
+                                 f"name in the model directory")
         check_mode(mode, len(names))
     except (KeyError, TypeError, ValueError, OverflowError,
             ConfigError) as exc:

@@ -269,7 +269,9 @@ class TestEval:
                            ("ratio", 2.0), ("dim_fraction", math.nan)):
             log.write_text(json.dumps({**good, key: value})
                            .replace('"1e400"', "1e400"))
-            assert run("eval", "--scores", scores, "--log", log) == 2, key
+            code, err = run_quiet("eval", "--scores", scores, "--log", log)
+            assert code == 2, key
+            assert f"{log}: malformed perturbation log" in err, key
         log.write_text(json.dumps(good))
         scores.write_text("instance_index,method,score\n0,RW,nan\n"
                           "1,RW,0.5\n")

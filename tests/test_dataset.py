@@ -13,6 +13,8 @@ from mcode import (ConfigError, DataError, Dataset, DomainError,
                    round_half_up, save_csv, save_log, standardize)
 from mcode.dataset import make_rng
 
+from strategies import json_like
+
 
 def small_dataset(n=20, m=3, d=2, seed=1):
     gen = np.random.default_rng(seed)
@@ -274,6 +276,31 @@ class TestPerturbationLog:
         PerturbationLog.from_dict(doc)
         with pytest.raises(DataError, match=key):
             PerturbationLog.from_dict({**doc, key: value})
+
+    def test_load_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": -1, "ratio": 0.5,
+                                    "dim_fraction": 1.0, "outlier_rows": [],
+                                    "flipped_cells": []}))
+        with pytest.raises(DataError, match=f"^{path}: malformed"):
+            load_log(path)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_any_single_log_edit_loads_or_is_a_data_error(data):
+    _, log = inject_outliers(small_dataset(n=30, d=4, seed=5), 0.2, 0.5, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.json"
+        save_log(log, path, meta={"tool": "mcode"})
+        doc = json.loads(path.read_text())
+        key = data.draw(st.sampled_from(sorted(doc)))
+        value = data.draw(json_like(doc[key]))
+        path.write_text(json.dumps({**doc, key: value}))
+        try:
+            assert isinstance(load_log(path), PerturbationLog)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
 
 @st.composite

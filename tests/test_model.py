@@ -17,6 +17,7 @@ from mcode.errors import DataError
 
 import oracles
 from conftest import make_coupled_dataset
+from strategies import json_like
 
 
 class TestFactorFeatures:
@@ -229,6 +230,15 @@ class TestPersistence:
                                             good["factors"][::-1]))
         with pytest.raises(DataError, match="factor_002.json: .*position 0"):
             load_model(tmp_path / "m")
+        # a factor file outside the model directory is never opened
+        outside = tmp_path / "outside.json"
+        shutil.copy(tmp_path / "m" / good["factors"][0], outside)
+        for name in ("../outside.json", str(outside), "..", ".",
+                     "sub\\factor_000.json"):
+            manifest_path.write_text(with_value(
+                good, "factors", [name] + good["factors"][1:]))
+            with pytest.raises(DataError, match="manifest.json: malformed"):
+                load_model(tmp_path / "m")
         manifest_path.write_text(with_value(good, "factors",
                                             good["factors"] + ["gone.json"]))
         with pytest.raises(DataError, match="gone.json"):
@@ -326,23 +336,6 @@ class TestPersistence:
             estimate_rho(load_model(tmp_path), ds)
 
 
-_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-_JSON = st.recursive(
-    _LEAF, lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=8)
-
-
-def _json_like(value):
-    """Any JSON value, drawn as often as a single number, string or null
-    (which st.recursive alone seldom yields) and, for a list, a list of
-    as many of those, so the range checks on means, std_devs and weights
-    and the file-name checks are reached."""
-    if isinstance(value, list):
-        return _LEAF | _JSON | st.lists(_LEAF, min_size=len(value),
-                                        max_size=len(value))
-    return _LEAF | _JSON
-
-
 @pytest.fixture(scope="module")
 def saved_models(tmp_path_factory):
     """One saved model per mode, each with a constant factor, and the
@@ -368,15 +361,29 @@ def test_any_single_edit_loads_and_scores_or_is_a_data_error(saved_models,
         sorted(p.name for p in (root / mode).iterdir())))
     doc = json.loads((root / mode / name).read_text())
     key = data.draw(st.sampled_from(sorted(doc)))
-    value = data.draw(_json_like(doc[key]))
+    values = json_like(doc[key])
+    if key == "factors" and data.draw(st.booleans()):
+        # names that reach a real factor file other than by a plain name
+        # in the model directory: ../m/..., or the saved original's
+        # absolute path
+        values = st.lists(st.sampled_from(
+            doc[key] + [f"../m/{n}" for n in doc[key]]
+            + [str(root / mode / n) for n in doc[key]] + ["", ".", ".."]),
+            min_size=len(doc[key]), max_size=len(doc[key]))
+    value = data.draw(values)
+    escapes = key == "factors" and isinstance(value, list) and any(
+        isinstance(n, str) and (n in ("", ".", "..") or "/" in n
+                                or "\\" in n) for n in value)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "m"
         shutil.copytree(root / mode, target)
         (target / name).write_text(json.dumps({**doc, key: value}))
         try:
             model = load_model(target)
-        except DataError:
+        except DataError as exc:
+            assert not escapes or "manifest.json: malformed" in str(exc)
             return
+    assert not escapes
     try:
         rho = estimate_rho(model, Dataset(ds.X, ds.Y[:, :model.d]))
     except DomainError as exc:

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    FULL_CONDITIONAL, INDEPENDENT, LogisticFactor, PROB_EPS,
                    cross_validate_lambda, fit_mcode, inject_outliers,
                    factor_features, penalized_nll, predict_prob_batch,
                    standardize, train_logistic)
+import mcode.optim
 from mcode.dataset import make_rng
-from mcode.optim import (GRAD_TOL, factor_from_dict, factor_to_dict,
-                         optimizer_run_count)
+from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _newton,
+                         _newton_directions, factor_from_dict,
+                         factor_to_dict, optimizer_run_count,
+                         train_logistic_columns)
 
 import oracles
 from synthdata import make_benchmark_dataset
@@ -55,6 +59,25 @@ class TestObjective:
         assert value_b2 != value_b0
         value_w, _ = penalized_nll(np.array([2.0, 0.0]), X, y, 10.0)
         assert value_w == pytest.approx(value_b0 + 0.5 * 10.0 * 4.0)
+
+    def test_stack_rows_are_the_masked_single_problems(self):
+        X, y, _ = random_problem(6, n=30, p=3)
+        gen = np.random.default_rng(2)
+        params = gen.normal(size=(4, 4))
+        lams = np.array([0.0, 0.1, 1.0, 10.0])
+        mask = (gen.random((4, 30)) < 0.7).astype(float)
+        values, grads, weights = penalized_nll(params, X, y, lams, mask,
+                                               curvature=True)
+        for b in range(4):
+            rows = mask[b] == 1.0
+            value, grad = penalized_nll(params[b], X[rows], y[rows], lams[b])
+            assert values[b] == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(grads[b], grad, rtol=1e-12,
+                                       atol=1e-12)
+            prob = expit(X @ params[b, :-1] + params[b, -1])
+            np.testing.assert_allclose(
+                weights[b], np.where(rows, prob * (1 - prob), 0.0),
+                rtol=1e-12, atol=1e-15)
 
 
 class TestTrainer:
@@ -148,21 +171,102 @@ class TestTrainer:
                     assert factor.converged, (seed, mode, i)
 
     def test_cv_folds_at_n_8000_converge(self):
-        # At N=8000 the full Newton step from these fold fits reaches
-        # ||g|| ~ 1e-13, but f, a sum of 6,400 terms, comes out about
-        # 22 ulp higher, so a line search on f rejected it and the fits
-        # ran MAX_ITER iterations with ||g|| stuck near 1e-6.
+        # At N=8000 the full Newton step from the fold fits (dim 0, fold 4),
+        # (1, 1) and (2, 3) at lam=0.1 reaches ||g|| ~ 1e-13, but f, a sum
+        # of 6,400 terms, comes out about 22 ulp higher, so a line search
+        # on f rejected it and the fits ran MAX_ITER iterations with ||g||
+        # stuck near 1e-6. Each dimension's grid x folds stack is solved
+        # here as cross_validate_lambda solves it.
         ds = make_benchmark_dataset(n=8000, seed=11)
         perturbed, _ = inject_outliers(ds, 0.01, 0.25, 0)
         X_std = standardize(perturbed)[0].X
-        folds = np.array_split(make_rng(0).permutation(ds.n), 5)
-        for dim, fold in ((0, 4), (1, 1), (2, 3)):
-            train = np.ones(ds.n, dtype=bool)
-            train[folds[fold]] = False
+        train = np.ones((5, ds.n))
+        for k, fold in enumerate(
+                np.array_split(make_rng(0).permutation(ds.n), 5)):
+            train[k, fold] = 0.0
+        grid = np.array(DEFAULT_LAMBDA_GRID)
+        for dim in (0, 1, 2):
             feats = factor_features(FULL_CONDITIONAL, X_std, perturbed.Y, dim)
             labels = perturbed.Y[:, dim].astype(np.float64)
-            factor = train_logistic(feats[train], labels[train], 0.1)
-            assert factor.converged, (dim, fold, factor.final_gradient_norm)
+            _, gnorm = _newton(feats, labels, np.repeat(grid, 5),
+                               np.zeros((grid.size * 5, feats.shape[1] + 1)),
+                               masks=train, mask_of=np.tile(np.arange(5), 5))
+            assert (gnorm <= GRAD_TOL).all(), (dim, gnorm.reshape(-1, 5))
+
+    def test_stack_agrees_with_single_fits(self):
+        X, y, _ = random_problem(21, n=120, p=4)
+        masks = (np.random.default_rng(4).random((3, 120)) < 0.8) * 1.0
+        lams = np.array([0.01, 0.1, 1.0, 10.0, 0.5, 3.0])
+        mask_of = np.array([0, 1, 2, 0, 1, 2])
+        params, gnorm = _newton(X, y, lams, np.zeros((6, 5)), masks, mask_of)
+        assert (gnorm <= GRAD_TOL).all()
+        for b in range(6):
+            rows = masks[mask_of[b]] == 1.0
+            single = train_logistic(X[rows], y[rows], lams[b])
+            np.testing.assert_allclose(
+                params[b], np.append(single.weights, single.intercept),
+                rtol=1e-12, atol=1e-12)
+
+    def test_label_columns_agree_with_single_fits(self):
+        gen = np.random.default_rng(9)
+        X = gen.normal(size=(150, 3))
+        Y = (X @ gen.normal(size=(3, 4)) + gen.normal(size=(150, 4)) > 0)
+        Y = Y.astype(np.float64)
+        Y[:, 2] = 0.0
+        lams = [0.1, 1.0, 10.0, 0.0]
+        before = optimizer_run_count()
+        factors = train_logistic_columns(X, Y, lams)
+        # one problem per non-constant column
+        assert optimizer_run_count() == before + 3
+        assert factors[2] == ConstantFactor(prob_one=1 / 152)
+        for j in (0, 1, 3):
+            single = train_logistic(X, Y[:, j], lams[j])
+            assert factors[j].converged and factors[j].lam == lams[j]
+            np.testing.assert_allclose(factors[j].weights, single.weights,
+                                       rtol=1e-12, atol=1e-12)
+            assert factors[j].intercept == pytest.approx(single.intercept,
+                                                         rel=1e-12, abs=1e-12)
+        with pytest.raises(DomainError):
+            train_logistic_columns(X, Y, lams[:3])
+        with pytest.raises(DomainError):
+            train_logistic_columns(X, Y[:, 0], 1.0)
+
+    def test_indefinite_hessian_falls_back_on_its_problem_only(self):
+        hess = np.array([[[1.0, 1.0], [1.0, 1.0]],
+                         [[4.0, 1.0], [1.0, 3.0]],
+                         [[2.0, 0.0], [0.0, 5.0]]])
+        grad = np.array([[1.0, 2.0], [-1.0, 2.0], [3.0, 1.0]])
+        d = _newton_directions(hess, grad)
+        assert np.array_equal(d[0], -grad[0])
+        for b in (1, 2):
+            np.testing.assert_allclose(hess[b] @ d[b], -grad[b], rtol=1e-14)
+
+    def test_duplicate_column_unpenalized_in_a_stack(self, monkeypatch):
+        # lam = 0 with two identical columns makes that problem's Hessian
+        # singular; the penalized problems beside it keep Newton steps.
+        X, y, _ = random_problem(11, n=50, p=2)
+        X = np.hstack([X, X[:, :1]])
+        failed = []
+
+        def spy(h):
+            factor, info = dpotrf(h)
+            if info:
+                failed.append(h[0, 0] == h[0, 2] == h[2, 2])
+            return factor, info
+
+        dpotrf = mcode.optim.dpotrf
+        monkeypatch.setattr(mcode.optim, "dpotrf", spy)
+        lams = np.array([0.0, 1.0, 10.0])
+        params, gnorm = _newton(X, y, lams, np.zeros((3, 4)))
+        monkeypatch.undo()
+        assert failed and all(failed)
+        assert np.isfinite(params).all()
+        for b in (1, 2):
+            single = train_logistic(X, y, lams[b])
+            assert gnorm[b] <= GRAD_TOL
+            np.testing.assert_allclose(
+                params[b], np.append(single.weights, single.intercept),
+                rtol=1e-12, atol=1e-12)
 
     def test_separable_unpenalized_stops_finite(self):
         # lam = 0 on separable labels has no finite optimum
@@ -229,29 +333,31 @@ class TestPredict:
             predict_prob_batch(factor, [[1.0]])
 
 
+def fold_loop_choice(X, y, grid, n_folds, seed):
+    """The penalty cross_validate_lambda should pick, from one
+    train_logistic fit per grid value and fold."""
+    n = X.shape[0]
+    folds = np.array_split(make_rng(seed).permutation(n), n_folds)
+    scores = {}
+    for lam in grid:
+        total = 0.0
+        for fold in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            factor = train_logistic(X[mask], y[mask], lam)
+            p = predict_prob_batch(factor, X[fold])
+            rho = np.where(y[fold] == 1.0, p, 1.0 - p)
+            total += float(np.log(rho).sum())
+        scores[lam] = total / n
+    return max(sorted(grid), key=lambda lam: (scores[lam], lam))
+
+
 class TestCrossValidation:
     def test_matches_explicit_fold_loop(self):
         X, y, _ = random_problem(31, n=45, p=3)
         grid = (0.1, 10.0)
-        n_folds, seed = 3, 7
-        chosen = cross_validate_lambda(X, y, grid, n_folds, seed)
-
-        # independent re-computation of the selection
-        order = make_rng(seed).permutation(45)
-        folds = np.array_split(order, n_folds)
-        scores = {}
-        for lam in grid:
-            total = 0.0
-            for fold in folds:
-                mask = np.ones(45, dtype=bool)
-                mask[fold] = False
-                factor = train_logistic(X[mask], y[mask], lam)
-                p = predict_prob_batch(factor, X[fold])
-                rho = np.where(y[fold] == 1.0, p, 1.0 - p)
-                total += float(np.log(rho).sum())
-            scores[lam] = total / 45
-        best = max(sorted(grid), key=lambda lam: (scores[lam], lam))
-        assert chosen == best
+        assert cross_validate_lambda(X, y, grid, 3, 7) == \
+            fold_loop_choice(X, y, grid, 3, 7)
 
     def test_pure_noise_prefers_max_shrinkage(self):
         gen = np.random.default_rng(12)
@@ -269,11 +375,14 @@ class TestCrossValidation:
         assert chosen == 2.0
 
     def test_single_class_fold_falls_back(self):
+        # the fold holding the only 1 leaves an all-zero training split,
+        # scored as a ConstantFactor; the other fold is fit
         X = np.arange(10.0).reshape(-1, 1)
         y = np.zeros(10)
         y[0] = 1.0
-        chosen = cross_validate_lambda(X, y, (0.1, 1.0), n_folds=2, seed=3)
-        assert chosen in (0.1, 1.0)
+        grid = (0.01, 0.1, 1.0, 10.0)
+        assert cross_validate_lambda(X, y, grid, n_folds=2, seed=3) == \
+            fold_loop_choice(X, y, grid, 2, 3)
 
     def test_deterministic_given_seed(self):
         X, y, _ = random_problem(9, n=50, p=2)

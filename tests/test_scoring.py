@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcode import (DataError, DomainError, LocalWeightMatrix, NeighborIndex,
                    PROB_EPS, RhoMatrix, ScoreVector, WeightVector,
@@ -291,3 +294,30 @@ class TestRankingAndTables:
             "instance_index,method,score\n0,RW,1.0\n1,PROD,0.5\n")
         with pytest.raises(DataError):
             load_score_table(path)
+
+
+# Any text a UTF-8 file can hold (no lone surrogates), newlines included.
+_FIELD = st.text(st.characters(exclude_categories=("Cs",)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(row=st.integers(0, 5), field=st.integers(0, 2), text=_FIELD)
+def test_any_single_field_edit_loads_or_is_a_data_error(row, field, text):
+    sv = ScoreVector(scores=np.array([3.5, 0.25, 7.0, 1e-300, 2.0, 0.0]),
+                     method="RW")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        write_score_table(path, sv, comments=("mcode test",))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("instance_index,method,score\n") + 1 + row
+        fields = lines[body].rstrip("\n").split(",")
+        fields[field] = text
+        lines[body] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        try:
+            scores, method = load_score_table(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            return
+    assert scores.shape == (6,) and np.isfinite(scores).all()
+    assert isinstance(method, str)
