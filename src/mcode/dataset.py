@@ -233,26 +233,29 @@ def load_csv(path, n_outputs: int) -> Dataset:
                 rows.append((reader.line_num, record))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text file: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0][1])
+    if names is not None and len(names) != width:
+        raise DataError(
+            f"{path}: header has {len(names)} fields but data rows have {width}")
+    for line_num, record in rows:
+        if len(record) != width:
+            raise DataError(
+                f"{path}: line {line_num}: expected {width} fields, "
+                f"got {len(record)}")
     if n_outputs >= width:
         raise ConfigError(
             f"n_outputs={n_outputs} leaves no input columns "
             f"(rows have {width} fields)")
-    if names is not None and len(names) != width:
-        raise DataError(
-            f"{path}: header has {len(names)} fields but data rows have {width}")
 
     m = width - n_outputs
     X = np.empty((len(rows), m), dtype=np.float64)
     Y = np.empty((len(rows), n_outputs), dtype=np.int8)
     for i, (line_num, record) in enumerate(rows):
-        if len(record) != width:
-            raise DataError(
-                f"{path}: line {line_num}: expected {width} fields, "
-                f"got {len(record)}")
         for j, text in enumerate(record):
             value = _parse_field(text)
             if value is None:

@@ -13,11 +13,14 @@ Reach distances are floored at a small positive value before dividing so
 duplicated points produce large but finite densities.
 
 Neighborhoods come from NeighborIndex's blocked walker, as LRW's do, so
-memory is O(block x N) plus the neighbor lists; lrd and LOF are gathers.
-Each block's argpartition picks every row's k nearest columns. A row
-with exactly k points within its k-distance takes those k as they are;
-only a row with more, a tie across the cut, is scanned in full for every
-point within its k-distance.
+memory is O(block x N) plus the neighbor lists, held once; lrd and LOF
+are gathers. The walker screens each block with one BLAS product of
+approximate squared distances. A row whose (k+1)-th approximation
+exceeds its k-th by more than the screen's forward-error bound provably
+has exactly k points within its k-distance, and takes those k with their
+exact distances. Every other row takes the full-row path: its exact
+distances to all points, and if more than k points lie within its
+k-distance, a tie across the cut, every one of them.
 """
 
 from __future__ import annotations
@@ -55,15 +58,16 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     for rows, dist, cols, near, kth, tied in index._blocks(
             k, exclude_self=True):
         untied, tied = np.flatnonzero(~tied), np.flatnonzero(tied)
-        r, c = np.nonzero(dist[tied] <= kth[tied, None])
+        r, c = np.nonzero(dist <= kth[tied, None])
         owner = np.concatenate([np.repeat(untied, k), tied[r]])
         order = np.argsort(owner, kind="stable")
         parts.append((rows[owner[order]],
                       np.concatenate([cols[untied].ravel(), c])[order],
                       np.concatenate([near[untied].ravel(),
-                                      dist[tied[r], c]])[order],
+                                      dist[r, c]])[order],
                       kth))
     owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*parts))
+    del parts  # the runs are held once from here on
     sizes = np.bincount(owner, minlength=n)
 
     reach = np.maximum(np.maximum(kdist[nbr], nbr_dist), _DISTANCE_FLOOR)

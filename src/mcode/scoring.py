@@ -55,11 +55,19 @@ class NeighborIndex:
     query_all lists each point's neighbors among the same points in
     non-decreasing distance order, ties broken by ascending index, so a
     point counts as its own neighbor at distance zero. One blocked walker
-    computes all distances, for query_all and LOF: a block of rows
-    against all N points, so memory is O(block x N). Each block selects
-    its k nearest columns with argpartition; only rows with more than k
-    points at their k-th distance, a tie across the cut, need the
-    lowest-index rule applied over the whole row.
+    serves query_all and LOF: a block of rows against all N points, so
+    memory is O(block x N).
+
+    The walk screens before it measures. One BLAS product per block gives
+    each row's squared distances to all points, less a per-row constant
+    and up to rounding, and argpartition picks the k smallest. Where the
+    (k+1)-th of those exceeds the k-th by more than a forward-error bound
+    (derived in _blocks), the k candidates are provably the row's k
+    nearest with no tie across the cut, and only their k exact distances
+    are computed. Every other row, a near tie or a real one, takes the
+    full-row path: its exact distances to all points, and the
+    lowest-index rule over the whole row. Exact distances are cdist's,
+    bitwise, so the screen changes no result.
     """
 
     def __init__(self, points):
@@ -83,33 +91,102 @@ class NeighborIndex:
         """Yield (rows, dist, cols, near, kth, tied) for every block of
         rows, in row order.
 
-        For each row of a block: dist holds its distances to all points;
-        cols its k nearest columns from argpartition, in ascending column
-        order, and near their distances; kth the k-th smallest distance.
-        tied marks the rows with more than k points within kth, a tie
-        across the cut: their cols hold every point below kth but only
-        some of those at kth, not necessarily the lowest-indexed. An
-        untied row's cols are exactly the points within its kth.
+        For each row of a block: cols holds its k nearest columns, in
+        ascending column order, and near their distances; kth the k-th
+        smallest distance. tied marks the rows with more than k points
+        within kth, a tie across the cut: their cols hold every point
+        below kth but only some of those at kth, not necessarily the
+        lowest-indexed. An untied row's cols are exactly the points
+        within its kth. dist holds the distances of the tied rows to all
+        points, one row each, in row order.
 
-        The distances fill one buffer allocated once per walk, which the
-        next block overwrites; cols, near, kth and tied are the block's
-        own.
+        The screen and the exact rows share one buffer allocated once per
+        walk, which the next block overwrites; cols, near, kth and tied
+        are the block's own.
         """
-        n = self.n
+        n, m = self.points.shape
         step = max(1, _BLOCK_ENTRIES // n)
-        dist_buf = np.empty((min(step, n), n))
+        # The screen works on q, the points less their mean: a row's
+        # [q_a, 1] times column b of paired, [-2 q_b, |q_b|^2], is
+        # |q_a - q_b|^2 - |q_a|^2, so a block's screen is one product.
+        # Error bound of the screen S, with u = 2^-53, g(j) = j u / (1 - j u),
+        # R the largest |q| and T = |a - b|^2 exact for points a and b:
+        # - Centring rounds each coordinate by at most u, which moves
+        #   |q_a - q_b|^2 off T by about 2u (|q_a| + R)^2.
+        # - A dot product of length j, in any order, with or without FMA,
+        #   is off by at most g(j) times the sum of its terms' magnitudes;
+        #   with the error of |q_b|^2, S is off from |q_a - q_b|^2 - |q_a|^2
+        #   by at most g(2m + 1) (|q_a| + R)^2.
+        # So S is within delta ~ (2m + 3) u (|q_a| + R)^2 of T - |q_a|^2.
+        # An exact distance d = sqrt(s) is cdist's: s sums the m terms
+        # fl(fl(a_f - b_f)^2) in order, so s = T (1 + t), |t| <= g(m + 2).
+        # If T' >= (1 + r) T with r = 4 g(m + 2) + 8u, then s' >= (1 + 8u) s,
+        # whose correctly rounded square roots differ: d' > d. As T is at
+        # most about (|q_a| + R)^2, when the (k+1)-th smallest S of a row
+        # exceeds its k-th by
+        #   2 delta + r (|q_a| + R)^2 ~ (8m + 22) u (|q_a| + R)^2,
+        # every point outside the row's k candidates is strictly farther
+        # than every point inside. margin doubles that to cover the
+        # rounding of the margin and of the gap themselves; m times the
+        # smallest normal number covers terms that underflow. Points so
+        # far out that this overflows fail the test, and every row takes
+        # the exact path.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self.points.mean(axis=0)
+            paired = np.empty((m + 1, n))
+            centred = np.subtract(self.points.T, mean[:, None],
+                                  out=paired[:m])
+            paired[m] = np.einsum("ij,ij->j", centred, centred)
+            norm = np.sqrt(paired[m])
+            margin = (16 * (m + 3) * 2.0 ** -53 * (norm + norm.max()) ** 2
+                      + m * np.finfo(np.float64).tiny)
+            centred *= -2.0
+        features = np.asfortranarray(self.points)  # a column per feature
+        buf = np.empty((min(step, n), n))
         for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
-            dist = cdist(self.points[rows], self.points,
-                         out=dist_buf[:rows.shape[0]])
-            if exclude_self:
-                dist[np.arange(rows.shape[0]), rows] = np.inf
-            cols = np.sort(
-                np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-            near = np.take_along_axis(dist, cols, axis=1)
-            kth = near.max(axis=1)
-            tied = np.count_nonzero(dist <= kth[:, None], axis=1) > k
-            yield rows, dist, cols, near, kth, tied
+            stop = min(start + step, n)
+            rows = np.arange(start, stop)
+            if k < n:
+                screen = buf[:rows.size]
+                # BLAS calls of at most 2^19 multiply-adds by default.
+                # OpenBLAS runs products from about 2^20 on a second thread,
+                # even a little below optim's _BLAS_SERIAL_SIZE (a 52 x 2000
+                # x 10 one, 1.04M, did on a 2-CPU box), and that thread then
+                # spin-waits and takes a CPU from whatever runs next. Half
+                # that size keeps every call serial.
+                width = max(1, 2 * _BLOCK_ENTRIES // (rows.size * (m + 1)))
+                lifted = np.ones((rows.size, m + 1))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.subtract(self.points[start:stop], mean,
+                                out=lifted[:, :m])
+                    for c in range(0, n, width):
+                        np.matmul(lifted, paired[:, c:c + width],
+                                  out=screen[:, c:c + width])
+                    if exclude_self:
+                        screen[np.arange(rows.size), rows] = np.inf
+                    cols, gap = _candidates(screen, k)
+                fits = gap > margin[rows]
+            else:
+                fits = np.ones(rows.size, dtype=bool)
+                cols = np.tile(np.arange(n), (rows.size, 1))
+            near = np.empty(cols.shape)
+            near[fits] = _distances(features, rows[fits], cols[fits])
+            tied = np.zeros(rows.size, dtype=bool)
+            dist = buf[:0]
+            exact = np.flatnonzero(~fits)
+            if exact.size:
+                dist = cdist(self.points[rows[exact]], self.points,
+                             out=buf[:exact.size])
+                if exclude_self:
+                    dist[np.arange(exact.size), rows[exact]] = np.inf
+                cols[exact] = np.sort(
+                    np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+                near[exact] = np.take_along_axis(dist, cols[exact], axis=1)
+                tied[exact] = np.count_nonzero(
+                    dist <= near[exact].max(axis=1, keepdims=True),
+                    axis=1) > k
+                dist = dist[tied[exact]]
+            yield rows, dist, cols, near, near.max(axis=1), tied
 
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
@@ -121,7 +198,7 @@ class NeighborIndex:
             if tied.size:
                 # lowest-index rule: every point below kth, then the
                 # first ties in column order until the row holds k
-                dist, kth = dist[tied], kth[tied, None]
+                kth = kth[tied, None]
                 below, ties = dist < kth, dist == kth
                 room = k - below.sum(axis=1, keepdims=True)
                 # rank of each tie in its row; int32 halves this array
@@ -132,6 +209,40 @@ class NeighborIndex:
             order = np.argsort(near, axis=1, kind="stable")
             out[rows] = np.take_along_axis(cols, order, axis=1)
         return out
+
+
+def _candidates(screen, k):
+    """Each row's k smallest columns of screen, in ascending column order,
+    and by how much its (k+1)-th smallest value exceeds its k-th. A
+    function of its own so that the block-sized argpartition result is
+    freed here, not held into the next block."""
+    order = np.argpartition(screen, k, axis=1)
+    picked = np.take_along_axis(screen, order[:, :k + 1], axis=1)
+    return (np.sort(order[:, :k], axis=1),
+            picked[:, k] - picked[:, :k].max(axis=1))
+
+
+def _distances(points, rows, cols) -> np.ndarray:
+    """Distance from points[rows[i]] to points[cols[i, j]] at [i, j], in
+    cdist's arithmetic: (a_f - b_f)^2 summed over the features f in
+    order, then the square root. The gather runs along the rows of
+    points.T, so points is best laid out one contiguous column per
+    feature; it gathers at most a quarter of the block budget of
+    differences at a time."""
+    columns = points.T
+    out = np.zeros(cols.shape)
+    step = max(1, _BLOCK_ENTRIES // (4 * max(columns.shape[0], 1)
+                                     * cols.shape[1]))
+    with np.errstate(over="ignore"):  # far-apart points: inf, as in cdist
+        for start in range(0, rows.size, step):
+            part = slice(start, start + step)
+            diff = np.take(columns, cols[part], axis=1)
+            diff -= columns[:, rows[part], None]
+            diff *= diff
+            total = out[part]
+            for term in diff:
+                total += term
+    return np.sqrt(out, out=out)
 
 
 def global_weights(rho: RhoMatrix) -> WeightVector:

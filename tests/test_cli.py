@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -276,6 +277,16 @@ class TestEval:
         scores.write_text("instance_index,method,score\n0,RW,nan\n"
                           "1,RW,0.5\n")
         assert run("eval", "--scores", scores, "--log", log) == 2
+
+    def test_oversized_csv_field_exits_2(self, tmp_path, dataset_file):
+        lines = dataset_file.read_text().splitlines(keepends=True)
+        lines[2] = "1" * (csv.field_size_limit() + 1) + lines[2]
+        dataset_file.write_text("".join(lines))
+        code, err = run_quiet("detect", "--dataset", dataset_file,
+                              "--n-outputs", 1, "--dim-fraction", "0.5",
+                              "--out-dir", tmp_path / "run")
+        assert code == 2
+        assert f"{dataset_file}: line 3: field larger than field limit" in err
 
     def test_curve_hash_ignores_curve_out(self, tmp_path):
         scores = tmp_path / "scores.csv"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tempfile
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcode import (ConfigError, DataError, Dataset, DomainError,
@@ -349,6 +350,36 @@ def test_csv_round_trip_keeps_names(ds):
     back = csv_round_trip(ds)
     assert (back.input_names, back.output_names) == \
         (ds.input_names, ds.output_names)
+
+
+# Any text a UTF-8 file can hold (no lone surrogates), newlines included.
+_FIELD = st.text(st.characters(exclude_categories=("Cs",)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(row=st.integers(0, 3), field=st.integers(0, 3), text=_FIELD)
+@example(row=2, field=1, text="1" * (csv.field_size_limit() + 1))
+def test_any_single_csv_field_edit_loads_or_is_a_data_error(row, field,
+                                                            text):
+    ds = Dataset(np.array([[0.5, -2.0], [1e-300, 3.25], [7.0, 0.0]]),
+                 np.array([[0, 1], [1, 1], [0, 0]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(ds, path, comments=("mcode test",))
+        lines = path.read_text().splitlines(keepends=True)
+        body = 1 + row  # row 0 is the header
+        fields = lines[body].rstrip("\r\n").split(",")
+        fields[field] = text
+        lines[body] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        try:
+            back = load_csv(path, n_outputs=2)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            return
+        except DomainError:
+            return
+    assert back.d == 2 and np.isfinite(back.X).all()
 
 
 @settings(max_examples=60, deadline=None, database=None)

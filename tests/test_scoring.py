@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
-from mcode import (DataError, DomainError, LocalWeightMatrix, NeighborIndex,
-                   PROB_EPS, RhoMatrix, ScoreVector, WeightVector,
-                   brier_per_dimension, global_weights, local_weights,
-                   rank_descending, score_lrw, score_prod, score_rw)
+import mcode.scoring
+from mcode import (DataError, DomainError, LocalWeightMatrix, LofConfig,
+                   NeighborIndex, PROB_EPS, RhoMatrix, ScoreVector,
+                   WeightVector, brier_per_dimension, global_weights,
+                   local_weights, lof_scores, rank_descending, score_lrw,
+                   score_prod, score_rw)
 from mcode.scoring import load_score_table, write_score_table
 
 import oracles
@@ -84,6 +87,121 @@ def test_mixed_tie_blocks_match_brute_force(k):
     for i in range(len(pts)):
         expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
         assert all_neighbors[i].tolist() == expected
+
+
+def assert_walks_match_oracles(pts, k):
+    """query_all(k) and LOF with k - 1, which cut after the same point
+    when each point is its own unique nearest, and the tie flags of both
+    walks, against the brute-force oracles."""
+    listed = pts.tolist()
+    assert np.concatenate(tie_pattern(pts, k)).tolist() == \
+        oracles.ties_across_cut(listed, k)
+    all_neighbors = NeighborIndex(pts).query_all(k)
+    for i, row in enumerate(listed):
+        assert all_neighbors[i].tolist() == oracles.brute_knn(listed, row, k)
+    if k > 1:
+        assert np.concatenate(
+            tie_pattern(pts, k - 1, exclude_self=True)).tolist() == \
+            oracles.ties_across_cut(listed, k - 1, exclude_self=True)
+        np.testing.assert_allclose(
+            lof_scores(pts, LofConfig(k=k - 1)).scores,
+            oracles.oracle_lof(listed, k - 1), rtol=1e-9)
+
+
+def one_ulp_clusters(k, count=20, seed=0):
+    """count clusters in 3-D, each a centre followed by points at distance
+    0.05, 0.10, ... from it, then two at 0.75 and one ulp more, then 0.9
+    and 0.95: the centre's k-th and (k+1)-th points, itself counted, lie
+    one ulp apart. The pairs point in random directions, so the screen's
+    rounding falls either way across the cut."""
+    def distance(a, b):
+        return cdist(a[None], b[None])[0, 0]
+
+    def around(centre, radius):
+        step = gen.normal(size=3)
+        return centre + radius * step / np.linalg.norm(step)
+
+    gen = np.random.default_rng(seed)
+    clusters = []
+    for _ in range(count):
+        centre = gen.normal(size=3) * 20
+        ring = [around(centre, r) for r in np.arange(1, k - 1) * 0.05]
+        ring.append(around(centre, 0.75))
+        target = np.nextafter(distance(centre, ring[-1]), np.inf)
+        # directions until the rounding lands exactly one ulp out
+        outer = next(p for p in (around(centre, target)
+                                 for _ in range(10_000))
+                     if distance(centre, p) == target)
+        clusters.append([centre, *ring, outer, around(centre, 0.9),
+                         around(centre, 0.95)])
+    return np.vstack(clusters)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestScreen:
+    """Cases aimed at the walk's screen and its error bound."""
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9])
+    @pytest.mark.parametrize("k", [2, 4, 18])
+    def test_far_from_origin(self, offset, k):
+        # the product's cancellation is worst far from the origin; the
+        # grid's ties survive the shift exactly
+        assert_walks_match_oracles(mixed_ties(k) + offset, k)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_one_ulp_across_the_cut(self, k):
+        pts = one_ulp_clusters(k)
+        for centre in range(0, len(pts), k + 3):
+            dist = np.sort(cdist(pts[[centre]], pts)[0])
+            assert dist[k] == np.nextafter(dist[k - 1], np.inf)
+        assert_walks_match_oracles(pts, k)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_point_past_the_cut(self, seed):
+        # query_all with k = N, LOF with k = N - 1
+        pts = mixed_ties(seed, n=12)
+        assert_walks_match_oracles(pts, len(pts))
+        pts = np.random.default_rng(seed).normal(size=(25, 3))
+        assert_walks_match_oracles(pts, len(pts))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_points_without_features(self, k):
+        # every distance is zero: a tie across every cut
+        assert_walks_match_oracles(np.zeros((6, 0)), k)
+
+    def test_overflowing_distances_tie_at_infinity(self):
+        # every distance overflows to inf, so past itself each point's
+        # neighbors are the lowest-indexed others, and nothing warns
+        pts = np.random.default_rng(9).normal(size=(40, 3)) * 1e160
+        expected = [[i] + [j for j in range(40) if j != i][:4]
+                    for i in range(40)]
+        assert NeighborIndex(pts).query_all(5).tolist() == expected
+
+    @pytest.mark.parametrize("m", [1, 10, 18])
+    def test_exact_distances_are_cdists(self, m):
+        gen = np.random.default_rng(m)
+        pts = gen.normal(size=(300, m)) * gen.uniform(0.1, 1e3, size=m)
+        rows = gen.choice(300, size=40, replace=False)
+        cols = np.sort(gen.integers(0, 300, size=(40, 25)), axis=1)
+        got = mcode.scoring._distances(pts, rows, cols)
+        expected = np.take_along_axis(cdist(pts[rows], pts), cols, axis=1)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_screen_settles_untied_rows(monkeypatch, offset):
+    # no row of untied data needs its full distance row
+    exact_rows = []
+
+    def counting_cdist(a, b, **kwargs):
+        exact_rows.append(len(a))
+        return cdist(a, b, **kwargs)
+
+    monkeypatch.setattr(mcode.scoring, "cdist", counting_cdist)
+    pts = np.random.default_rng(8).normal(size=(2000, 10)) + offset
+    NeighborIndex(pts).query_all(50)
+    lof_scores(pts, LofConfig(k=50))
+    assert exact_rows == []
 
 
 def test_query_all_holds_no_n_by_n_matrix():
