@@ -15,12 +15,11 @@ duplicated points produce large but finite densities.
 Neighborhoods come from NeighborIndex's blocked walker, as LRW's do, so
 memory is O(block x N) plus the neighbor lists, held once; lrd and LOF
 are gathers. The walker screens each block with one BLAS product of
-approximate squared distances. A row whose (k+1)-th approximation
-exceeds its k-th by more than the screen's forward-error bound provably
-has exactly k points within its k-distance, and takes those k with their
-exact distances. Every other row takes the full-row path: its exact
-distances to all points, and if more than k points lie within its
-k-distance, a tie across the cut, every one of them.
+approximate squared distances, and each row measures exactly only the
+points that the screen's forward-error bound cannot place beyond its
+k-distance. An untied row takes its k nearest; a row with more than k
+points within its k-distance, a tie across the cut, takes every one of
+them.
 """
 
 from __future__ import annotations
@@ -55,16 +54,17 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     # within its k-distance; both come in ascending column order, which
     # the stable sort by point keeps
     parts = []
-    for rows, dist, cols, near, kth, tied in index._blocks(
+    for rows, dcols, dist, cols, near, kth, tied in index._blocks(
             k, exclude_self=True):
         untied, tied = np.flatnonzero(~tied), np.flatnonzero(tied)
-        r, c = np.nonzero(dist <= kth[tied, None])
+        r, s = np.nonzero(dist <= kth[tied, None])
         owner = np.concatenate([np.repeat(untied, k), tied[r]])
         order = np.argsort(owner, kind="stable")
         parts.append((rows[owner[order]],
-                      np.concatenate([cols[untied].ravel(), c])[order],
+                      np.concatenate([cols[untied].ravel(),
+                                      dcols[r, s]])[order],
                       np.concatenate([near[untied].ravel(),
-                                      dist[r, c]])[order],
+                                      dist[r, s]])[order],
                       kth))
     owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*parts))
     del parts  # the runs are held once from here on

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError
 from .model import RhoMatrix
@@ -60,14 +59,14 @@ class NeighborIndex:
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
-    and up to rounding, and argpartition picks the k smallest. Where the
-    (k+1)-th of those exceeds the k-th by more than a forward-error bound
-    (derived in _blocks), the k candidates are provably the row's k
-    nearest with no tie across the cut, and only their k exact distances
-    are computed. Every other row, a near tie or a real one, takes the
-    full-row path: its exact distances to all points, and the
-    lowest-index rule over the whole row. Exact distances are cdist's,
-    bitwise, so the screen changes no result.
+    and up to rounding. A point whose screen value exceeds the row's k-th
+    smallest by more than a forward-error bound (derived in _blocks) is
+    provably farther than the row's k nearest, so a row measures only the
+    points within that bound of its k-th: on untied data its k nearest
+    alone, on tied data every point within its k-th distance and a few
+    more. The k nearest, the tie across the cut and the lowest-index
+    rule come from those exact distances, which are cdist's, bitwise, so
+    the screen changes no result.
     """
 
     def __init__(self, points):
@@ -88,8 +87,8 @@ class NeighborIndex:
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
     def _blocks(self, k: int, exclude_self: bool = False):
-        """Yield (rows, dist, cols, near, kth, tied) for every block of
-        rows, in row order.
+        """Yield (rows, dcols, dist, cols, near, kth, tied) for every block
+        of rows, in row order.
 
         For each row of a block: cols holds its k nearest columns, in
         ascending column order, and near their distances; kth the k-th
@@ -97,12 +96,13 @@ class NeighborIndex:
         within kth, a tie across the cut: their cols hold every point
         below kth but only some of those at kth, not necessarily the
         lowest-indexed. An untied row's cols are exactly the points
-        within its kth. dist holds the distances of the tied rows to all
-        points, one row each, in row order.
+        within its kth. For each tied row, in row order, dcols lists the
+        columns it measured in ascending order, every point within its
+        kth among them, and dist their distances, both padded at the end
+        with distance inf.
 
-        The screen and the exact rows share one buffer allocated once per
-        walk, which the next block overwrites; cols, near, kth and tied
-        are the block's own.
+        The screen lives in one buffer allocated once per walk, which the
+        next block overwrites; everything yielded is the block's own.
         """
         n, m = self.points.shape
         step = max(1, _BLOCK_ENTRIES // n)
@@ -122,15 +122,17 @@ class NeighborIndex:
         # fl(fl(a_f - b_f)^2) in order, so s = T (1 + t), |t| <= g(m + 2).
         # If T' >= (1 + r) T with r = 4 g(m + 2) + 8u, then s' >= (1 + 8u) s,
         # whose correctly rounded square roots differ: d' > d. As T is at
-        # most about (|q_a| + R)^2, when the (k+1)-th smallest S of a row
-        # exceeds its k-th by
-        #   2 delta + r (|q_a| + R)^2 ~ (8m + 22) u (|q_a| + R)^2,
-        # every point outside the row's k candidates is strictly farther
-        # than every point inside. margin doubles that to cover the
-        # rounding of the margin and of the gap themselves; m times the
-        # smallest normal number covers terms that underflow. Points so
-        # far out that this overflows fail the test, and every row takes
-        # the exact path.
+        # most about (|q_a| + R)^2, a point whose S exceeds another's by
+        #   2 delta + r (|q_a| + R)^2 ~ (8m + 22) u (|q_a| + R)^2
+        # is strictly farther from the row. margin doubles that to cover
+        # the rounding of the margin and of the limit below; m times the
+        # smallest normal number covers terms that underflow. So a point
+        # whose S exceeds the row's k-th smallest S by more than margin is
+        # strictly farther than each of the row's k smallest-S points, so
+        # beyond its k-th distance: a row measures only the points within
+        # margin of its k-th smallest S. The screen's partial sums stay
+        # below reach = 2 (|q_a| + R)^2; where reach overflows, so does
+        # margin, and the row measures every point.
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self.points.mean(axis=0)
             paired = np.empty((m + 1, n))
@@ -138,7 +140,8 @@ class NeighborIndex:
                                   out=paired[:m])
             paired[m] = np.einsum("ij,ij->j", centred, centred)
             norm = np.sqrt(paired[m])
-            margin = (16 * (m + 3) * 2.0 ** -53 * (norm + norm.max()) ** 2
+            reach = 2 * (norm + norm.max()) ** 2
+            margin = (8 * (m + 3) * 2.0 ** -53 * reach
                       + m * np.finfo(np.float64).tiny)
             centred *= -2.0
         features = np.asfortranarray(self.points)  # a column per feature
@@ -146,54 +149,52 @@ class NeighborIndex:
         for start in range(0, n, step):
             stop = min(start + step, n)
             rows = np.arange(start, stop)
-            if k < n:
-                screen = buf[:rows.size]
-                # BLAS calls of at most 2^19 multiply-adds by default.
-                # OpenBLAS runs products from about 2^20 on a second thread,
-                # even a little below optim's _BLAS_SERIAL_SIZE (a 52 x 2000
-                # x 10 one, 1.04M, did on a 2-CPU box), and that thread then
-                # spin-waits and takes a CPU from whatever runs next. Half
-                # that size keeps every call serial.
-                width = max(1, 2 * _BLOCK_ENTRIES // (rows.size * (m + 1)))
-                lifted = np.ones((rows.size, m + 1))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.subtract(self.points[start:stop], mean,
-                                out=lifted[:, :m])
-                    for c in range(0, n, width):
-                        np.matmul(lifted, paired[:, c:c + width],
-                                  out=screen[:, c:c + width])
-                    if exclude_self:
-                        screen[np.arange(rows.size), rows] = np.inf
-                    cols, gap = _candidates(screen, k)
-                fits = gap > margin[rows]
-            else:
-                fits = np.ones(rows.size, dtype=bool)
-                cols = np.tile(np.arange(n), (rows.size, 1))
-            near = np.empty(cols.shape)
-            near[fits] = _distances(features, rows[fits], cols[fits])
-            tied = np.zeros(rows.size, dtype=bool)
-            dist = buf[:0]
-            exact = np.flatnonzero(~fits)
-            if exact.size:
-                dist = cdist(self.points[rows[exact]], self.points,
-                             out=buf[:exact.size])
+            screen = buf[:rows.size]
+            # BLAS calls of at most _BLOCK_ENTRIES (2^18) multiply-adds by
+            # default. On a 2-CPU box OpenBLAS ran calls of 2^19 (32 x 11 x
+            # 1489, 32 x 19 x 862) and of 2^20 on a second thread: the
+            # process spent up to one more CPU-second per second of the call
+            # beyond the calling thread, a spin-wait that takes a CPU from
+            # whatever runs next. No call of 2^18 did.
+            width = max(1, _BLOCK_ENTRIES // (rows.size * (m + 1)))
+            lifted = np.ones((rows.size, m + 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(self.points[start:stop], mean, out=lifted[:, :m])
+                for c in range(0, n, width):
+                    np.matmul(lifted, paired[:, c:c + width],
+                              out=screen[:, c:c + width])
                 if exclude_self:
-                    dist[np.arange(exact.size), rows[exact]] = np.inf
-                cols[exact] = np.sort(
-                    np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-                near[exact] = np.take_along_axis(dist, cols[exact], axis=1)
-                tied[exact] = np.count_nonzero(
-                    dist <= near[exact].max(axis=1, keepdims=True),
-                    axis=1) > k
-                dist = dist[tied[exact]]
-            yield rows, dist, cols, near, near.max(axis=1), tied
+                    screen[np.arange(rows.size), rows] = np.inf
+                limit = (np.partition(screen, k - 1, axis=1)[:, k - 1]
+                         + margin[rows])
+            # each row's points within margin of its k-th smallest S, in
+            # column order (a NaN screen or limit keeps them all), one row
+            # each, and their exact distances, padded at the end with inf
+            r, c = np.divmod(
+                np.flatnonzero(~(screen > limit[:, None])), n)
+            counts = np.bincount(r, minlength=rows.size)
+            dcols = np.zeros((rows.size, counts.max()), dtype=np.intp)
+            dcols[r, np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = c
+            dist = _distances(features, rows, dcols)
+            dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf
+            if exclude_self:
+                dist[dcols == rows[:, None]] = np.inf
+            # every row measured at least its k smallest-S points, each at
+            # a finite distance unless the row measured every point
+            pick = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k],
+                           axis=1)
+            cols = np.take_along_axis(dcols, pick, axis=1)
+            near = np.take_along_axis(dist, pick, axis=1)
+            kth = near.max(axis=1)
+            tied = np.count_nonzero(dist <= kth[:, None], axis=1) > k
+            yield rows, dcols[tied], dist[tied], cols, near, kth, tied
 
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
 
-        for rows, dist, cols, near, kth, tied in self._blocks(k):
+        for rows, dcols, dist, cols, near, kth, tied in self._blocks(k):
             tied = np.flatnonzero(tied)
             if tied.size:
                 # lowest-index rule: every point below kth, then the
@@ -204,22 +205,12 @@ class NeighborIndex:
                 # rank of each tie in its row; int32 halves this array
                 rank = np.cumsum(ties, axis=1, dtype=np.int32)
                 keep = below | (ties & (rank <= room))
-                cols[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
-                near[tied] = np.take_along_axis(dist, cols[tied], axis=1)
+                pick = np.nonzero(keep)[1].reshape(tied.size, k)
+                cols[tied] = np.take_along_axis(dcols, pick, axis=1)
+                near[tied] = np.take_along_axis(dist, pick, axis=1)
             order = np.argsort(near, axis=1, kind="stable")
             out[rows] = np.take_along_axis(cols, order, axis=1)
         return out
-
-
-def _candidates(screen, k):
-    """Each row's k smallest columns of screen, in ascending column order,
-    and by how much its (k+1)-th smallest value exceeds its k-th. A
-    function of its own so that the block-sized argpartition result is
-    freed here, not held into the next block."""
-    order = np.argpartition(screen, k, axis=1)
-    picked = np.take_along_axis(screen, order[:, :k + 1], axis=1)
-    return (np.sort(order[:, :k], axis=1),
-            picked[:, k] - picked[:, :k].max(axis=1))
 
 
 def _distances(points, rows, cols) -> np.ndarray:

@@ -176,6 +176,14 @@ class TestScreen:
         expected = [[i] + [j for j in range(40) if j != i][:4]
                     for i in range(40)]
         assert NeighborIndex(pts).query_all(5).tolist() == expected
+        # LOF's walk measures every point here and puts each point's
+        # distance to itself at inf, where all the others tie
+        for rows, dcols, dist, _, _, kth, tied in NeighborIndex(
+                pts)._blocks(4, exclude_self=True):
+            assert tied.all()
+            for row, c, d, t in zip(rows, dcols, dist, kth):
+                assert sorted(c[d <= t]) == list(range(40))
+                assert d[c == row].tolist() == [np.inf]
 
     @pytest.mark.parametrize("m", [1, 10, 18])
     def test_exact_distances_are_cdists(self, m):
@@ -188,20 +196,44 @@ class TestScreen:
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.fixture
+def measured(monkeypatch):
+    """The number of exact distances the kNN walk computes, per call."""
+    counts = []
+
+    def counting(points, rows, cols):
+        counts.append(cols.size)
+        return distances(points, rows, cols)
+
+    distances = mcode.scoring._distances
+    monkeypatch.setattr(mcode.scoring, "_distances", counting)
+    return counts
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e9])
-def test_screen_settles_untied_rows(monkeypatch, offset):
-    # no row of untied data needs its full distance row
-    exact_rows = []
+def test_screen_settles_untied_rows(measured, offset):
+    # on untied data each row measures its k neighbors and nothing else
+    n, k = 2000, 50
+    pts = np.random.default_rng(8).normal(size=(n, 10)) + offset
+    NeighborIndex(pts).query_all(k)
+    assert sum(measured) == n * k
+    measured.clear()
+    lof_scores(pts, LofConfig(k=k))
+    assert sum(measured) == n * k
 
-    def counting_cdist(a, b, **kwargs):
-        exact_rows.append(len(a))
-        return cdist(a, b, **kwargs)
 
-    monkeypatch.setattr(mcode.scoring, "cdist", counting_cdist)
-    pts = np.random.default_rng(8).normal(size=(2000, 10)) + offset
-    NeighborIndex(pts).query_all(50)
-    lof_scores(pts, LofConfig(k=50))
-    assert exact_rows == []
+def test_tied_rows_measure_only_points_near_their_cut(measured):
+    # 10 features of 4 values each: the rows tie across their cut, yet
+    # each measures about 61 points, not all 2000
+    n, k = 2000, 50
+    pts = np.random.default_rng(3).integers(0, 4, size=(n, 10)) * 1.0
+    tied = np.concatenate(tie_pattern(pts, k))
+    assert tied.mean() > 0.9
+    assert sum(measured) < 2 * n * k
+    listed = pts.tolist()
+    found = NeighborIndex(pts).query_all(k)
+    for i in range(0, n, 97):
+        assert found[i].tolist() == oracles.brute_knn(listed, listed[i], k)
 
 
 def test_query_all_holds_no_n_by_n_matrix():
