@@ -20,8 +20,8 @@ from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
                     PROB_EPS, cross_validate_lambda, penalized_nll,
                     predict_prob_batch, train_logistic)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
-                    McodeModel, RhoMatrix, estimate_rho, factor_features,
-                    fit_mcode, load_model, save_model)
+                    McodeModel, RhoMatrix, estimate_rho, fit_mcode,
+                    load_model, save_model)
 from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
                       WeightVector, brier_per_dimension, global_weights,
                       local_weights, rank_descending, score_lrw, score_prod,

@@ -204,6 +204,35 @@ def _parse_field(text: str):
         return None
 
 
+def _csv_records(path, comments_anywhere=True):
+    """(line number, fields) for each record of the CSV file at path.
+
+    Blank records and records whose first field starts with '#' are
+    skipped; with comments_anywhere=False a '#' record after the first
+    other record is a DataError naming its line, and so is a field over
+    csv.field_size_limit(). Bytes that are not UTF-8 text are a DataError
+    naming the file.
+    """
+    started = False
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for record in reader:
+                if all(not f.strip() for f in record):
+                    continue
+                if record[0].lstrip().startswith("#"):
+                    if started and not comments_anywhere:
+                        raise DataError(f"{path}: line {reader.line_num}: "
+                                        f"'#' line after the first row")
+                    continue
+                started = True
+                yield reader.line_num, record
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def load_csv(path, n_outputs: int) -> Dataset:
     """Read a CSV of m input columns followed by n_outputs output columns.
 
@@ -218,23 +247,12 @@ def load_csv(path, n_outputs: int) -> Dataset:
 
     names = None
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for record in reader:
-                if not record or all(not f.strip() for f in record):
-                    continue
-                if record[0].lstrip().startswith("#"):
-                    continue
-                if names is None and not rows and any(
-                        _parse_field(f) is None for f in record):
-                    names = [f.strip() for f in record]
-                    continue
-                rows.append((reader.line_num, record))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    for line_num, record in _csv_records(path):
+        if names is None and not rows and any(
+                _parse_field(f) is None for f in record):
+            names = [f.strip() for f in record]
+            continue
+        rows.append((line_num, record))
 
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -6,11 +6,18 @@ own factor. In full_conditional mode factor i models
     P(y_i | x, y_-i)
 
 where y_-i are the remaining observed outputs, so the factors form a set
-of full conditionals rather than an ordered chain. In independent mode
-factor i models P(y_i | x) alone, which is the product-of-marginals
-baseline. Scoring maps a dataset to an N x d matrix of probabilities
-assigned to the observed output values (rho), the basis of all ranking
-scores downstream.
+of full conditionals rather than an ordered chain: the conditionals of a
+pseudo-likelihood (Besag 1975), or of a dependency network (Heckerman et
+al., JMLR 2000). In independent mode factor i models P(y_i | x) alone,
+which is the product-of-marginals baseline. Scoring maps a dataset to an
+N x d matrix of probabilities assigned to the observed output values
+(rho), the basis of all ranking scores downstream.
+
+All factors of a mode read one design: the standardized inputs X in
+independent mode, [X, Y] in full_conditional mode, where factor i holds
+the weight of its own output y_i at 0 and stores the other m + d - 1. So
+a mode's factors are fit as one stack, its penalties cross-validated as
+one stack per fold, and its rho computed with one product.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import ConfigError, DataError, DomainError
 from .dataset import Dataset, StandardizationStats, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
                     cross_validate_lambda, factor_from_dict, factor_to_dict,
-                    predict_prob_batch, train_logistic,
+                    predict_prob_batch, predict_prob_stack,
                     train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
@@ -92,23 +99,27 @@ class McodeModel:
         return len(self.factors)
 
     @property
+    def arity(self) -> int:
+        """Weights each logistic factor stores: the m inputs, and in
+        full_conditional mode the d - 1 other outputs too."""
+        return self.m if self.mode == INDEPENDENT else self.m + self.d - 1
+
+    @property
     def lambdas(self) -> tuple:
         """Each factor's penalty, None for a ConstantFactor."""
         return tuple(None if isinstance(f, ConstantFactor) else f.lam
                      for f in self.factors)
 
 
-def factor_features(mode: str, X_std: np.ndarray, Y: np.ndarray,
-                    dim: int) -> np.ndarray:
-    """Feature matrix for the factor of output dimension dim.
-
-    full_conditional: standardized inputs followed by the other outputs
-    (raw 0/1, in ascending dimension order). independent: inputs only.
-    """
+def _design(mode: str, X_std: np.ndarray, Y: np.ndarray):
+    """(features, pinned): the matrix every factor of the mode reads, and
+    the column of each factor's own output in it, or None in independent
+    mode. full_conditional: standardized inputs followed by the outputs
+    (raw 0/1). independent: inputs only."""
     if mode == INDEPENDENT:
-        return X_std
-    other = np.delete(np.arange(Y.shape[1]), dim)
-    return np.hstack([X_std, Y[:, other].astype(np.float64)])
+        return X_std, None
+    return (np.hstack([X_std, Y.astype(np.float64)]),
+            X_std.shape[1] + np.arange(Y.shape[1]))
 
 
 def check_mode(mode: str, d: int):
@@ -125,9 +136,9 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     """Fit one factor per output dimension on the given dataset.
 
     The penalty for each factor comes from the policy: FixedLambda uses
-    the value as-is, CvLambda runs a per-dimension grid search. Dimensions
-    with constant labels become ConstantFactors and skip the search; their
-    recorded penalty is None.
+    the value as-is, CvLambda runs a grid search for every dimension at
+    once. Dimensions with constant labels become ConstantFactors and skip
+    the search; their recorded penalty is None.
     """
     check_mode(mode, ds.d)
     if lambda_policy is None:
@@ -136,29 +147,19 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
         raise ConfigError(f"unknown lambda policy {lambda_policy!r}")
 
     ds_std, stats = standardize(ds)
-    X_std = ds_std.X
-
     Y = ds.Y.astype(np.float64)
-    lams = []
-    for i in range(ds.d):
-        if Y[:, i].min() == Y[:, i].max():
-            lams.append(0.0)
-        elif isinstance(lambda_policy, FixedLambda):
-            lams.append(float(lambda_policy.value))
-        else:
-            lams.append(cross_validate_lambda(
-                factor_features(mode, X_std, ds.Y, i), Y[:, i],
-                grid=lambda_policy.grid, n_folds=lambda_policy.folds,
-                seed=lambda_policy.seed))
-
-    if mode == INDEPENDENT:
-        # Every factor reads X_std alone: one stack of d label columns.
-        factors = train_logistic_columns(X_std, Y, lams)
-    else:
-        factors = [train_logistic(factor_features(mode, X_std, ds.Y, i),
-                                  Y[:, i], lam)
-                   for i, lam in enumerate(lams)]
-    return McodeModel(mode=mode, stats=stats, factors=tuple(factors))
+    features, pinned = _design(mode, ds_std.X, Y)
+    varying = np.flatnonzero(Y.min(axis=0) != Y.max(axis=0))
+    lams = np.zeros(ds.d)
+    if isinstance(lambda_policy, FixedLambda):
+        lams[varying] = float(lambda_policy.value)
+    elif varying.size:
+        lams[varying] = cross_validate_lambda(
+            features, Y[:, varying], grid=lambda_policy.grid,
+            n_folds=lambda_policy.folds, seed=lambda_policy.seed,
+            pinned=None if pinned is None else pinned[varying])
+    factors = train_logistic_columns(features, Y, lams, pinned)
+    return McodeModel(mode=mode, stats=stats, factors=factors)
 
 
 def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
@@ -173,13 +174,26 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
         raise DomainError(
             f"dataset shape (m={ds.m}, d={ds.d}) does not match model "
             f"(m={model.m}, d={model.d})")
-    values = np.empty((ds.n, ds.d))
+    prob = np.empty((ds.n, ds.d))
     with np.errstate(over="ignore", invalid="ignore"):
         X_std = model.stats.apply(ds.X)
+        features, pinned = _design(model.mode, X_std, ds.Y)
+        fitted = []
         for i, factor in enumerate(model.factors):
-            feats = factor_features(model.mode, X_std, ds.Y, i)
-            p = predict_prob_batch(factor, feats)
-            values[:, i] = np.where(ds.Y[:, i] == 1, p, 1.0 - p)
+            if isinstance(factor, ConstantFactor):
+                prob[:, i] = predict_prob_batch(factor, X_std)
+                continue
+            if factor.arity != model.arity:
+                raise DomainError(f"factor {i} has arity {factor.arity}, "
+                                  f"expected {model.arity}")
+            weights = factor.weights if pinned is None else \
+                np.insert(factor.weights, pinned[i], 0.0)
+            fitted.append((i, np.append(weights, factor.intercept)))
+        if fitted:
+            rows, params = zip(*fitted)
+            prob[:, list(rows)] = predict_prob_stack(np.array(params),
+                                                     features).T
+        values = np.where(ds.Y == 1, prob, 1.0 - prob)
     if np.isnan(values).any():
         raise DomainError("the model's parameters overflow float64 on this "
                           "data: a logit is undefined")
@@ -276,12 +290,10 @@ def load_model(path) -> McodeModel:
     factors = tuple(_load_factor(root / name, i)
                     for i, name in enumerate(names))
     model = McodeModel(mode, StandardizationStats(means, std_devs), factors)
-    expected_arity = {FULL_CONDITIONAL: model.m + model.d - 1,
-                      INDEPENDENT: model.m}[mode]
     for i, factor in enumerate(model.factors):
         if not isinstance(factor, ConstantFactor) and \
-                factor.arity != expected_arity:
+                factor.arity != model.arity:
             raise DataError(
                 f"{root / names[i]}: factor {i} has arity {factor.arity}, "
-                f"expected {expected_arity}")
+                f"expected {model.arity}")
     return model

@@ -12,13 +12,15 @@ damped Newton method whose line search tests ||g||, as its stopping rule
 does, reaches the unique optimum from any start in a handful of iterations.
 
 The solver works on a stack of such problems that share one feature
-matrix, each with its own penalty, labels and training instances, and
-forms all their Hessians from one product per iteration. A single fit is
-a stack of one; cross-validation solves every grid value on every fold
-as one stack, and the independent-mode factors, which all read the same
-inputs, are one stack of label columns. Degenerate single-class label
-vectors fall back to a constant factor with a Laplace-smoothed
-probability.
+matrix, each with its own penalty and labels, and forms all their
+Hessians from one product per iteration. A problem may pin one feature:
+its weight stays exactly 0, which makes the problem the same as one fit
+without that column. So all factors of a model are one stack on one
+design, each with its own output column pinned, and cross-validation
+solves every factor at every grid value on one fold's training rows as
+one stack per fold. A single fit is a stack of one. Degenerate
+single-class label vectors fall back to a constant factor with a
+Laplace-smoothed probability.
 """
 
 from __future__ import annotations
@@ -79,19 +81,17 @@ class ConstantFactor:
     prob_one: float
 
 
-def penalized_nll(params, features, labels, lam, mask=None, *,
-                  curvature=False):
+def penalized_nll(params, features, labels, lam, *, curvature=False):
     """Objective value and gradient at params = [weights..., intercept].
 
     params may also be a B x (p+1) stack whose rows are separate problems:
-    lam then holds B penalties, labels is one vector shared by every row or
-    a B x N matrix, and mask, if given, a B x N matrix of 0/1 weights on
-    the instances each problem is trained on. With curvature=True a third
-    value is returned, the Hessian's instance weights p(1 - p), masked too.
+    lam then holds B penalties, and labels is one vector shared by every
+    row or a B x N matrix. With curvature=True a third value is returned,
+    the Hessian's instance weights p(1 - p).
     """
     lam = np.asarray(lam, dtype=np.float64)
     w = params[..., :-1]
-    z = w @ features.T + params[..., -1:]
+    z = _logits(params, features)
     # e^-|z| <= 1 gives both log(1 + e^z) = log1p(e^-|z|) + max(z, 0) and
     # expit(z) without overflow.
     e = np.exp(-np.abs(z))
@@ -99,42 +99,71 @@ def penalized_nll(params, features, labels, lam, mask=None, *,
     prob = np.where(z >= 0.0, inv, e * inv)
     terms = np.log1p(e) + np.maximum(z, 0.0) - labels * z
     residual = prob - labels
-    if mask is not None:
-        terms *= mask
-        residual *= mask
     value = terms.sum(axis=-1) + 0.5 * lam * (w * w).sum(axis=-1)
     grad = np.empty(params.shape)
-    grad[..., :-1] = residual @ features + lam[..., None] * w
+    grad[..., :-1] = (_summed_over_rows(residual, features)
+                      + lam[..., None] * w)
     grad[..., -1] = residual.sum(axis=-1)
     if not curvature:
         return value, grad
-    weight = prob * (1.0 - prob)
-    if mask is not None:
-        weight *= mask
-    return value, grad, weight
+    return value, grad, prob * (1.0 - prob)
+
+
+# OpenBLAS runs a product of more than about 2^18 multiply-adds on its
+# worker threads (a CPU-time probe found smaller ones serial), which then
+# spin for a while, taking a CPU from the single-threaded kNN walk that
+# follows a fit (LOF ran 60% slower after one on a 2-CPU box). Every
+# product of the solver is cut along the instance rows into calls of at
+# most that size. With two BLAS threads on a 2-CPU box, a CV fit of both
+# modes at N=1000, m=10, d=8 used 0.98-1.00 CPU-seconds per wall second
+# so cut, and 1.76-2.02 with the same products cut at 2^20.
+_BLAS_SERIAL_SIZE = 2**18
+
+
+def _row_slices(n, per_row):
+    """Slices of range(n) holding at most _BLAS_SERIAL_SIZE multiply-adds
+    each, at per_row multiply-adds per instance row."""
+    step = max(1, _BLAS_SERIAL_SIZE // max(1, per_row))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _logits(params, features):
+    """z = features @ w + b for each problem [w..., b] of params: shape
+    params.shape[:-1] + (N,)."""
+    w = params[..., :-1]
+    z = np.empty(params.shape[:-1] + features.shape[:1])
+    for rows in _row_slices(features.shape[0], w.size):
+        np.matmul(w, features[rows].T, out=z[..., rows])
+    z += params[..., -1:]
+    return z
+
+
+def _summed_over_rows(left, right):
+    """left @ right for left (..., N) and right N x k, summed over pieces
+    of the instance rows."""
+    pieces = _row_slices(right.shape[0], left.size // right.shape[0]
+                         * right.shape[1])
+    total = left[..., pieces[0]] @ right[pieces[0]]
+    for rows in pieces[1:]:
+        total += left[..., rows] @ right[rows]
+    return total
 
 
 def _pair_products(features):
-    """Rows x_i * x_j over the pairs i <= j of the columns of [features, 1],
-    in np.triu_indices order, so that X'WX for every problem of a stack is
-    one product with them."""
+    """N x P matrix of the products x_i * x_j over the pairs i <= j of the
+    columns of [features, 1], in np.triu_indices order, so that X'WX for
+    every problem of a stack is one product with them."""
     n, p = features.shape
-    design = np.empty((p + 1, n))
-    design[:p] = features.T
-    design[p] = 1.0
-    pairs = np.empty(((p + 1) * (p + 2) // 2, n))
+    design = np.empty((n, p + 1))
+    design[:, :p] = features
+    design[:, p] = 1.0
+    pairs = np.empty((n, (p + 1) * (p + 2) // 2))
     start = 0
     for i in range(p + 1):
-        np.multiply(design[i], design[i:], out=pairs[start:start + p + 1 - i])
+        np.multiply(design[:, i:i + 1], design[:, i:],
+                    out=pairs[:, start:start + p + 1 - i])
         start += p + 1 - i
     return pairs
-
-
-# OpenBLAS hands a product of more than about 2^20 multiply-adds to its
-# worker threads, which then spin for a while, taking a CPU from the
-# single-threaded kNN walk that follows a fit (LOF ran 60% slower after
-# one on a 2-CPU box). The Hessian products are cut below that size.
-_BLAS_SERIAL_SIZE = 2**20
 
 
 def _newton_directions(hess, grad):
@@ -148,14 +177,16 @@ def _newton_directions(hess, grad):
     return d
 
 
-def _newton(features, labels, lam, params, masks=None, mask_of=None):
+def _newton(features, labels, lam, params, pinned=None):
     """Damped Newton on penalized_nll for a stack of problems that share
     features; returns (params, ||g||), one row or entry per problem.
 
     Row b of params is the start of problem b, lam[b] its penalty and
-    labels its label vector (shared) or labels[b]; it is trained on the
-    instances weighted 1 in masks[mask_of[b]], or on all when masks is
-    None.
+    labels its label vector (shared) or labels[b]. If pinned is given,
+    problem b holds the weight of feature pinned[b] at its start value,
+    which must be 0: that gradient entry is 0 and that Hessian row and
+    column are the identity's, so Newton never moves it and the problem
+    is the one without that feature.
 
     Each iteration solves (X'WX + lam * I_w) d = -g per problem, with the
     intercept column left out of the penalty, or takes d = -g where that
@@ -170,13 +201,16 @@ def _newton(features, labels, lam, params, masks=None, mask_of=None):
     global _optimizer_runs
     _optimizer_runs += params.shape[0]
 
-    def problem(rows):
-        return (labels if labels.ndim == 1 else labels[rows], lam[rows],
-                None if masks is None else masks[mask_of[rows]])
+    def evaluate(rows, trial):
+        f, g, weight = penalized_nll(
+            trial, features, labels if labels.ndim == 1 else labels[rows],
+            lam[rows], curvature=True)
+        if pinned is not None:
+            g[np.arange(g.shape[0]), pinned[rows]] = 0.0
+        return f, g, weight
 
     params = params.copy()
-    f, g, weight = penalized_nll(params, features,
-                                 *problem(slice(None)), curvature=True)
+    f, g, weight = evaluate(np.arange(params.shape[0]), params)
     if not np.isfinite(f).all() or not np.isfinite(g).all():
         raise NumericalError("objective not finite at the starting point")
     gnorm = np.linalg.norm(g, axis=1)
@@ -189,14 +223,16 @@ def _newton(features, labels, lam, params, masks=None, mask_of=None):
         if not active.size:
             break
         # X'WX + lam * I_w, the intercept left out of the penalty
-        parts = -(-active.size * pairs.size // _BLAS_SERIAL_SIZE)
-        products = np.concatenate(
-            [pairs @ weight[rows].T for rows in np.array_split(
-                active, min(parts, active.size))], axis=1).T
+        products = _summed_over_rows(weight[active], pairs)
         hess = np.empty((active.size,) + 2 * (params.shape[1],))
         hess[:, upper[0], upper[1]] = products
         hess[:, upper[1], upper[0]] = products
         hess[:, penalized, penalized] += lam[active, None]
+        if pinned is not None:
+            each, col = np.arange(active.size), pinned[active]
+            hess[each, col, :] = 0.0
+            hess[each, :, col] = 0.0
+            hess[each, col, col] = 1.0
         d = _newton_directions(hess, g[active])
 
         start, start_norm = params[active], gnorm[active]
@@ -205,8 +241,7 @@ def _newton(features, labels, lam, params, masks=None, mask_of=None):
         for _ in range(60):
             rows = active[pending]
             trial = start[pending] + step[pending, None] * d[pending]
-            f_new, g_new, w_new = penalized_nll(
-                trial, features, *problem(rows), curvature=True)
+            f_new, g_new, w_new = evaluate(rows, trial)
             gnorm_new = np.linalg.norm(g_new, axis=1)
             ok = np.isfinite(f_new) & \
                 (gnorm_new <= (1.0 - 1e-4 * step[pending])
@@ -227,7 +262,7 @@ def _newton(features, labels, lam, params, masks=None, mask_of=None):
     return params, gnorm
 
 
-def _check_training_inputs(features, labels, lam, label_ndim=1):
+def _check_training_inputs(features, labels, lam=None, label_ndim=1):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2:
@@ -242,6 +277,8 @@ def _check_training_inputs(features, labels, lam, label_ndim=1):
         raise DomainError("features contain non-finite values")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise DomainError("labels must all be 0 or 1")
+    if lam is None:
+        return features, labels, None
     lams = np.asarray(lam, dtype=np.float64)
     if lams.ndim != label_ndim - 1 or not np.isfinite(lams).all() or \
             (lams < 0.0).any():
@@ -249,48 +286,66 @@ def _check_training_inputs(features, labels, lam, label_ndim=1):
     return features, labels, lams
 
 
-def train_logistic(features, labels, lam, *, init=None):
+def _check_pinned(pinned, features, labels):
+    """pinned as an index array, one feature per label column, or None."""
+    if pinned is None:
+        return None
+    index = np.asarray(pinned)
+    if index.shape != labels.shape[1:] or \
+            not np.issubdtype(index.dtype, np.integer) or \
+            ((index < 0) | (index >= features.shape[1])).any():
+        raise DomainError(f"pinned must hold one feature index per label "
+                          f"column, got {pinned!r}")
+    return index
+
+
+def train_logistic(features, labels, lam):
     """Fit one factor; returns LogisticFactor or ConstantFactor.
 
-    Deterministic given its inputs: the optimizer starts from zeros (or
-    the explicit init) and uses no randomness.
+    Deterministic given its inputs: the optimizer starts from zeros and
+    uses no randomness.
     """
     features, labels, lam = _check_training_inputs(features, labels, lam)
-    p = features.shape[1]
-    if init is not None:
-        init = np.asarray(init, dtype=np.float64)
-        if init.shape != (p + 1,) or not np.isfinite(init).all():
-            raise DomainError(
-                f"init must be {p + 1} finite reals (weights then intercept)")
-        init = init[None]
-    return _train_columns(features, labels[None], lam[None], init)[0]
+    return _train_columns(features, labels[None], lam[None])[0]
 
 
-def train_logistic_columns(features, labels, lams):
+def train_logistic_columns(features, labels, lams, pinned=None):
     """Fit one factor per column of the N x L label matrix, all on the same
     features, column j with penalty lams[j], as one stack; returns the L
-    factors in column order, each as train_logistic would fit it."""
+    factors in column order.
+
+    pinned, if given, names one feature per column whose weight that
+    column's factor holds at 0 and leaves out of its weights: factor j is
+    the one train_logistic fits without feature pinned[j].
+    """
     features, labels, lams = _check_training_inputs(features, labels, lams,
                                                     label_ndim=2)
     if lams.shape != labels.shape[1:]:
         raise DomainError(f"need one penalty per label column, got "
                           f"{lams.size} for {labels.shape[1]}")
-    return _train_columns(features, labels.T, lams, None)
+    return _train_columns(features, labels.T, lams,
+                          _check_pinned(pinned, features, labels))
 
 
-def _train_columns(features, labels, lams, init):
-    """One factor per row of labels (L x N), from init (L x (p+1)) or
-    zeros; single-class rows become ConstantFactors."""
+def _train_columns(features, labels, lams, pinned=None):
+    """One factor per row of labels (L x N), from zeros, with feature
+    pinned[j] of row j, if given, held at 0 and left out of its weights;
+    single-class rows become ConstantFactors."""
     n, p = features.shape
     ones = labels.sum(axis=1)
     factors = [ConstantFactor(prob_one=(int(k) + 1) / (n + 2)) for k in ones]
     solve = np.flatnonzero((ones > 0) & (ones < n))
     if solve.size:
-        start = np.zeros((solve.size, p + 1)) if init is None else init
-        params, gnorm = _newton(features, labels[solve], lams[solve], start)
+        params, gnorm = _newton(
+            features, labels[solve], lams[solve],
+            np.zeros((solve.size, p + 1)),
+            None if pinned is None else pinned[solve])
         for k, j in enumerate(solve):
+            weights = params[k, :-1]
+            if pinned is not None:
+                weights = np.delete(weights, pinned[j])
             factors[j] = LogisticFactor(
-                lam=float(lams[j]), weights=params[k, :-1],
+                lam=float(lams[j]), weights=weights,
                 intercept=float(params[k, -1]),
                 final_gradient_norm=float(gnorm[k]))
     return tuple(factors)
@@ -313,18 +368,57 @@ def predict_prob_batch(factor, features) -> np.ndarray:
     return _clamp(expit(features @ factor.weights + factor.intercept))
 
 
+def predict_prob_stack(params, features) -> np.ndarray:
+    """P(y=1 | features) under each row [weights..., intercept] of the
+    B x (p+1) stack params: a B x N matrix, clamped away from 0 and 1.
+
+    A logit whose terms w_j x_j hold both infinities, or a 0 * inf, is
+    undefined and gives NaN. Any other logit that overflows gives its
+    limit. Whether the BLAS product's sum of such terms comes out inf or
+    NaN depends on its order and on fused multiply-adds, so overflowing
+    logits are summed again here.
+    """
+    z = _logits(params, features)
+    overflow = ~np.isfinite(z)
+    if overflow.any():
+        problem, row = np.nonzero(overflow)
+        terms = np.empty((problem.size, params.shape[1]))
+        terms[:, :-1] = params[problem, :-1] * features[row]
+        terms[:, -1] = params[problem, -1]
+        undefined = np.isnan(terms).any(axis=1) | (
+            (terms.max(axis=1) == np.inf) & (terms.min(axis=1) == -np.inf))
+        # Scaled by a power of two at least their count, finite terms
+        # cannot overflow their sum.
+        scale = 2.0 ** math.ceil(math.log2(terms.shape[1]))
+        z[overflow] = np.where(undefined, np.nan,
+                               (terms / scale).sum(axis=1) * scale)
+    return _clamp(expit(z))
+
+
 def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
-                          n_folds=5, seed=0) -> float:
+                          n_folds=5, seed=0, pinned=None):
     """Pick the penalty maximizing mean held-out log-likelihood.
+
+    labels is one label vector, for which the chosen penalty is returned,
+    or an N x L matrix, for which a tuple of L penalties is returned, one
+    per column, each chosen as for that column alone. pinned, if given,
+    names one feature per column that its fits hold at weight 0, as
+    train_logistic_columns does.
 
     The instances are partitioned into n_folds random folds (seeded).
     Each grid value is scored by training on the complement of every fold
     and evaluating the held-out log-likelihood; exact ties go to the
-    larger penalty. Every grid value on every fold is one problem of a
-    single stack for the solver. A training split with single-class labels
-    falls back to ConstantFactor scoring for that fold rather than failing.
+    larger penalty. Every column at every grid value is one problem of a
+    single stack per fold, on that fold's training rows. A training split
+    with single-class labels falls back to ConstantFactor scoring for
+    that column and fold rather than failing.
     """
-    features, labels, _ = _check_training_inputs(features, labels, 0.0)
+    single = np.ndim(labels) == 1
+    features, labels, _ = _check_training_inputs(
+        features, labels, label_ndim=1 if single else 2)
+    if single:
+        labels = labels[:, None]
+    pinned = _check_pinned(pinned, features, labels)
     grid = tuple(sorted(float(v) for v in grid))
     if not grid:
         raise ConfigError("lambda grid must not be empty")
@@ -337,45 +431,34 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     if n_folds > n:
         raise ConfigError(f"n_folds={n_folds} exceeds the {n} instances")
 
-    order = make_rng(seed).permutation(n)
-    folds = np.array_split(order, n_folds)
-    train = np.ones((n_folds, n))
-    for k, fold in enumerate(folds):
-        train[k, fold] = 0.0
-    ones = train @ labels
-    sizes = n - np.array([fold.size for fold in folds])
-    solved = np.flatnonzero((ones > 0) & (ones < sizes))
-    if solved.size:
-        # Problem j * len(solved) + s fits grid[j] on the training split of
-        # fold solved[s].
-        params, _ = _newton(
-            features, labels, np.repeat(grid, solved.size),
-            np.zeros((len(grid) * solved.size, p + 1)),
-            masks=train, mask_of=np.tile(solved, len(grid)))
-        params = params.reshape(len(grid), solved.size, p + 1)
-
-    stack_of = {k: s for s, k in enumerate(solved)}
-    total = np.zeros(len(grid))
-    for k, fold in enumerate(folds):
-        if k in stack_of:
-            fitted = params[:, stack_of[k]]
-            prob = expit(features[fold] @ fitted[:, :-1].T + fitted[:, -1])
-        else:
-            prob = np.full((fold.size, 1), (ones[k] + 1) / (sizes[k] + 2))
+    total = np.zeros((len(grid), labels.shape[1]))
+    for fold in np.array_split(make_rng(seed).permutation(n), n_folds):
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        train_labels = labels[train].T
+        ones = train_labels.sum(axis=1)
+        size = train_labels.shape[1]
+        prob = np.empty((len(grid), labels.shape[1], fold.size))
+        prob[...] = ((ones + 1) / (size + 2))[:, None]
+        solved = np.flatnonzero((ones > 0) & (ones < size))
+        if solved.size:
+            # Problem j * len(solved) + s fits grid[j] to column solved[s].
+            params, _ = _newton(
+                features[train], np.tile(train_labels[solved], (len(grid), 1)),
+                np.repeat(grid, solved.size),
+                np.zeros((len(grid) * solved.size, p + 1)),
+                None if pinned is None else np.tile(pinned[solved], len(grid)))
+            prob[:, solved] = expit(_logits(params, features[fold])).reshape(
+                len(grid), solved.size, fold.size)
         prob = _clamp(prob)
-        rho = np.where(labels[fold, None] == 1.0, prob, 1.0 - prob)
-        total += np.log(_clamp(rho)).sum(axis=0)
+        rho = np.where(labels[fold].T == 1.0, prob, 1.0 - prob)
+        total += np.log(_clamp(rho)).sum(axis=-1)
     scores = total / n
 
-    best_lam = None
-    best_score = -np.inf
-    for lam, score in zip(grid, scores):
-        # Iterating the grid in ascending order, >= sends ties to the
-        # larger penalty.
-        if score >= best_score:
-            best_score = score
-            best_lam = lam
-    return best_lam
+    # The last best grid value: ties go to the larger penalty.
+    best = len(grid) - 1 - np.argmax(scores[::-1], axis=0)
+    chosen = tuple(grid[j] for j in best)
+    return chosen[0] if single else chosen
 
 
 def factor_to_dict(factor, dim_index: int) -> dict:

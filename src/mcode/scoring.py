@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .dataset import _csv_records
+from .errors import DataError, DomainError
 from .model import RhoMatrix
 
 _BLOCK_ENTRIES = 1 << 18  # per block: N distances, or k x d errors, a row
@@ -308,35 +309,36 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+_SCORE_HEADER = ["instance_index", "method", "score"]
+
+
 def write_score_table(path, sv: ScoreVector, comments=()) -> None:
     """Write (instance_index, method, score) rows, highest score first."""
     order = rank_descending(sv.scores)
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write("instance_index,method,score\n")
+        fh.write(",".join(_SCORE_HEADER) + "\n")
         for idx in order:
             fh.write(f"{int(idx)},{sv.method},{repr(float(sv.scores[idx]))}\n")
 
 
 def load_score_table(path):
-    """Read a score table back as (scores indexed by instance, method)."""
-    from .errors import DataError
+    """Read a score table back as (scores indexed by instance, method).
 
+    '#' lines may come only before the column header, and the header only
+    before the rows; either one later is a DataError naming its line, so
+    a commented-out row cannot shorten a ranking.
+    """
     entries = []
     method = None
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file: {exc}") from exc
-    for line_num, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    records = _csv_records(path, comments_anywhere=False)
+    for position, (line_num, parts) in enumerate(records):
+        if parts == _SCORE_HEADER:
+            if position:
+                raise DataError(f"{path}: line {line_num}: column header "
+                                f"after the first row")
             continue
-        if line == "instance_index,method,score":
-            continue
-        parts = line.split(",")
         if len(parts) != 3:
             raise DataError(f"{path}: line {line_num}: expected 3 fields")
         try:

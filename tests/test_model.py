@@ -11,27 +11,13 @@ from hypothesis import given, settings, strategies as st
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                    PROB_EPS, RhoMatrix, estimate_rho, fit_mcode, load_model,
-                   save_model)
-from mcode.model import MODES, factor_features
+                   save_model, standardize, train_logistic)
+from mcode.model import MODES
 from mcode.errors import DataError
 
 import oracles
 from conftest import make_coupled_dataset
 from strategies import json_like
-
-
-class TestFactorFeatures:
-    def test_full_conditional_layout(self):
-        X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        Y = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)
-        feats = factor_features(FULL_CONDITIONAL, X, Y, dim=1)
-        np.testing.assert_array_equal(
-            feats, [[1.0, 2.0, 1.0, 1.0], [3.0, 4.0, 0.0, 1.0]])
-
-    def test_independent_layout(self):
-        X = np.eye(3)
-        Y = np.ones((3, 2), dtype=np.int8)
-        assert factor_features(INDEPENDENT, X, Y, dim=0) is X
 
 
 class TestFit:
@@ -65,6 +51,30 @@ class TestFit:
         assert isinstance(factor, ConstantFactor)
         assert factor.prob_one == pytest.approx(31 / 32)
         assert model.lambdas[1] is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_stack_matches_lone_fits(self, mode):
+        # every factor of the mode's stack, on the shared design with its
+        # own output pinned, is the lone fit on its own design: inputs, then
+        # the other outputs in ascending order in full_conditional mode
+        ds = make_coupled_dataset(n=150, m=3, d=4, seed=21)
+        Y = ds.Y.copy()
+        Y[:, 2] = 1
+        ds = Dataset(ds.X, Y)
+        model = fit_mcode(ds, mode, FixedLambda(0.3))
+        X_std = standardize(ds)[0].X
+        for i, factor in enumerate(model.factors):
+            own = X_std if mode == INDEPENDENT else np.hstack(
+                [X_std, np.delete(ds.Y, i, axis=1)])
+            lone = train_logistic(own, ds.Y[:, i], 0.3)
+            if i == 2:
+                assert factor == lone and isinstance(lone, ConstantFactor)
+                continue
+            assert factor.converged and factor.lam == lone.lam
+            np.testing.assert_allclose(factor.weights, lone.weights,
+                                       rtol=1e-12, atol=1e-12)
+            assert factor.intercept == pytest.approx(lone.intercept,
+                                                     rel=1e-12, abs=1e-12)
 
     def test_cv_policy_runs(self):
         ds = make_coupled_dataset(n=60, m=2, d=2, seed=9)
@@ -169,6 +179,27 @@ class TestPersistence:
         assert np.array_equal(rho_a.values, rho_b.values)
         assert back.mode == model.mode
         assert back.lambdas == model.lambdas
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fit_save_load_rho_round_trip(self, tmp_path, mode):
+        ds = make_coupled_dataset(n=80, m=3, d=3, seed=13)
+        Y = ds.Y.copy()
+        Y[:, 0] = 0
+        ds = Dataset(ds.X, Y)
+        model = fit_mcode(ds, mode, CvLambda(grid=(0.1, 1.0), folds=3))
+        save_model(model, tmp_path / "m")
+        # the stored weights leave out the pinned output: m + d - 1 of them
+        arity = {INDEPENDENT: 3, FULL_CONDITIONAL: 3 + 3 - 1}[mode]
+        docs = [json.loads((tmp_path / "m" / f"factor_{i:03d}.json")
+                           .read_text()) for i in range(3)]
+        assert docs[0]["kind"] == "constant"
+        assert [len(doc["weights"]) for doc in docs[1:]] == [arity] * 2
+        back = load_model(tmp_path / "m")
+        assert back.lambdas == model.lambdas
+        assert np.array_equal(estimate_rho(back, ds).values,
+                              estimate_rho(model, ds).values)
+        np.testing.assert_allclose(estimate_rho(back, ds).values,
+                                   oracles.oracle_rho(back, ds), atol=1e-12)
 
     def test_manifest_contents(self, tmp_path):
         gen = np.random.default_rng(11)
@@ -315,6 +346,32 @@ class TestPersistence:
         assert np.array_equal(estimate_rho(back, ds).values,
                               estimate_rho(model, ds).values)
 
+
+    def test_loads_directory_written_by_hand_in_the_old_layout(self,
+                                                             tmp_path):
+        # a full-conditional directory as earlier versions wrote it, with
+        # m, d, lambdas and converged stored: factor i's weights are the
+        # inputs' and then the other outputs', in ascending order
+        root = tmp_path / "m"
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps({
+            "format": "mcode-model", "mode": FULL_CONDITIONAL, "m": 2,
+            "d": 3, "lambdas": [1.0, None, 0.5], "means": [0.5, -1.0],
+            "std_devs": [2.0, 0.5], "factors": [
+                "factor_000.json", "factor_001.json", "factor_002.json"]}))
+        weights = {0: [0.3, -1.2, 2.0, -0.7], 2: [-0.4, 0.9, 1.5, -2.5]}
+        for i in range(3):
+            doc = {"kind": "constant", "dim_index": i, "prob_one": 0.25} \
+                if i == 1 else {
+                    "kind": "logistic", "dim_index": i, "lambda": 1.0,
+                    "intercept": 0.1 * (i + 1), "weights": weights[i],
+                    "final_gradient_norm": 1e-9, "converged": True}
+            (root / f"factor_{i:03d}.json").write_text(json.dumps(doc))
+        model = load_model(root)
+        gen = np.random.default_rng(3)
+        ds = Dataset(gen.normal(size=(25, 2)), gen.integers(0, 2, (25, 3)))
+        np.testing.assert_allclose(estimate_rho(model, ds).values,
+                                   oracles.oracle_rho(model, ds), atol=1e-15)
 
     @pytest.mark.parametrize("name, key, value", [
         ("manifest.json", "means", [1.7e308, 1.7e308]),

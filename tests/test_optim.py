@@ -7,8 +7,8 @@ from scipy.special import expit
 from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    FULL_CONDITIONAL, INDEPENDENT, LogisticFactor, PROB_EPS,
                    cross_validate_lambda, fit_mcode, inject_outliers,
-                   factor_features, penalized_nll, predict_prob_batch,
-                   standardize, train_logistic)
+                   penalized_nll, predict_prob_batch, standardize,
+                   train_logistic)
 import mcode.optim
 from mcode.dataset import make_rng
 from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _newton,
@@ -60,24 +60,34 @@ class TestObjective:
         value_w, _ = penalized_nll(np.array([2.0, 0.0]), X, y, 10.0)
         assert value_w == pytest.approx(value_b0 + 0.5 * 10.0 * 4.0)
 
-    def test_stack_rows_are_the_masked_single_problems(self):
+    def test_stack_rows_are_the_single_problems(self):
         X, y, _ = random_problem(6, n=30, p=3)
         gen = np.random.default_rng(2)
         params = gen.normal(size=(4, 4))
         lams = np.array([0.0, 0.1, 1.0, 10.0])
-        mask = (gen.random((4, 30)) < 0.7).astype(float)
-        values, grads, weights = penalized_nll(params, X, y, lams, mask,
+        labels = np.vstack([y, 1.0 - y, (gen.random((2, 30)) < 0.4) * 1.0])
+        values, grads, weights = penalized_nll(params, X, labels, lams,
                                                curvature=True)
         for b in range(4):
-            rows = mask[b] == 1.0
-            value, grad = penalized_nll(params[b], X[rows], y[rows], lams[b])
+            value, grad = penalized_nll(params[b], X, labels[b], lams[b])
             assert values[b] == pytest.approx(value, rel=1e-12)
             np.testing.assert_allclose(grads[b], grad, rtol=1e-12,
                                        atol=1e-12)
             prob = expit(X @ params[b, :-1] + params[b, -1])
-            np.testing.assert_allclose(
-                weights[b], np.where(rows, prob * (1 - prob), 0.0),
-                rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(weights[b], prob * (1 - prob),
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_products_cut_into_serial_pieces(self, monkeypatch):
+        # cut into pieces of a few rows, the objective is the uncut one
+        X, y, _ = random_problem(12, n=50, p=3)
+        params = np.random.default_rng(3).normal(size=(3, 4))
+        lams = np.array([0.0, 1.0, 5.0])
+        whole = penalized_nll(params, X, y, lams, curvature=True)
+        monkeypatch.setattr(mcode.optim, "_BLAS_SERIAL_SIZE", 20)
+        assert len(mcode.optim._row_slices(50, 3 * 3)) == 25
+        cut = penalized_nll(params, X, y, lams, curvature=True)
+        for a, b in zip(whole, cut):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
 
 
 class TestTrainer:
@@ -98,13 +108,9 @@ class TestTrainer:
 
     def test_multi_init_agreement(self):
         X, y, lam = random_problem(17, n=80, p=4, lam=0.7)
-        gen = np.random.default_rng(5)
-        finals = []
-        for _ in range(10):
-            init = gen.normal(scale=3.0, size=5)
-            factor = train_logistic(X, y, lam, init=init)
-            finals.append(penalized_nll(
-                np.append(factor.weights, factor.intercept), X, y, lam)[0])
+        starts = np.random.default_rng(5).normal(scale=3.0, size=(10, 5))
+        params, _ = _newton(X, y, np.full(10, lam), starts)
+        finals = [penalized_nll(row, X, y, lam)[0] for row in params]
         assert max(finals) - min(finals) < 1e-8
 
     def test_deterministic(self):
@@ -175,37 +181,74 @@ class TestTrainer:
         # (1, 1) and (2, 3) at lam=0.1 reaches ||g|| ~ 1e-13, but f, a sum
         # of 6,400 terms, comes out about 22 ulp higher, so a line search
         # on f rejected it and the fits ran MAX_ITER iterations with ||g||
-        # stuck near 1e-6. Each dimension's grid x folds stack is solved
-        # here as cross_validate_lambda solves it.
+        # stuck near 1e-6. Each fold's stack of every dimension at every
+        # grid value is solved here as cross_validate_lambda solves it.
         ds = make_benchmark_dataset(n=8000, seed=11)
         perturbed, _ = inject_outliers(ds, 0.01, 0.25, 0)
-        X_std = standardize(perturbed)[0].X
-        train = np.ones((5, ds.n))
+        Y = perturbed.Y.astype(np.float64)
+        design = np.hstack([standardize(perturbed)[0].X, Y])
+        grid = np.array(DEFAULT_LAMBDA_GRID)
+        pinned = np.tile(ds.m + np.arange(ds.d), grid.size)
         for k, fold in enumerate(
                 np.array_split(make_rng(0).permutation(ds.n), 5)):
-            train[k, fold] = 0.0
-        grid = np.array(DEFAULT_LAMBDA_GRID)
-        for dim in (0, 1, 2):
-            feats = factor_features(FULL_CONDITIONAL, X_std, perturbed.Y, dim)
-            labels = perturbed.Y[:, dim].astype(np.float64)
-            _, gnorm = _newton(feats, labels, np.repeat(grid, 5),
-                               np.zeros((grid.size * 5, feats.shape[1] + 1)),
-                               masks=train, mask_of=np.tile(np.arange(5), 5))
-            assert (gnorm <= GRAD_TOL).all(), (dim, gnorm.reshape(-1, 5))
+            train = np.ones(ds.n, dtype=bool)
+            train[fold] = False
+            labels = np.tile(Y[train].T, (grid.size, 1))
+            params, gnorm = _newton(
+                design[train], labels, np.repeat(grid, ds.d),
+                np.zeros((labels.shape[0], design.shape[1] + 1)), pinned)
+            assert (gnorm <= GRAD_TOL).all(), (k, gnorm.reshape(-1, ds.d))
+            assert (params[np.arange(pinned.size), pinned] == 0.0).all()
 
     def test_stack_agrees_with_single_fits(self):
+        # each problem of a stack, its own labels and penalty and one
+        # feature pinned, is the lone fit without that feature
         X, y, _ = random_problem(21, n=120, p=4)
-        masks = (np.random.default_rng(4).random((3, 120)) < 0.8) * 1.0
+        gen = np.random.default_rng(4)
+        labels = np.vstack([y, 1.0 - y, (gen.random(120) < 0.3) * 1.0] * 2)
         lams = np.array([0.01, 0.1, 1.0, 10.0, 0.5, 3.0])
-        mask_of = np.array([0, 1, 2, 0, 1, 2])
-        params, gnorm = _newton(X, y, lams, np.zeros((6, 5)), masks, mask_of)
+        pinned = np.array([0, 1, 2, 3, 0, 3])
+        params, gnorm = _newton(X, labels, lams, np.zeros((6, 5)), pinned)
         assert (gnorm <= GRAD_TOL).all()
         for b in range(6):
-            rows = masks[mask_of[b]] == 1.0
-            single = train_logistic(X[rows], y[rows], lams[b])
+            assert params[b, pinned[b]] == 0.0
+            single = train_logistic(np.delete(X, pinned[b], axis=1),
+                                    labels[b], lams[b])
             np.testing.assert_allclose(
-                params[b], np.append(single.weights, single.intercept),
+                np.delete(params[b], pinned[b]),
+                np.append(single.weights, single.intercept),
                 rtol=1e-12, atol=1e-12)
+
+    def test_pinned_weight_and_gradient_stay_zero(self, monkeypatch):
+        # the pinned coordinate's gradient entry is 0 and its Hessian row
+        # and column are the identity's, so every Newton direction leaves
+        # it at exactly 0
+        X, y, _ = random_problem(8, n=60, p=3)
+        seen = []
+
+        def spy(hess, grad):
+            d = directions(hess, grad)
+            seen.append((hess.copy(), grad.copy(), d.copy()))
+            return d
+
+        directions = mcode.optim._newton_directions
+        monkeypatch.setattr(mcode.optim, "_newton_directions", spy)
+        params, gnorm = _newton(X, np.vstack([y, 1.0 - y]),
+                                np.array([0.5, 2.0]), np.zeros((2, 4)),
+                                np.array([1, 1]))
+        assert seen and (gnorm <= GRAD_TOL).all()
+        unit = np.eye(4)[1]
+        for hess, grad, d in seen:
+            assert (grad[:, 1] == 0.0).all() and (d[:, 1] == 0.0).all()
+            assert (hess[:, 1] == unit).all() and (hess[:, :, 1] == unit).all()
+        assert (params[:, 1] == 0.0).all()
+        _, grad = penalized_nll(params, X, np.vstack([y, 1.0 - y]),
+                                np.array([0.5, 2.0]))
+        # ||g|| is the norm without the pinned entry, which is far from 0
+        np.testing.assert_allclose(
+            gnorm, np.linalg.norm(np.delete(grad, 1, axis=1), axis=1),
+            rtol=1e-6)
+        assert (np.abs(grad[:, 1]) > 1e3 * GRAD_TOL).all()
 
     def test_label_columns_agree_with_single_fits(self):
         gen = np.random.default_rng(9)
@@ -230,6 +273,9 @@ class TestTrainer:
             train_logistic_columns(X, Y, lams[:3])
         with pytest.raises(DomainError):
             train_logistic_columns(X, Y[:, 0], 1.0)
+        for pinned in ([0, 1, 2], [0, 1, 2, 3], [0.0, 1.0, 2.0, 0.0]):
+            with pytest.raises(DomainError, match="pinned"):
+                train_logistic_columns(X, Y, lams, pinned)
 
     def test_indefinite_hessian_falls_back_on_its_problem_only(self):
         hess = np.array([[[1.0, 1.0], [1.0, 1.0]],
@@ -300,11 +346,6 @@ class TestTrainer:
         with pytest.raises(DomainError):
             train_logistic(**bad)
 
-    def test_bad_init_rejected(self):
-        X, y, lam = random_problem(1, p=2)
-        with pytest.raises(DomainError):
-            train_logistic(X, y, lam, init=np.zeros(7))
-
 
 class TestPredict:
     def test_known_value(self):
@@ -324,6 +365,18 @@ class TestPredict:
     def test_constant_factor(self):
         factor = ConstantFactor(prob_one=0.8)
         assert predict_prob_batch(factor, [[1.0, 2.0]])[0] == 0.8
+
+    def test_stack_overflow_is_a_limit_unless_undefined(self):
+        # terms holding both infinities give NaN; otherwise an overflowing
+        # logit gives its limit whatever order the product summed it in
+        features = np.array([[2.0, 2.0, 1.0], [2.0, -2.0, 0.0],
+                             [1.0, 1.0, np.inf]])
+        params = np.array([[1.7e308, 1.7e308, -1e308, 0.0],
+                           [1e308, 1e308, -1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            prob = mcode.optim.predict_prob_stack(params, features)
+        top = 1.0 - PROB_EPS
+        np.testing.assert_array_equal(prob, [[top, np.nan, PROB_EPS]] * 2)
 
     def test_arity_mismatch(self):
         factor = LogisticFactor(lam=1.0,
@@ -383,6 +436,29 @@ class TestCrossValidation:
         grid = (0.01, 0.1, 1.0, 10.0)
         assert cross_validate_lambda(X, y, grid, n_folds=2, seed=3) == \
             fold_loop_choice(X, y, grid, 2, 3)
+
+    def test_label_matrix_matches_fold_loop_per_column(self):
+        # one stack per fold for every column; column 2 holds a single 1,
+        # so the fold holding it trains that column on zeros alone and the
+        # other folds on both classes
+        gen = np.random.default_rng(40)
+        X = gen.normal(size=(45, 3))
+        Y = (X @ gen.normal(size=(3, 3)) * 2.0
+             + gen.normal(size=(45, 3)) > 0) * 1.0
+        Y[:, 2] = 0.0
+        Y[7, 2] = 1.0
+        folds = np.array_split(make_rng(5).permutation(45), 3)
+        assert sum(7 in fold for fold in folds) == 1
+        design = np.hstack([X, Y])
+        pinned = 3 + np.arange(3)
+        grid = (0.01, 0.1, 1.0, 10.0)
+        chosen = cross_validate_lambda(design, Y, grid, 3, 5, pinned=pinned)
+        assert chosen == tuple(
+            fold_loop_choice(np.delete(design, pinned[c], axis=1), Y[:, c],
+                             grid, 3, 5) for c in range(3))
+        assert len(set(chosen)) > 1
+        assert cross_validate_lambda(X, Y, grid, 3, 5) == tuple(
+            fold_loop_choice(X, Y[:, c], grid, 3, 5) for c in range(3))
 
     def test_deterministic_given_seed(self):
         X, y, _ = random_problem(9, n=50, p=2)

@@ -1,10 +1,11 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import mcode.scoring
@@ -438,6 +439,17 @@ class TestRankingAndTables:
         with pytest.raises(DataError, match="line 3"):
             load_score_table(path)
 
+    @pytest.mark.parametrize("line", ["# 5,RW,0.0", "#5,RW,0.0",
+                                      "instance_index,method,score"])
+    def test_table_rejects_comment_or_header_after_the_first_row(
+            self, tmp_path, line):
+        # a commented-out row would silently shorten the ranking
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# mcode\ninstance_index,method,score\n0,RW,1.0\n"
+                        f"{line}\n1,RW,0.5\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4")):
+            load_score_table(path)
+
     def test_table_rejects_mixed_methods(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(
@@ -451,6 +463,7 @@ _FIELD = st.text(st.characters(exclude_categories=("Cs",)))
 
 
 @settings(max_examples=200, deadline=None, database=None)
+@example(row=5, field=0, text="#")
 @given(row=st.integers(0, 5), field=st.integers(0, 2), text=_FIELD)
 def test_any_single_field_edit_loads_or_is_a_data_error(row, field, text):
     sv = ScoreVector(scores=np.array([3.5, 0.25, 7.0, 1e-300, 2.0, 0.0]),
