@@ -193,11 +193,12 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
             rows, params = zip(*fitted)
             prob[:, list(rows)] = predict_prob_stack(np.array(params),
                                                      features).T
-        values = np.where(ds.Y == 1, prob, 1.0 - prob)
-    if np.isnan(values).any():
+    if np.isnan(prob).any():
         raise DomainError("the model's parameters overflow float64 on this "
                           "data: a logit is undefined")
-    return RhoMatrix(np.clip(values, PROB_EPS, 1.0 - PROB_EPS))
+    # prob becomes rho in place
+    np.subtract(1.0, prob, out=prob, where=ds.Y != 1)
+    return RhoMatrix(np.clip(prob, PROB_EPS, 1.0 - PROB_EPS, out=prob))
 
 
 MANIFEST_NAME = "manifest.json"

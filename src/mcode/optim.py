@@ -392,7 +392,7 @@ def predict_prob_stack(params, features) -> np.ndarray:
         scale = 2.0 ** math.ceil(math.log2(terms.shape[1]))
         z[overflow] = np.where(undefined, np.nan,
                                (terms / scale).sum(axis=1) * scale)
-    return _clamp(expit(z))
+    return np.clip(expit(z, out=z), PROB_EPS, 1.0 - PROB_EPS, out=z)
 
 
 def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
