@@ -208,10 +208,10 @@ def _csv_records(path, comments_anywhere=True):
     """(line number, fields) for each record of the CSV file at path.
 
     Blank records and records whose first field starts with '#' are
-    skipped; with comments_anywhere=False a '#' record after the first
-    other record is a DataError naming its line, and so is a field over
-    csv.field_size_limit(). Bytes that are not UTF-8 text are a DataError
-    naming the file.
+    skipped, except that with comments_anywhere=False a '#' record after
+    the first other record is a DataError naming its line. A field over
+    csv.field_size_limit() is a DataError naming its line too, and bytes
+    that are not UTF-8 text one naming the file.
     """
     started = False
     try:
