@@ -15,11 +15,15 @@ duplicated points produce large but finite densities.
 Neighborhoods come from NeighborIndex's blocked walker, as LRW's do, so
 memory is O(block x N) plus the neighbor lists, held once; lrd and LOF
 are gathers. The walker screens each block with one BLAS product of
-approximate squared distances, and each row measures exactly only the
-points that the screen's forward-error bound cannot place beyond its
+approximate squared distances. A clean row, whose (k+1)-th smallest
+screen value lies beyond the screen's forward-error bound of its k-th,
+measures exactly its k smallest-screen points, its k nearest; any other
+row measures the points that the bound cannot place beyond its
 k-distance. An untied row takes its k nearest; a row with more than k
 points within its k-distance, a tie across the cut, takes every one of
-them.
+them. Every row's first k neighbors, in ascending index order, go into
+N x k arrays allocated once, where the reach distances are then formed
+in place; a tied row's further members go into a side list.
 """
 
 from __future__ import annotations
@@ -49,39 +53,54 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     if not isinstance(k, (int, np.integer)) or not (1 <= k < n):
         raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
 
-    # (point, neighbor, distance) runs, by point, then by neighbor: an
-    # untied row is its k selected columns, a tied row every column
-    # within its k-distance; both come in ascending column order, which
-    # the stable sort by point keeps
-    parts = []
+    # each point's neighbours in ascending column order: its first k in
+    # nbr and reach, which holds their distances until it holds their
+    # reach distances; a tied row's members past its first k, in order,
+    # in a side list
+    nbr = np.empty((n, k), dtype=np.intp)
+    reach = np.empty((n, k))
+    kdist = np.empty(n)
+    extra = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+              np.empty(0))]
     for rows, dcols, dist, cols, near, kth, tied in index._blocks(
             k, exclude_self=True):
-        untied, tied = np.flatnonzero(~tied), np.flatnonzero(tied)
-        r, s = np.nonzero(dist <= kth[tied, None])
-        owner = np.concatenate([np.repeat(untied, k), tied[r]])
-        order = np.argsort(owner, kind="stable")
-        parts.append((rows[owner[order]],
-                      np.concatenate([cols[untied].ravel(),
-                                      dcols[r, s]])[order],
-                      np.concatenate([near[untied].ravel(),
-                                      dist[r, s]])[order],
-                      kth))
-    owner, nbr, nbr_dist, kdist = map(np.concatenate, zip(*parts))
-    del parts  # the runs are held once from here on
-    sizes = np.bincount(owner, minlength=n)
+        nbr[rows], reach[rows], kdist[rows] = cols, near, kth
+        tied = np.flatnonzero(tied)
+        if tied.size:
+            within = dist <= kth[tied, None]
+            rank = np.cumsum(within, axis=1, dtype=np.int32)
+            first = np.nonzero(within & (rank <= k))[1].reshape(tied.size, k)
+            nbr[rows[tied]] = np.take_along_axis(dcols, first, axis=1)
+            reach[rows[tied]] = np.take_along_axis(dist, first, axis=1)
+            r, s = np.nonzero(within & (rank > k))
+            extra.append((rows[tied[r]], dcols[r, s], dist[r, s]))
+    owner, more, more_dist = map(np.concatenate, zip(*extra))
+    sizes = k + np.bincount(owner, minlength=n)
 
-    reach = np.maximum(np.maximum(kdist[nbr], nbr_dist), _DISTANCE_FLOOR)
-    lrd = sizes / _row_sums(reach, sizes)
-    scores = _row_sums(lrd[nbr] / lrd[owner], sizes) / sizes
+    # reach distances in place, and then, in the same buffer, the ratios
+    np.maximum(reach, kdist[nbr], out=reach)
+    np.maximum(reach, _DISTANCE_FLOOR, out=reach)
+    more_reach = np.maximum(np.maximum(kdist[more], more_dist),
+                            _DISTANCE_FLOOR)
+    lrd = sizes / _row_sums(reach, more_reach, sizes)
+    ratio = np.take(lrd, nbr, out=reach)
+    ratio /= lrd[:, None]
+    scores = _row_sums(ratio, lrd[more] / lrd[owner], sizes) / sizes
     return ScoreVector(scores=scores, method="LOF")
 
 
-def _row_sums(values, sizes) -> np.ndarray:
-    """Sum of each point's run of values, runs laid end to end; runs of one
-    length are the rows of one block, so each sums bitwise as its own."""
-    sums = np.empty(sizes.shape[0])
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        sums[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+def _row_sums(first, extra, sizes) -> np.ndarray:
+    """Sum of each point's run of values, its first k in its row of first,
+    then the rest of the run, if any, in extra, runs laid end to end. A
+    run sums as one contiguous row of its length, the same bits however
+    its rows are grouped."""
+    k = first.shape[1]
+    sums = first.sum(axis=1)
+    more = sizes - k
+    starts = np.cumsum(more) - more
+    for size in np.unique(more[more > 0]):
+        rows = np.flatnonzero(more == size)
+        sums[rows] = np.concatenate(
+            [first[rows], extra[starts[rows, None] + np.arange(size)]],
+            axis=1).sum(axis=1)
     return sums

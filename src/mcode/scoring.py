@@ -54,20 +54,27 @@ class NeighborIndex:
 
     query_all lists each point's neighbors among the same points in
     non-decreasing distance order, ties broken by ascending index, so a
-    point counts as its own neighbor at distance zero. One blocked walker
-    serves query_all and LOF: a block of rows against all N points, so
-    memory is O(block x N).
+    point counts as its own neighbor at distance zero; by_index lists the
+    same neighbors in ascending index order, as LRW sums them, with no
+    sort. One blocked walker serves query_all and LOF: a block of rows
+    against all N points, so memory is O(block x N).
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
-    and up to rounding. A point whose screen value exceeds the row's k-th
-    smallest by more than a forward-error bound (derived in _blocks) is
-    provably farther than the row's k nearest, so a row measures only the
-    points within that bound of its k-th: on untied data its k nearest
-    alone, on tied data every point within its k-th distance and a few
-    more. The k nearest, the tie across the cut and the lowest-index
-    rule come from those exact distances, which are cdist's, bitwise, so
-    the screen changes no result.
+    and up to rounding, and one argpartition each row's k smallest screen
+    values and its (k+1)-th. A point whose screen value exceeds the row's
+    k-th smallest by more than a forward-error bound (derived in _blocks)
+    is provably farther than the row's k nearest. So a clean row, whose
+    (k+1)-th clears that bound, has its k smallest-screen points as its k
+    nearest and measures just those; any other row measures the points
+    within the bound of its k-th, on tied data every point within its
+    k-th distance and a few more. The k nearest, the tie across the cut
+    and the lowest-index rule come from those exact distances, which are
+    cdist's, bitwise, so the screen changes no result.
+
+    Points whose bounding box has a diagonal beyond float64's range are
+    rejected with the non-finite ones: their distances could overflow to
+    inf, where no two can be told apart.
     """
 
     def __init__(self, points):
@@ -76,6 +83,14 @@ class NeighborIndex:
             raise DomainError("points must be a non-empty 2-dimensional array")
         if not np.isfinite(points).all():
             raise DomainError("points contain non-finite values")
+        # the squared diagonal of the bounding box, summed as cdist sums:
+        # rounding is monotone, so no pair's squared distance exceeds it
+        with np.errstate(over="ignore"):
+            span = points.max(axis=0) - points.min(axis=0)
+            diagonal = np.cumsum(span * span)
+        if diagonal.size and not np.isfinite(diagonal[-1]):
+            raise DomainError("points lie too far apart: their distances "
+                              "overflow float64")
         self.points = points
 
     @property
@@ -101,6 +116,12 @@ class NeighborIndex:
         columns it measured in ascending order, every point within its
         kth among them, and dist their distances, both padded at the end
         with distance inf.
+
+        One argpartition of the screen gives each row its k smallest
+        screen values and its (k+1)-th. A clean row, whose (k+1)-th
+        exceeds its k-th by more than margin, measures just its k
+        smallest-screen points, its k nearest; any other row measures
+        every point within margin of its k-th and picks from those.
 
         The screen lives in one buffer allocated once per walk, which the
         next block overwrites; everything yielded is the block's own.
@@ -131,9 +152,11 @@ class NeighborIndex:
         # whose S exceeds the row's k-th smallest S by more than margin is
         # strictly farther than each of the row's k smallest-S points, so
         # beyond its k-th distance: a row measures only the points within
-        # margin of its k-th smallest S. The screen's partial sums stay
-        # below reach = 2 (|q_a| + R)^2; where reach overflows, so does
-        # margin, and the row measures every point.
+        # margin of its k-th smallest S, and if its (k+1)-th smallest S
+        # is beyond that, its k smallest-S points are its k nearest, with
+        # no tie across the cut. The screen's partial sums stay below
+        # reach = 2 (|q_a| + R)^2; where reach overflows, so does margin,
+        # and the row measures every point.
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self.points.mean(axis=0)
             paired = np.empty((m + 1, n))
@@ -166,35 +189,59 @@ class NeighborIndex:
                               out=screen[:, c:c + width])
                 if exclude_self:
                     screen[np.arange(rows.size), rows] = np.inf
-                limit = (np.partition(screen, k - 1, axis=1)[:, k - 1]
-                         + margin[rows])
-            # each row's points within margin of its k-th smallest S, in
-            # column order (a NaN screen or limit keeps them all), one row
-            # each, and their exact distances, padded at the end with inf
-            r, c = np.divmod(
-                np.flatnonzero(~(screen > limit[:, None])), n)
-            counts = np.bincount(r, minlength=rows.size)
-            dcols = np.zeros((rows.size, counts.max()), dtype=np.intp)
-            dcols[r, np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = c
-            dist = _distances(features, rows, dcols)
-            dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf
-            if exclude_self:
-                dist[dcols == rows[:, None]] = np.inf
-            # every row measured at least its k smallest-S points, each at
-            # a finite distance unless the row measured every point
-            pick = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k],
-                           axis=1)
-            cols = np.take_along_axis(dcols, pick, axis=1)
-            near = np.take_along_axis(dist, pick, axis=1)
-            kth = near.max(axis=1)
-            tied = np.count_nonzero(dist <= kth[:, None], axis=1) > k
-            yield rows, dcols[tied], dist[tied], cols, near, kth, tied
+                # each row's k smallest S, a NaN last, and its (k+1)-th
+                part = np.argpartition(screen, min(k, n - 1), axis=1)
+                kth_s = np.take_along_axis(screen, part[:, :k],
+                                           axis=1).max(axis=1)
+                limit = kth_s + margin[rows]
+                next_s = (screen[np.arange(rows.size), part[:, k]]
+                          if k < n else None)
+            clean = _clean_rows(kth_s, next_s, limit)
+            settled, rest = np.flatnonzero(clean), np.flatnonzero(~clean)
+            # a clean row measures its k smallest-S points, its k nearest,
+            # and nothing else; the R x N index array goes before the next
+            # block allocates its own
+            cols = np.empty((rows.size, k), dtype=np.intp)
+            cols[settled] = np.sort(part[settled, :k], axis=1)
+            del part
+            near = np.empty((rows.size, k))
+            near[settled] = _distances(features, rows[settled], cols[settled])
+            tied = np.zeros(rows.size, dtype=bool)
+            dcols = np.empty((0, k), dtype=np.intp)
+            dist = np.empty((0, k))
+            if rest.size:
+                # each other row's points within margin of its k-th
+                # smallest S, in column order (a NaN screen or limit keeps
+                # them all), one row each, and their exact distances,
+                # padded at the end with inf
+                sub = screen if rest.size == rows.size else screen[rest]
+                r, c = np.divmod(
+                    np.flatnonzero(~(sub > limit[rest, None])), n)
+                del sub
+                counts = np.bincount(r, minlength=rest.size)
+                dcols = np.zeros((rest.size, counts.max()), dtype=np.intp)
+                starts = np.cumsum(counts) - counts
+                dcols[r, np.arange(r.size) - starts[r]] = c
+                dist = _distances(features, rows[rest], dcols)
+                dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf
+                if exclude_self:
+                    dist[dcols == rows[rest, None]] = np.inf
+                # every row measured at least its k smallest-S points, each
+                # at a finite distance unless it measured every point
+                pick = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k],
+                               axis=1)
+                cols[rest] = np.take_along_axis(dcols, pick, axis=1)
+                near[rest] = np.take_along_axis(dist, pick, axis=1)
+                tied[rest] = np.count_nonzero(
+                    dist <= near[rest].max(axis=1, keepdims=True), axis=1) > k
+                dcols, dist = dcols[tied[rest]], dist[tied[rest]]
+            yield rows, dcols, dist, cols, near, near.max(axis=1), tied
 
-    def query_all(self, k: int) -> np.ndarray:
-        """(n, k) neighbor indices for every reference point at once."""
+    def query_all(self, k: int, by_index: bool = False) -> np.ndarray:
+        """(n, k) neighbor indices for every reference point at once, each
+        row in distance order, or in ascending index order with by_index."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
-
         for rows, dcols, dist, cols, near, kth, tied in self._blocks(k):
             tied = np.flatnonzero(tied)
             if tied.size:
@@ -209,9 +256,23 @@ class NeighborIndex:
                 pick = np.nonzero(keep)[1].reshape(tied.size, k)
                 cols[tied] = np.take_along_axis(dcols, pick, axis=1)
                 near[tied] = np.take_along_axis(dist, pick, axis=1)
-            order = np.argsort(near, axis=1, kind="stable")
-            out[rows] = np.take_along_axis(cols, order, axis=1)
+            if by_index:
+                out[rows] = cols
+            else:
+                order = np.argsort(near, axis=1, kind="stable")
+                out[rows] = np.take_along_axis(cols, order, axis=1)
         return out
+
+
+def _clean_rows(kth_s, next_s, limit) -> np.ndarray:
+    """Whether each row of a block is clean: its (k+1)-th smallest screen
+    value, next_s, exceeds limit, its k-th smallest, kth_s, plus margin.
+    A NaN on either side, or an overflowing margin, leaves a row unclean.
+    With k = N there is no (k+1)-th (next_s is None), and a row is clean
+    when its k-th is not NaN."""
+    if next_s is None:
+        return ~np.isnan(kth_s)
+    return next_s > limit
 
 
 def _distances(points, rows, cols) -> np.ndarray:
@@ -248,14 +309,15 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
     """Per-instance weights from each instance's k-nearest neighborhood.
 
     Neighborhoods come from the index (the instance itself included,
-    being at distance zero), and errors are summed in ascending index
-    order so that k = N reproduces global_weights exactly. The errors are
-    gathered a block of rows at a time, never as one N x k x d array.
+    being at distance zero), listed in ascending index order as the walk
+    finds them, with no sort, and errors are summed in that order so that
+    k = N reproduces global_weights exactly. The errors are gathered a
+    block of rows at a time, never as one N x k x d array.
     """
     if index.n != rho.n:
         raise DomainError(
             f"index holds {index.n} points but rho has {rho.n} rows")
-    members = np.sort(index.query_all(k), axis=1)
+    members = index.query_all(k, by_index=True)
     errors = 1.0 - rho.values
     w = np.empty_like(errors)
     step = max(1, _BLOCK_ENTRIES // (k * rho.d))

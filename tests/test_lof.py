@@ -94,6 +94,17 @@ def test_holds_its_neighbor_runs_once():
         3 * 24 * n * k
 
 
+def test_peak_is_a_few_n_by_k_arrays():
+    # The neighbour lists, the reach distances formed in place, and one
+    # gather: three N x k arrays beside the walk's block buffers. Fresh
+    # runs, their concatenation and the reach temporaries put it at
+    # about seven.
+    n, k = 4000, 100
+    pts = np.random.default_rng(7).normal(size=(n, 5))
+    assert traced_peak(lambda: lof_scores(pts, LofConfig(k=k))) < \
+        4 * 8 * n * k
+
+
 class TestProperties:
     def test_median_near_one_on_uniform_data(self):
         gen = np.random.default_rng(77)

@@ -50,10 +50,13 @@ class TestNeighborIndex:
     @pytest.mark.parametrize("k", [1, 3, 17, 40])
     def test_grid_duplicates_match_brute_force(self, k):
         pts = grid_with_duplicates(k)
-        all_neighbors = NeighborIndex(pts).query_all(k)
+        index = NeighborIndex(pts)
+        all_neighbors = index.query_all(k)
+        by_index = index.query_all(k, by_index=True)
         for i in range(len(pts)):
             expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
             assert all_neighbors[i].tolist() == expected
+            assert by_index[i].tolist() == sorted(expected)
 
     def test_k_bounds(self):
         index = NeighborIndex(np.zeros((4, 2)))
@@ -170,21 +173,26 @@ class TestScreen:
         # every distance is zero: a tie across every cut
         assert_walks_match_oracles(np.zeros((6, 0)), k)
 
-    def test_overflowing_distances_tie_at_infinity(self):
-        # every distance overflows to inf, so past itself each point's
-        # neighbors are the lowest-indexed others, and nothing warns
+    def test_overflowing_distances_are_rejected(self):
+        # distances of order 1e160 overflow float64, where no two could
+        # be told apart, so the index and LOF refuse such points
         pts = np.random.default_rng(9).normal(size=(40, 3)) * 1e160
-        expected = [[i] + [j for j in range(40) if j != i][:4]
-                    for i in range(40)]
-        assert NeighborIndex(pts).query_all(5).tolist() == expected
-        # LOF's walk measures every point here and puts each point's
-        # distance to itself at inf, where all the others tie
-        for rows, dcols, dist, _, _, kth, tied in NeighborIndex(
-                pts)._blocks(4, exclude_self=True):
-            assert tied.all()
-            for row, c, d, t in zip(rows, dcols, dist, kth):
-                assert sorted(c[d <= t]) == list(range(40))
-                assert d[c == row].tolist() == [np.inf]
+        with pytest.raises(DomainError, match="overflow"):
+            NeighborIndex(pts).query_all(5)
+        with pytest.raises(DomainError, match="overflow"):
+            lof_scores(pts, LofConfig(k=4))
+        # a span that overflows on its own
+        with pytest.raises(DomainError, match="overflow"):
+            NeighborIndex(np.array([[-1e308, 0.0], [1e308, 0.0]]))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_overflowing_margin_measures_every_point(self, measured, k):
+        # at this scale every distance is finite but the screen's reach
+        # overflows, so each row's margin is inf and it measures every
+        # point, in each of the four walks below
+        pts = mixed_ties(k) * (3 * 2.0 ** 504)
+        assert_walks_match_oracles(pts, k)
+        assert sum(measured) == 4 * len(pts) ** 2
 
     @pytest.mark.parametrize("m", [1, 10, 18])
     def test_exact_distances_are_cdists(self, m):
@@ -235,6 +243,89 @@ def test_tied_rows_measure_only_points_near_their_cut(measured):
     found = NeighborIndex(pts).query_all(k)
     for i in range(0, n, 97):
         assert found[i].tolist() == oracles.brute_knn(listed, listed[i], k)
+
+
+@pytest.fixture
+def clean_flags(monkeypatch):
+    """The kNN walk's clean flag of every row, one array per block, in
+    the order the walks computed them."""
+    flags = []
+
+    def recording(*args):
+        flags.append(clean_rows(*args))
+        return flags[-1]
+
+    clean_rows = mcode.scoring._clean_rows
+    monkeypatch.setattr(mcode.scoring, "_clean_rows", recording)
+    return flags
+
+
+def walk_outputs(pts, k, rho):
+    """query_all, local_weights and, for k < N, LOF with the same k."""
+    index = NeighborIndex(pts)
+    outputs = [index.query_all(k), local_weights(rho, index, k).w]
+    if k < len(pts):
+        outputs.append(lof_scores(pts, LofConfig(k=k)).scores)
+    return outputs
+
+
+POINT_SETS = {
+    "clean": lambda: np.random.default_rng(4).normal(size=(40, 3)),
+    # a 4 x 4 grid, each point three times: a tie across every 5-cut
+    "tied": lambda: np.repeat(np.indices((4, 4)).reshape(2, -1).T * 1.0,
+                              3, axis=0),
+    "mixed": lambda: mixed_ties(4, n=20),
+}
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("cut", ["5", "n-1", "n"])
+@pytest.mark.parametrize("kind", sorted(POINT_SETS))
+def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
+    # a clean row's k smallest-screen points are its k nearest: the
+    # outputs are bitwise those of every row measuring the points near
+    # its cut, the walk's only path before clean rows
+    pts = POINT_SETS[kind]()
+    listed = pts.tolist()
+    n = len(pts)
+    k = {"5": 5, "n-1": n - 1, "n": n}[cut]
+    rho = random_rho(n, n=n, d=3)
+    got = walk_outputs(pts, k, rho)
+    if cut == "5":
+        per_row = np.concatenate(clean_flags)
+        assert {"clean": per_row.all(), "tied": not per_row.any(),
+                "mixed": per_row.any() and not per_row.all()}[kind]
+        if kind == "mixed" and mcode.scoring._BLOCK_ENTRIES > n:
+            assert any(f.any() and not f.all() for f in clean_flags)
+    elif cut == "n":
+        assert np.concatenate(clean_flags).all()
+    monkeypatch.setattr(mcode.scoring, "_clean_rows",
+                        lambda kth_s, *_: np.zeros(kth_s.shape, dtype=bool))
+    for new, old in zip(got, walk_outputs(pts, k, rho), strict=True):
+        assert new.tobytes() == old.tobytes()
+    # and against the oracles
+    for i in range(n):
+        assert got[0][i].tolist() == oracles.brute_knn(listed, listed[i], k)
+    np.testing.assert_allclose(
+        got[1], oracles.oracle_local_weights(rho.values.tolist(), listed, k),
+        rtol=1e-12)
+    if k == n:
+        assert (got[1] == global_weights(rho).w).all()
+    else:
+        np.testing.assert_allclose(got[2], oracles.oracle_lof(listed, k),
+                                   rtol=1e-9)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("k", [2, 5])
+def test_one_ulp_past_the_kth_is_not_clean(clean_flags, k):
+    # each centre's k-th and (k+1)-th distances differ by one ulp, far
+    # inside the margin: the centre is not clean, while most rows are
+    pts = one_ulp_clusters(k)
+    NeighborIndex(pts).query_all(k)
+    per_row = np.concatenate(clean_flags)
+    assert not per_row[::k + 3].any()
+    assert per_row.mean() > 0.5
 
 
 def test_query_all_holds_no_n_by_n_matrix():
