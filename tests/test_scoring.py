@@ -283,8 +283,8 @@ POINT_SETS = {
 @pytest.mark.parametrize("kind", sorted(POINT_SETS))
 def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
     # a clean row's k smallest-screen points are its k nearest: the
-    # outputs are bitwise those of every row measuring the points near
-    # its cut, the walk's only path before clean rows
+    # outputs are bitwise those of the walk with every row sent down the
+    # path that measures the points near its cut
     pts = POINT_SETS[kind]()
     listed = pts.tolist()
     n = len(pts)
