@@ -359,8 +359,9 @@ def _write_curve(path, curve, comments):
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("alert_rate,tpar\n")
-        for rate, value in zip(curve.alert_rates, curve.tpar_values):
-            fh.write(f"{repr(float(rate))},{repr(float(value))}\n")
+        fh.write("".join(
+            f"{rate!r},{value!r}\n" for rate, value in
+            zip(curve.alert_rates.tolist(), curve.tpar_values.tolist())))
 
 
 def cmd_eval(args) -> int:

@@ -271,29 +271,36 @@ def load_csv(path, n_outputs: int) -> Dataset:
             f"(rows have {width} fields)")
 
     m = width - n_outputs
-    X = np.empty((len(rows), m), dtype=np.float64)
-    Y = np.empty((len(rows), n_outputs), dtype=np.int8)
-    for i, (line_num, record) in enumerate(rows):
+    try:
+        values = np.array([list(map(float, record)) for _, record in rows])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values[:, :m]).all() or \
+            not np.isin(values[:, m:], (0.0, 1.0)).all():
+        _reject_first_bad_field(path, rows, m)
+    X = np.ascontiguousarray(values[:, :m])
+    Y = values[:, m:].astype(np.int8)
+    if names is None:
+        return Dataset(X, Y)
+    return Dataset(X, Y, tuple(names[:m]), tuple(names[m:]))
+
+
+def _reject_first_bad_field(path, rows, m):
+    """Raise the error of the first field, in file order, that is not a
+    number, a finite input value or a 0/1 output value."""
+    for line_num, record in rows:
         for j, text in enumerate(record):
             value = _parse_field(text)
             if value is None:
                 raise DataError(
                     f"{path}: line {line_num}: non-numeric field {text!r}")
-            if j < m:
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: line {line_num}: non-finite input value {text!r}")
-                X[i, j] = value
-            else:
-                if value not in (0.0, 1.0):
-                    raise DomainError(
-                        f"{path}: line {line_num}: output value {text!r} "
-                        f"is not 0 or 1")
-                Y[i, j - m] = int(value)
-
-    if names is None:
-        return Dataset(X, Y)
-    return Dataset(X, Y, tuple(names[:m]), tuple(names[m:]))
+            if j < m and not math.isfinite(value):
+                raise DataError(
+                    f"{path}: line {line_num}: non-finite input value {text!r}")
+            if j >= m and value not in (0.0, 1.0):
+                raise DomainError(
+                    f"{path}: line {line_num}: output value {text!r} "
+                    f"is not 0 or 1")
 
 
 def save_csv(ds: Dataset, path, comments=()) -> None:

@@ -25,11 +25,12 @@ Laplace-smoothed probability.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 from scipy.special import expit
 
 from .errors import ConfigError, DomainError, NumericalError
@@ -42,6 +43,8 @@ PROB_EPS = 1e-12
 GRAD_TOL = 1e-6
 MAX_ITER = 500
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+_log = logging.getLogger("mcode")
 
 # Count of problems the Newton solver has been given in this process, one
 # per row of a stack. Diagnostic only, used by the CLI to report how much
@@ -96,7 +99,10 @@ def penalized_nll(params, features, labels, lam, *, curvature=False):
     # expit(z) without overflow.
     e = np.exp(-np.abs(z))
     inv = 1.0 / (1.0 + e)
-    prob = np.where(z >= 0.0, inv, e * inv)
+    # expit(z) is inv where z >= 0 and e * inv elsewhere. As e <= 1, the
+    # factor max(e, z >= 0) is exactly 1 or e (NaN included), so the
+    # product has that choice's bits without a per-entry select.
+    prob = inv * np.maximum(e, z >= 0.0)
     terms = np.log1p(e) + np.maximum(z, 0.0) - labels * z
     residual = prob - labels
     value = terms.sum(axis=-1) + 0.5 * lam * (w * w).sum(axis=-1)
@@ -168,16 +174,17 @@ def _pair_products(features):
 
 def _newton_directions(hess, grad):
     """-H^-1 g by Cholesky for each H of the stack hess and row g of grad,
-    or -g where H is not positive definite."""
+    or -g where H is not positive definite. LAPACK's dposv is its dpotrf
+    and dpotrs in one call."""
     d = -grad
     for h, row in zip(hess, d):
-        factor, info = dpotrf(h)
+        _, solution, info = dposv(h, row)
         if info == 0:
-            row[:] = dpotrs(factor, row)[0]
+            row[:] = solution
     return d
 
 
-def _newton(features, labels, lam, params, pinned=None):
+def _newton(features, labels, lam, params, pinned=None, pairs=None):
     """Damped Newton on penalized_nll for a stack of problems that share
     features; returns (params, ||g||), one row or entry per problem.
 
@@ -186,7 +193,9 @@ def _newton(features, labels, lam, params, pinned=None):
     problem b holds the weight of feature pinned[b] at its start value,
     which must be 0: that gradient entry is 0 and that Hessian row and
     column are the identity's, so Newton never moves it and the problem
-    is the one without that feature.
+    is the one without that feature. pairs, if given, must be
+    _pair_products(features), which a caller solving several stacks on
+    rows of one matrix can form once.
 
     Each iteration solves (X'WX + lam * I_w) d = -g per problem, with the
     intercept column left out of the penalty, or takes d = -g where that
@@ -202,8 +211,10 @@ def _newton(features, labels, lam, params, pinned=None):
     _optimizer_runs += params.shape[0]
 
     def evaluate(rows, trial):
+        # rows ascend, so a trial of the whole stack has rows 0..B-1
+        shared = labels.ndim == 1 or rows.size == labels.shape[0]
         f, g, weight = penalized_nll(
-            trial, features, labels if labels.ndim == 1 else labels[rows],
+            trial, features, labels if shared else labels[rows],
             lam[rows], curvature=True)
         if pinned is not None:
             g[np.arange(g.shape[0]), pinned[rows]] = 0.0
@@ -215,7 +226,8 @@ def _newton(features, labels, lam, params, pinned=None):
         raise NumericalError("objective not finite at the starting point")
     gnorm = np.linalg.norm(g, axis=1)
 
-    pairs = _pair_products(features)
+    if pairs is None:
+        pairs = _pair_products(features)
     upper = np.triu_indices(params.shape[1])
     penalized = np.arange(params.shape[1] - 1)
     active = np.flatnonzero(gnorm > GRAD_TOL)
@@ -411,7 +423,9 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     larger penalty. Every column at every grid value is one problem of a
     single stack per fold, on that fold's training rows. A training split
     with single-class labels falls back to ConstantFactor scoring for
-    that column and fold rather than failing.
+    that column and fold rather than failing. Fold problems whose ||g||
+    ends above GRAD_TOL still score; one warning on the "mcode" logger
+    names each by column, grid value and fold (numbered from 0).
     """
     single = np.ndim(labels) == 1
     features, labels, _ = _check_training_inputs(
@@ -432,7 +446,11 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         raise ConfigError(f"n_folds={n_folds} exceeds the {n} instances")
 
     total = np.zeros((len(grid), labels.shape[1]))
-    for fold in np.array_split(make_rng(seed).permutation(n), n_folds):
+    # formed once: a fold's own are the rows pairs[train], the same bits
+    pairs = _pair_products(features)
+    missed = []  # (column, grid value, fold, ||g||) left above GRAD_TOL
+    for number, fold in enumerate(
+            np.array_split(make_rng(seed).permutation(n), n_folds)):
         train = np.ones(n, dtype=bool)
         train[fold] = False
         train_labels = labels[train].T
@@ -443,17 +461,28 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         solved = np.flatnonzero((ones > 0) & (ones < size))
         if solved.size:
             # Problem j * len(solved) + s fits grid[j] to column solved[s].
-            params, _ = _newton(
+            params, gnorm = _newton(
                 features[train], np.tile(train_labels[solved], (len(grid), 1)),
                 np.repeat(grid, solved.size),
                 np.zeros((len(grid) * solved.size, p + 1)),
-                None if pinned is None else np.tile(pinned[solved], len(grid)))
+                None if pinned is None else np.tile(pinned[solved], len(grid)),
+                pairs[train])
+            missed += [(int(solved[b % solved.size]), grid[b // solved.size],
+                        number, float(gnorm[b]))
+                       for b in np.flatnonzero(gnorm > GRAD_TOL)]
             prob[:, solved] = expit(_logits(params, features[fold])).reshape(
                 len(grid), solved.size, fold.size)
         prob = _clamp(prob)
         rho = np.where(labels[fold].T == 1.0, prob, 1.0 - prob)
         total += np.log(_clamp(rho)).sum(axis=-1)
     scores = total / n
+    if missed:
+        _log.warning(
+            "cross-validation: %d fold problem(s) ended with ||g|| above "
+            "%g: %s", len(missed), GRAD_TOL, "; ".join(
+                f"column {column} at lambda {lam!r} in fold {number} "
+                f"(||g|| = {norm:.3g})"
+                for column, lam, number, norm in missed))
 
     # The last best grid value: ties go to the larger penalty.
     best = len(grid) - 1 - np.argmax(scores[::-1], axis=0)

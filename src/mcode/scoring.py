@@ -66,11 +66,12 @@ class NeighborIndex:
     k-th smallest by more than a forward-error bound (derived in _blocks)
     is provably farther than the row's k nearest. So a clean row, whose
     (k+1)-th clears that bound, has its k smallest-screen points as its k
-    nearest and measures just those; any other row measures the points
-    within the bound of its k-th, on tied data every point within its
-    k-th distance and a few more. The k nearest, the tie across the cut
-    and the lowest-index rule come from those exact distances, which are
-    cdist's, bitwise, so the screen changes no result.
+    nearest and measures just those, or nothing when the caller lists
+    neighbors by index; any other row measures the points within the
+    bound of its k-th, on tied data every point within its k-th distance
+    and a few more. The k nearest, the tie across the cut and the
+    lowest-index rule come from those exact distances, which are cdist's,
+    bitwise, so the screen changes no result.
 
     Points whose bounding box has a diagonal beyond float64's range are
     rejected with the non-finite ones: their distances could overflow to
@@ -102,7 +103,8 @@ class NeighborIndex:
             raise DomainError(
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
-    def _blocks(self, k: int, exclude_self: bool = False):
+    def _blocks(self, k: int, exclude_self: bool = False,
+                measure_clean: bool = True):
         """Yield (rows, dcols, dist, cols, near, kth, tied) for every block
         of rows, in row order.
 
@@ -121,7 +123,9 @@ class NeighborIndex:
         screen values and its (k+1)-th. A clean row, whose (k+1)-th
         exceeds its k-th by more than margin, measures just its k
         smallest-screen points, its k nearest; any other row measures
-        every point within margin of its k-th and picks from those.
+        every point within margin of its k-th and picks from those. With
+        measure_clean=False a clean row measures nothing, and its near
+        and kth are NaN: for callers that read only cols and tied rows.
 
         The screen lives in one buffer allocated once per walk, which the
         next block overwrites; everything yielded is the block's own.
@@ -205,7 +209,9 @@ class NeighborIndex:
             cols[settled] = np.sort(part[settled, :k], axis=1)
             del part
             near = np.empty((rows.size, k))
-            near[settled] = _distances(features, rows[settled], cols[settled])
+            near[settled] = (
+                _distances(features, rows[settled], cols[settled])
+                if measure_clean else np.nan)
             tied = np.zeros(rows.size, dtype=bool)
             dcols = np.empty((0, k), dtype=np.intp)
             dist = np.empty((0, k))
@@ -239,10 +245,12 @@ class NeighborIndex:
 
     def query_all(self, k: int, by_index: bool = False) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once, each
-        row in distance order, or in ascending index order with by_index."""
+        row in distance order, or in ascending index order with by_index,
+        which measures no exact distance for a clean row."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
-        for rows, dcols, dist, cols, near, kth, tied in self._blocks(k):
+        for rows, dcols, dist, cols, near, kth, tied in self._blocks(
+                k, measure_clean=not by_index):
             tied = np.flatnonzero(tied)
             if tied.size:
                 # lowest-index rule: every point below kth, then the
@@ -377,12 +385,13 @@ _SCORE_HEADER = ["instance_index", "method", "score"]
 def write_score_table(path, sv: ScoreVector, comments=()) -> None:
     """Write (instance_index, method, score) rows, highest score first."""
     order = rank_descending(sv.scores)
+    rows = zip(order.tolist(), sv.scores[order].tolist())
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(_SCORE_HEADER) + "\n")
-        for idx in order:
-            fh.write(f"{int(idx)},{sv.method},{repr(float(sv.scores[idx]))}\n")
+        fh.write("".join(f"{idx},{sv.method},{score!r}\n"
+                         for idx, score in rows))
 
 
 def load_score_table(path):

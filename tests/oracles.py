@@ -5,7 +5,10 @@ module, independent of the library's vectorized code paths, so a bug in
 the package cannot confirm itself through a shared helper.
 """
 
+import csv
 import math
+
+from mcode.errors import ConfigError, DataError, DomainError
 
 
 def brute_knn(points, query, k):
@@ -171,3 +174,74 @@ def grid_polish(fun, center, half_width, rounds=10, points=41):
                 best_x = cand
         width *= 0.15
     return best_x
+
+
+def oracle_load_csv(path, n_outputs):
+    """(X rows, Y rows, header names or None) of a data CSV, converted
+    one field at a time, or the exception load_csv raises for the file,
+    with the same message."""
+    if not isinstance(n_outputs, int) or n_outputs < 1:
+        raise ConfigError(
+            f"n_outputs must be a positive integer, got {n_outputs!r}")
+    records = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for record in reader:
+                blank = all(not f.strip() for f in record)
+                if not blank and not record[0].lstrip().startswith("#"):
+                    records.append((reader.line_num, record))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+    def number(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+    names = None
+    rows = []
+    for line_num, record in records:
+        if names is None and not rows and \
+                any(number(f) is None for f in record):
+            names = [f.strip() for f in record]
+        else:
+            rows.append((line_num, record))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    if names is not None and len(names) != width:
+        raise DataError(f"{path}: header has {len(names)} fields but data "
+                        f"rows have {width}")
+    for line_num, record in rows:
+        if len(record) != width:
+            raise DataError(f"{path}: line {line_num}: expected {width} "
+                            f"fields, got {len(record)}")
+    if n_outputs >= width:
+        raise ConfigError(f"n_outputs={n_outputs} leaves no input columns "
+                          f"(rows have {width} fields)")
+    m = width - n_outputs
+    xs, ys = [], []
+    for line_num, record in rows:
+        x, y = [], []
+        for j, text in enumerate(record):
+            value = number(text)
+            if value is None:
+                raise DataError(
+                    f"{path}: line {line_num}: non-numeric field {text!r}")
+            if j < m:
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: line {line_num}: non-finite "
+                                    f"input value {text!r}")
+                x.append(value)
+            else:
+                if value != 0.0 and value != 1.0:
+                    raise DomainError(f"{path}: line {line_num}: output "
+                                      f"value {text!r} is not 0 or 1")
+                y.append(int(value))
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, names

@@ -14,6 +14,7 @@ from mcode import (ConfigError, DataError, Dataset, DomainError,
                    round_half_up, save_csv, save_log, standardize)
 from mcode.dataset import make_rng
 
+import oracles
 from strategies import json_like
 
 
@@ -374,12 +375,20 @@ def test_any_single_csv_field_edit_loads_or_is_a_data_error(row, field,
         path.write_text("".join(lines))
         try:
             back = load_csv(path, n_outputs=2)
-        except DataError as exc:
-            assert str(path) in str(exc)
+        except (DataError, DomainError) as exc:
+            # the same error, word for word, as a field-by-field reading
+            assert isinstance(exc, DomainError) or str(path) in str(exc)
+            with pytest.raises(type(exc)) as reference:
+                oracles.oracle_load_csv(path, 2)
+            assert type(reference.value) is type(exc)
+            assert str(reference.value) == str(exc)
             return
-        except DomainError:
-            return
+        X, Y, names = oracles.oracle_load_csv(path, 2)
     assert back.d == 2 and np.isfinite(back.X).all()
+    assert back.X.tobytes() == np.array(X).tobytes()
+    assert back.Y.tolist() == Y
+    if names is not None:
+        assert back.input_names + back.output_names == tuple(names)
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
@@ -11,7 +14,7 @@ from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
                    train_logistic)
 import mcode.optim
 from mcode.dataset import make_rng
-from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _newton,
+from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _logits, _newton,
                          _newton_directions, factor_from_dict,
                          factor_to_dict, optimizer_run_count,
                          train_logistic_columns)
@@ -76,6 +79,27 @@ class TestObjective:
             prob = expit(X @ params[b, :-1] + params[b, -1])
             np.testing.assert_allclose(weights[b], prob * (1 - prob),
                                        rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(z=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats()
+                        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                           745.5, -745.5, 1e300, -1e300])))
+    def test_probability_has_the_bits_of_the_two_branch_form(self, z):
+        # one instance whose feature is 1 and problems [0, z_b], one per z:
+        # each problem's intercept gradient is its probability less label 0
+        params = np.zeros((z.size, 2))
+        params[:, 1] = z
+        features, labels = np.ones((1, 1)), np.zeros(1)
+        with np.errstate(all="ignore"):
+            _, grad, weight = penalized_nll(params, features, labels,
+                                            np.zeros(z.size), curvature=True)
+            logit = _logits(params, features)
+            e = np.exp(-np.abs(logit))
+            inv = 1.0 / (1.0 + e)
+            prob = np.where(logit >= 0.0, inv, e * inv)
+            expected = prob - labels
+        assert grad[:, -1].tobytes() == expected[:, 0].tobytes()
+        assert weight.tobytes() == (prob * (1.0 - prob)).tobytes()
 
     def test_products_cut_into_serial_pieces(self, monkeypatch):
         # cut into pieces of a few rows, the objective is the uncut one
@@ -294,14 +318,14 @@ class TestTrainer:
         X = np.hstack([X, X[:, :1]])
         failed = []
 
-        def spy(h):
-            factor, info = dpotrf(h)
+        def spy(h, g):
+            factor, solution, info = dposv(h, g)
             if info:
                 failed.append(h[0, 0] == h[0, 2] == h[2, 2])
-            return factor, info
+            return factor, solution, info
 
-        dpotrf = mcode.optim.dpotrf
-        monkeypatch.setattr(mcode.optim, "dpotrf", spy)
+        dposv = mcode.optim.dposv
+        monkeypatch.setattr(mcode.optim, "dposv", spy)
         lams = np.array([0.0, 1.0, 10.0])
         params, gnorm = _newton(X, y, lams, np.zeros((3, 4)))
         monkeypatch.undo()
@@ -459,6 +483,29 @@ class TestCrossValidation:
         assert len(set(chosen)) > 1
         assert cross_validate_lambda(X, Y, grid, 3, 5) == tuple(
             fold_loop_choice(X, Y[:, c], grid, 3, 5) for c in range(3))
+
+    def test_fold_problems_above_tolerance_are_logged(self, monkeypatch,
+                                                       caplog, capsys):
+        X, Y = random_problem(5, n=45, p=3)[0], np.zeros((45, 2))
+        Y[:, 0] = X[:, 0] > 0
+        Y[:, 1] = X[:, 1] + X[:, 2] > 0
+        grid = (0.01, 1.0)
+        with caplog.at_level(logging.WARNING, logger="mcode"):
+            cross_validate_lambda(X, Y, grid, 3, 2)
+        assert not caplog.records
+        monkeypatch.setattr(mcode.optim, "MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="mcode"):
+            cross_validate_lambda(X, Y, grid, 3, 2)
+        [record] = caplog.records
+        message = record.getMessage()
+        assert record.name == "mcode" and record.levelno == logging.WARNING
+        assert "12 fold problem(s)" in message
+        for column in (0, 1):
+            for lam in grid:
+                for fold in range(3):
+                    assert f"column {column} at lambda {lam!r} in fold " \
+                           f"{fold} " in message
+        assert capsys.readouterr().out == ""
 
     def test_deterministic_given_seed(self):
         X, y, _ = random_problem(9, n=50, p=2)

@@ -221,14 +221,20 @@ def measured(monkeypatch):
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
 def test_screen_settles_untied_rows(measured, offset):
-    # on untied data each row measures its k neighbors and nothing else
+    # on untied data each row measures its k neighbors and nothing else,
+    # and nothing at all for the lists by index that LRW reads
     n, k = 2000, 50
     pts = np.random.default_rng(8).normal(size=(n, 10)) + offset
-    NeighborIndex(pts).query_all(k)
+    index = NeighborIndex(pts)
+    index.query_all(k)
     assert sum(measured) == n * k
     measured.clear()
     lof_scores(pts, LofConfig(k=k))
     assert sum(measured) == n * k
+    measured.clear()
+    index.query_all(k, by_index=True)
+    local_weights(random_rho(8, n=n, d=3), index, k)
+    assert sum(measured) == 0
 
 
 def test_tied_rows_measure_only_points_near_their_cut(measured):
@@ -314,6 +320,23 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
     else:
         np.testing.assert_allclose(got[2], oracles.oracle_lof(listed, k),
                                    rtol=1e-9)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("k", [1, 5])
+def test_by_index_measures_only_rows_that_are_not_clean(measured,
+                                                        clean_flags, k):
+    # a row that is not clean measures what it measures in distance
+    # order; a clean row, k points in distance order, measures nothing
+    index = NeighborIndex(mixed_ties(4, n=20))
+    in_order = index.query_all(k)
+    clean = np.concatenate(clean_flags)
+    assert clean.any() and not clean.all()
+    total = sum(measured)
+    measured.clear()
+    by_index = index.query_all(k, by_index=True)
+    assert sum(measured) == total - k * clean.sum()
+    assert (by_index == np.sort(in_order, axis=1)).all()
 
 
 @pytest.mark.usefixtures("small_blocks")
