@@ -18,9 +18,10 @@ its weight stays exactly 0, which makes the problem the same as one fit
 without that column. So all factors of a model are one stack on one
 design, each with its own output column pinned, and cross-validation
 solves every factor at every grid value on one fold's training rows as
-one stack per fold. A single fit is a stack of one. Degenerate
-single-class label vectors fall back to a constant factor with a
-Laplace-smoothed probability.
+one stack per fold, each problem starting from its solution in the
+previous fold; every final fit starts from zeros. A single fit is a
+stack of one. Degenerate single-class label vectors fall back to a
+constant factor with a Laplace-smoothed probability.
 """
 
 from __future__ import annotations
@@ -84,36 +85,52 @@ class ConstantFactor:
     prob_one: float
 
 
-def penalized_nll(params, features, labels, lam, *, curvature=False):
+# N-wide temporaries of one penalized_nll evaluation per problem: the
+# logits, e^-|z|, 1 / (1 + e^-|z|), the probabilities and the loss terms.
+_NLL_TEMPORARIES = 5
+
+
+def penalized_nll(params, features, labels, lam, *, curvature=False,
+                  workspace=None):
     """Objective value and gradient at params = [weights..., intercept].
 
     params may also be a B x (p+1) stack whose rows are separate problems:
     lam then holds B penalties, and labels is one vector shared by every
     row or a B x N matrix. With curvature=True a third value is returned,
     the Hessian's instance weights p(1 - p).
+
+    workspace, if given, is a float64 vector of at least _NLL_TEMPORARIES
+    * B * N entries (B = 1 for a single problem) that holds every N-wide
+    temporary in place of fresh arrays, so a caller evaluating many times
+    allocates them once. The returned weights are then a view of it, valid
+    until its next use. It changes no value.
     """
     lam = np.asarray(lam, dtype=np.float64)
     w = params[..., :-1]
-    z = _logits(params, features)
+    shape = params.shape[:-1] + features.shape[:1]
+    size = _NLL_TEMPORARIES * math.prod(shape)
+    if workspace is None:
+        workspace = np.empty(size)
+    z, e, inv, prob, terms = workspace[:size].reshape(
+        (_NLL_TEMPORARIES,) + shape)
     # Each step below writes into an array no later step reads, in the
     # order of the plain expressions, so every value keeps its bits.
-    # Fewer fresh N-wide arrays mean fewer pages the heap gives back and
+    # Separate fresh N-wide arrays cost pages the heap gives back and
     # faults in again: on a stack of 40 problems and 800 instances a call
-    # takes 156 minor page faults and 0.9 ms so, against 468 and 1.9 ms
-    # with a fresh array per step.
+    # took 155 minor page faults and 1.2 ms so, against none and 0.65 ms
+    # with the temporaries in one block.
+    _logits(params, features, out=z)
     # e^-|z| <= 1 gives both log(1 + e^z) = log1p(e^-|z|) + max(z, 0) and
     # expit(z) without overflow.
-    e = np.abs(z)
-    np.exp(np.negative(e, out=e), out=e)
-    inv = np.add(1.0, e)
-    np.divide(1.0, inv, out=inv)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    np.divide(1.0, np.add(1.0, e, out=inv), out=inv)
     # expit(z) is inv where z >= 0 and e * inv elsewhere. As e <= 1, the
     # factor max(e, z >= 0) is exactly 1 or e (NaN included), so the
     # product has that choice's bits without a per-entry select.
-    prob = np.maximum(e, z >= 0.0)
+    np.maximum(e, np.greater_equal(z, 0.0, out=prob), out=prob)
     np.multiply(inv, prob, out=prob)
     # (log1p(e) + max(z, 0)) - labels * z
-    terms = np.log1p(e)
+    np.log1p(e, out=terms)
     terms += np.maximum(z, 0.0, out=inv)
     terms -= np.multiply(labels, z, out=z)
     residual = np.subtract(prob, labels, out=inv)
@@ -146,11 +163,12 @@ def _row_slices(n, per_row):
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _logits(params, features):
+def _logits(params, features, out=None):
     """z = features @ w + b for each problem [w..., b] of params: shape
-    params.shape[:-1] + (N,)."""
+    params.shape[:-1] + (N,), written into out if given."""
     w = params[..., :-1]
-    z = np.empty(params.shape[:-1] + features.shape[:1])
+    z = np.empty(params.shape[:-1] + features.shape[:1]) if out is None \
+        else out
     for rows in _row_slices(features.shape[0], w.size):
         np.matmul(w, features[rows].T, out=z[..., rows])
     z += params[..., -1:]
@@ -222,13 +240,16 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     """
     global _optimizer_runs
     _optimizer_runs += params.shape[0]
+    # every evaluation's temporaries, sized for the whole stack
+    workspace = np.empty(_NLL_TEMPORARIES * params.shape[0]
+                         * features.shape[0])
 
     def evaluate(rows, trial):
         # rows ascend, so a trial of the whole stack has rows 0..B-1
         shared = labels.ndim == 1 or rows.size == labels.shape[0]
         f, g, weight = penalized_nll(
             trial, features, labels if shared else labels[rows],
-            lam[rows], curvature=True)
+            lam[rows], curvature=True, workspace=workspace)
         if pinned is not None:
             g[np.arange(g.shape[0]), pinned[rows]] = 0.0
         return f, g, weight
@@ -237,6 +258,7 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     f, g, weight = evaluate(np.arange(params.shape[0]), params)
     if not np.isfinite(f).all() or not np.isfinite(g).all():
         raise NumericalError("objective not finite at the starting point")
+    weight = weight.copy()  # out of the workspace the next trial reuses
     gnorm = np.linalg.norm(g, axis=1)
 
     if pairs is None:
@@ -434,11 +456,15 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     Each grid value is scored by training on the complement of every fold
     and evaluating the held-out log-likelihood; exact ties go to the
     larger penalty. Every column at every grid value is one problem of a
-    single stack per fold, on that fold's training rows. A training split
-    with single-class labels falls back to ConstantFactor scoring for
-    that column and fold rather than failing. Fold problems whose ||g||
-    ends above GRAD_TOL still score; one warning on the "mcode" logger
-    names each by column, grid value and fold (numbered from 0).
+    single stack per fold, on that fold's training rows. Each problem
+    starts from the solution of its column and grid value in the last
+    fold that solved that column, or from zeros in the first. Only the
+    held-out scores read these fold solutions; every final fit starts
+    from zeros. A training split with single-class labels falls back to
+    ConstantFactor scoring for that column and fold rather than failing.
+    Fold problems whose ||g|| ends above GRAD_TOL still score; one warning
+    on the "mcode" logger names each by column, grid value and fold
+    (numbered from 0).
     """
     single = np.ndim(labels) == 1
     features, labels, _ = _check_training_inputs(
@@ -459,14 +485,22 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         raise ConfigError(f"n_folds={n_folds} exceeds the {n} instances")
 
     total = np.zeros((len(grid), labels.shape[1]))
-    # formed once: a fold's own are the rows pairs[train], the same bits
     pairs = _pair_products(features)
+    folds = np.array_split(make_rng(seed).permutation(n), n_folds)
+    # Each fold takes its training rows of features and of pairs into
+    # buffers sized for the largest training split. np.take writes
+    # straight into out only with mode="clip" ("raise" goes through a
+    # temporary); the row indices are in range, so it clips nothing.
+    most = n - min(fold.size for fold in folds)
+    fold_features = np.empty((most, p))
+    fold_pairs = np.empty((most, pairs.shape[1]))
+    # start[j, c] is the solution of column c at grid[j] in the last fold
+    # that solved it, the start of its next fold; zeros before that.
+    start = np.zeros((len(grid), labels.shape[1], p + 1))
     missed = []  # (column, grid value, fold, ||g||) left above GRAD_TOL
-    for number, fold in enumerate(
-            np.array_split(make_rng(seed).permutation(n), n_folds)):
-        train = np.ones(n, dtype=bool)
-        train[fold] = False
-        train_labels = labels[train].T
+    for number, fold in enumerate(folds):
+        rows = np.delete(np.arange(n), fold)  # the training rows, ascending
+        train_labels = labels[rows].T
         ones = train_labels.sum(axis=1)
         size = train_labels.shape[1]
         prob = np.empty((len(grid), labels.shape[1], fold.size))
@@ -475,11 +509,15 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         if solved.size:
             # Problem j * len(solved) + s fits grid[j] to column solved[s].
             params, gnorm = _newton(
-                features[train], np.tile(train_labels[solved], (len(grid), 1)),
+                np.take(features, rows, axis=0, out=fold_features[:size],
+                        mode="clip"),
+                np.tile(train_labels[solved], (len(grid), 1)),
                 np.repeat(grid, solved.size),
-                np.zeros((len(grid) * solved.size, p + 1)),
+                start[:, solved].reshape(-1, p + 1),
                 None if pinned is None else np.tile(pinned[solved], len(grid)),
-                pairs[train])
+                np.take(pairs, rows, axis=0, out=fold_pairs[:size],
+                        mode="clip"))
+            start[:, solved] = params.reshape(len(grid), solved.size, p + 1)
             missed += [(int(solved[b % solved.size]), grid[b // solved.size],
                         number, float(gnorm[b]))
                        for b in np.flatnonzero(gnorm > GRAD_TOL)]

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from mcode import (Dataset, PerturbationLog, load_csv, load_model, save_csv,
                    save_log)
-from mcode.cli import COMMANDS, OPTIONS, main
+import mcode.cli
+from mcode.cli import COMMANDS, OPTIONS, build_parser, main
 from mcode.evaluation import METHODS
 from mcode.model import MODES
 from mcode.scoring import load_score_table
@@ -496,3 +497,20 @@ class TestTopLevel:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        # every call after the first reuses the parser, usage errors and
+        # --version included
+        built = []
+        monkeypatch.setattr(mcode.cli, "build_parser",
+                            lambda: built.append(1) or build_parser())
+        mcode.cli._parser.cache_clear()
+        try:
+            assert [main([]), run("--version"), main(["fit"]),
+                    main([])] == [1, 0, 1, 1]
+        finally:
+            mcode.cli._parser.cache_clear()
+        assert built == [1]
+        out, err = capsys.readouterr()
+        assert out == f"mcode {mcode.__version__}\n"
+        assert err.count("mcode: error: ") == 3

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
-                   PROB_EPS, RhoMatrix, estimate_rho, fit_mcode, load_model,
-                   save_model, standardize, train_logistic)
+                   PROB_EPS, RhoMatrix, estimate_rho, fit_mcode,
+                   inject_outliers, load_model, save_model, standardize,
+                   train_logistic)
 from mcode.model import MODES
 from mcode.errors import DataError
 
 import oracles
 from conftest import make_coupled_dataset
+from synthdata import make_benchmark_dataset
 from strategies import json_like
 
 
@@ -81,6 +83,16 @@ class TestFit:
         model = fit_mcode(ds, FULL_CONDITIONAL,
                           CvLambda(grid=(0.1, 10.0), folds=3, seed=1))
         assert all(lam in (0.1, 10.0) for lam in model.lambdas)
+
+    @pytest.mark.parametrize("mode, expected", [
+        (FULL_CONDITIONAL, (1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 100.0, 100.0)),
+        (INDEPENDENT, (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 100.0, 100.0))])
+    def test_cv_keeps_the_detect_benchmark_lambdas(self, mode, expected):
+        # the penalties perfbench/run.py's CV_LAMBDAS expects of the
+        # default detect run on its N=1000 planted data, which only traced
+        # benchmark runs check
+        ds, _ = inject_outliers(make_benchmark_dataset(n=1000), 0.01, 0.25, 0)
+        assert fit_mcode(ds, mode, CvLambda()).lambdas == expected
 
     def test_deterministic(self, coupled_dataset):
         a = fit_mcode(coupled_dataset, FULL_CONDITIONAL, FixedLambda(0.5))

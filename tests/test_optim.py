@@ -79,6 +79,13 @@ class TestObjective:
             prob = expit(X @ params[b, :-1] + params[b, -1])
             np.testing.assert_allclose(weights[b], prob * (1 - prob),
                                        rtol=1e-12, atol=1e-15)
+        # a workspace larger than the stack, holding stale values, changes
+        # no bit
+        workspace = np.full(mcode.optim._NLL_TEMPORARIES * 5 * 30, np.nan)
+        reused = penalized_nll(params, X, labels, lams, curvature=True,
+                               workspace=workspace)
+        for fresh, again in zip((values, grads, weights), reused):
+            assert fresh.tobytes() == again.tobytes()
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(z=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats()
@@ -206,21 +213,23 @@ class TestTrainer:
         # of 6,400 terms, comes out about 22 ulp higher, so a line search
         # on f rejected it and the fits ran MAX_ITER iterations with ||g||
         # stuck near 1e-6. Each fold's stack of every dimension at every
-        # grid value is solved here as cross_validate_lambda solves it.
+        # grid value is solved here as cross_validate_lambda solves it,
+        # from the previous fold's solutions (every dimension has both
+        # classes in every fold).
         ds = make_benchmark_dataset(n=8000, seed=11)
         perturbed, _ = inject_outliers(ds, 0.01, 0.25, 0)
         Y = perturbed.Y.astype(np.float64)
         design = np.hstack([standardize(perturbed)[0].X, Y])
         grid = np.array(DEFAULT_LAMBDA_GRID)
         pinned = np.tile(ds.m + np.arange(ds.d), grid.size)
+        params = np.zeros((pinned.size, design.shape[1] + 1))
         for k, fold in enumerate(
                 np.array_split(make_rng(0).permutation(ds.n), 5)):
             train = np.ones(ds.n, dtype=bool)
             train[fold] = False
             labels = np.tile(Y[train].T, (grid.size, 1))
             params, gnorm = _newton(
-                design[train], labels, np.repeat(grid, ds.d),
-                np.zeros((labels.shape[0], design.shape[1] + 1)), pinned)
+                design[train], labels, np.repeat(grid, ds.d), params, pinned)
             assert (gnorm <= GRAD_TOL).all(), (k, gnorm.reshape(-1, ds.d))
             assert (params[np.arange(pinned.size), pinned] == 0.0).all()
 
@@ -472,7 +481,9 @@ class TestCrossValidation:
         Y[:, 2] = 0.0
         Y[7, 2] = 1.0
         folds = np.array_split(make_rng(5).permutation(45), 3)
-        assert sum(7 in fold for fold in folds) == 1
+        # In the middle fold, so the last fold starts column 2 from its
+        # solution in the first, past the fold that skipped it.
+        assert 7 in folds[1]
         design = np.hstack([X, Y])
         pinned = 3 + np.arange(3)
         grid = (0.01, 0.1, 1.0, 10.0)
@@ -483,6 +494,35 @@ class TestCrossValidation:
         assert len(set(chosen)) > 1
         assert cross_validate_lambda(X, Y, grid, 3, 5) == tuple(
             fold_loop_choice(X, Y[:, c], grid, 3, 5) for c in range(3))
+
+    def test_each_fold_starts_from_its_columns_last_solutions(self,
+                                                              monkeypatch):
+        # column 0 holds a single 1, in the middle fold, which skips that
+        # column: the last fold starts it from the first fold's solutions
+        gen = np.random.default_rng(40)
+        X = gen.normal(size=(45, 3))
+        Y = (X @ gen.normal(size=(3, 3)) * 2.0
+             + gen.normal(size=(45, 3)) > 0) * 1.0
+        Y[:, 0] = 0.0
+        Y[7, 0] = 1.0
+        stacks = []
+
+        def spy(features, labels, lam, params, pinned=None, pairs=None):
+            result = _newton(features, labels, lam, params, pinned, pairs)
+            stacks.append((params.copy(), result[0]))
+            return result
+
+        monkeypatch.setattr(mcode.optim, "_newton", spy)
+        cross_validate_lambda(np.hstack([X, Y]), Y, (0.1, 1.0, 10.0), 3, 5,
+                              pinned=3 + np.arange(3))
+        # problem j * len(solved) + s fits grid value j to column solved[s]
+        (start0, end0), (start1, end1), (start2, _) = stacks
+        assert (start0 == 0.0).all()
+        end0 = end0.reshape(3, 3, -1)
+        np.testing.assert_array_equal(start1,
+                                      end0[:, 1:].reshape(6, -1))
+        np.testing.assert_array_equal(start2, np.concatenate(
+            [end0[:, :1], end1.reshape(3, 2, -1)], axis=1).reshape(9, -1))
 
     def test_fold_problems_above_tolerance_are_logged(self, monkeypatch,
                                                        caplog, capsys):
