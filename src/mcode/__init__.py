@@ -18,7 +18,7 @@ from .dataset import (Dataset, PerturbationLog, RNG_ALGORITHM,
                       standardize)
 from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
                     PROB_EPS, cross_validate_lambda, penalized_nll,
-                    predict_prob_batch, train_logistic)
+                    train_logistic)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                     McodeModel, RhoMatrix, estimate_rho, fit_mcode,
                     load_model, save_model)

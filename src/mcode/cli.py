@@ -28,8 +28,7 @@ from .errors import ConfigError, DataError, DomainError, NumericalError
 from .dataset import inject_outliers, load_csv, load_log, save_csv, save_log
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, MODES,
                     check_mode, fit_mcode, save_model)
-from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID,
-                    optimizer_run_count)
+from .optim import ConstantFactor, DEFAULT_LAMBDA_GRID
 from .scoring import load_score_table, write_score_table, ScoreVector
 from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar,
                          check_experiment, run_experiment, tpar_curve)
@@ -274,12 +273,10 @@ def cmd_fit(args) -> int:
 
     out = Path(resolved["out_dir"])
     for mode in resolved["modes"]:
-        runs_before = optimizer_run_count()
         model = fit_mcode(ds, mode, policy)
-        runs = optimizer_run_count() - runs_before
         target = out / f"model_{mode}"
         save_model(model, target, meta=_meta(resolved["seed"], cfg_hash))
-        print(f"mode={mode}  optimizer runs: {runs}  -> {target}")
+        print(f"mode={mode}  -> {target}")
         for i, factor in enumerate(model.factors):
             if isinstance(factor, ConstantFactor):
                 print(f"  dim {i}: constant "

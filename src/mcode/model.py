@@ -32,8 +32,7 @@ from .errors import ConfigError, DataError, DomainError
 from .dataset import Dataset, StandardizationStats, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
                     cross_validate_lambda, factor_from_dict, factor_to_dict,
-                    predict_prob_batch, predict_prob_stack,
-                    train_logistic_columns)
+                    predict_prob_stack, train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
 INDEPENDENT = "independent"
@@ -181,7 +180,8 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
         fitted = []
         for i, factor in enumerate(model.factors):
             if isinstance(factor, ConstantFactor):
-                prob[:, i] = predict_prob_batch(factor, X_std)
+                prob[:, i] = np.clip(factor.prob_one, PROB_EPS,
+                                     1.0 - PROB_EPS)
                 continue
             if factor.arity != model.arity:
                 raise DomainError(f"factor {i} has arity {factor.arity}, "

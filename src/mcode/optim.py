@@ -47,15 +47,6 @@ DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 _log = logging.getLogger("mcode")
 
-# Count of problems the Newton solver has been given in this process, one
-# per row of a stack. Diagnostic only, used by the CLI to report how much
-# training a command actually did.
-_optimizer_runs = 0
-
-
-def optimizer_run_count() -> int:
-    return _optimizer_runs
-
 
 @dataclass(frozen=True)
 class LogisticFactor:
@@ -238,8 +229,6 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     A problem leaves the stack once ||g|| <= GRAD_TOL, or when no step
     shrinks its ||g||.
     """
-    global _optimizer_runs
-    _optimizer_runs += params.shape[0]
     # every evaluation's temporaries, sized for the whole stack
     workspace = np.empty(_NLL_TEMPORARIES * params.shape[0]
                          * features.shape[0])
@@ -314,7 +303,10 @@ def _check_training_inputs(features, labels, lam=None, label_ndim=1):
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2:
         raise DomainError("features must be a 2-dimensional array")
-    if labels.ndim != label_ndim or labels.shape[0] != features.shape[0]:
+    if labels.ndim != label_ndim:
+        raise DomainError(f"labels must be a {label_ndim}-dimensional "
+                          f"array, got shape {labels.shape}")
+    if labels.shape[0] != features.shape[0]:
         raise DomainError(
             f"labels shape {labels.shape} does not match "
             f"{features.shape[0]} feature rows")
@@ -377,10 +369,13 @@ def train_logistic_columns(features, labels, lams, pinned=None):
 def _train_columns(features, labels, lams, pinned=None):
     """One factor per row of labels (L x N), from zeros, with feature
     pinned[j] of row j, if given, held at 0 and left out of its weights;
-    single-class rows become ConstantFactors."""
+    single-class rows become ConstantFactors. Factors whose ||g|| ends
+    above GRAD_TOL are returned as they are; one warning on the "mcode"
+    logger names each by column, penalty and ||g||."""
     n, p = features.shape
     ones = labels.sum(axis=1)
-    factors = [ConstantFactor(prob_one=(int(k) + 1) / (n + 2)) for k in ones]
+    factors = [ConstantFactor(prob_one=float(prob))
+               for prob in _laplace(ones, n)]
     solve = np.flatnonzero((ones > 0) & (ones < n))
     if solve.size:
         params, gnorm = _newton(
@@ -395,24 +390,26 @@ def _train_columns(features, labels, lams, pinned=None):
                 lam=float(lams[j]), weights=weights,
                 intercept=float(params[k, -1]),
                 final_gradient_norm=float(gnorm[k]))
+    missed = [(j, factor) for j, factor in enumerate(factors)
+              if isinstance(factor, LogisticFactor) and not factor.converged]
+    if missed:
+        _log.warning(
+            "training: %d factor(s) ended with ||g|| above %g: %s",
+            len(missed), GRAD_TOL, "; ".join(
+                f"column {j} at lambda {factor.lam!r} "
+                f"(||g|| = {factor.final_gradient_norm:.3g})"
+                for j, factor in missed))
     return tuple(factors)
+
+
+def _laplace(ones, n):
+    """Laplace-smoothed probability of a one, (ones + 1) / (n + 2), for
+    each count of ones among n labels: a ConstantFactor's prob_one."""
+    return (ones + 1) / (n + 2)
 
 
 def _clamp(p):
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-
-
-def predict_prob_batch(factor, features) -> np.ndarray:
-    """P(y=1 | features) for each row, clamped away from 0 and 1."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DomainError("features must be a 2-dimensional array")
-    if isinstance(factor, ConstantFactor):
-        return _clamp(np.full(features.shape[0], factor.prob_one))
-    if features.shape[1] != factor.arity:
-        raise DomainError(
-            f"factor expects {factor.arity} features, got {features.shape[1]}")
-    return _clamp(expit(features @ factor.weights + factor.intercept))
 
 
 def predict_prob_stack(params, features) -> np.ndarray:
@@ -444,13 +441,11 @@ def predict_prob_stack(params, features) -> np.ndarray:
 
 def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
                           n_folds=5, seed=0, pinned=None):
-    """Pick the penalty maximizing mean held-out log-likelihood.
-
-    labels is one label vector, for which the chosen penalty is returned,
-    or an N x L matrix, for which a tuple of L penalties is returned, one
-    per column, each chosen as for that column alone. pinned, if given,
-    names one feature per column that its fits hold at weight 0, as
-    train_logistic_columns does.
+    """Pick, for each column of the N x L label matrix, the penalty
+    maximizing mean held-out log-likelihood: a tuple of L penalties, each
+    chosen as for that column alone. pinned, if given, names one feature
+    per column that its fits hold at weight 0, as train_logistic_columns
+    does.
 
     The instances are partitioned into n_folds random folds (seeded).
     Each grid value is scored by training on the complement of every fold
@@ -466,11 +461,8 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     on the "mcode" logger names each by column, grid value and fold
     (numbered from 0).
     """
-    single = np.ndim(labels) == 1
-    features, labels, _ = _check_training_inputs(
-        features, labels, label_ndim=1 if single else 2)
-    if single:
-        labels = labels[:, None]
+    features, labels, _ = _check_training_inputs(features, labels,
+                                                 label_ndim=2)
     pinned = _check_pinned(pinned, features, labels)
     grid = tuple(sorted(float(v) for v in grid))
     if not grid:
@@ -504,7 +496,7 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         ones = train_labels.sum(axis=1)
         size = train_labels.shape[1]
         prob = np.empty((len(grid), labels.shape[1], fold.size))
-        prob[...] = ((ones + 1) / (size + 2))[:, None]
+        prob[...] = _laplace(ones, size)[:, None]
         solved = np.flatnonzero((ones > 0) & (ones < size))
         if solved.size:
             # Problem j * len(solved) + s fits grid[j] to column solved[s].
@@ -537,8 +529,7 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
 
     # The last best grid value: ties go to the larger penalty.
     best = len(grid) - 1 - np.argmax(scores[::-1], axis=0)
-    chosen = tuple(grid[j] for j in best)
-    return chosen[0] if single else chosen
+    return tuple(grid[j] for j in best)
 
 
 def factor_to_dict(factor, dim_index: int) -> dict:

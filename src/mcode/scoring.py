@@ -52,12 +52,12 @@ class ScoreVector:
 class NeighborIndex:
     """Exact Euclidean k-nearest-neighbor lookup over a fixed point set.
 
-    query_all lists each point's neighbors among the same points in
-    non-decreasing distance order, ties broken by ascending index, so a
-    point counts as its own neighbor at distance zero; by_index lists the
-    same neighbors in ascending index order, as LRW sums them, with no
-    sort. One blocked walker serves query_all and LOF: a block of rows
-    against all N points, so memory is O(block x N).
+    query_all lists each point's k nearest among the same points, a tie
+    at the k-th distance broken by ascending index, so a point counts as
+    its own neighbor at distance zero. Each list is in ascending index
+    order, as LRW sums it, with no sort. One blocked walker serves
+    query_all and LOF: a block of rows against all N points, so memory is
+    O(block x N).
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
@@ -66,10 +66,9 @@ class NeighborIndex:
     k-th smallest by more than a forward-error bound (derived in _blocks)
     is provably farther than the row's k nearest. So a clean row, whose
     (k+1)-th clears that bound, has its k smallest-screen points as its k
-    nearest and measures just those, or nothing when the caller lists
-    neighbors by index; any other row measures the points within the
-    bound of its k-th, on tied data every point within its k-th distance
-    and a few more. The k nearest, the tie across the cut and the
+    nearest: LOF measures just those, query_all nothing. Any other row
+    measures the points within the bound of its k-th, on tied data every
+    point within its k-th distance and a few more. The k nearest, the tie across the cut and the
     lowest-index rule come from those exact distances, which are cdist's,
     bitwise, so the screen changes no result.
 
@@ -243,14 +242,14 @@ class NeighborIndex:
                 dcols, dist = dcols[tied[rest]], dist[tied[rest]]
             yield rows, dcols, dist, cols, near, near.max(axis=1), tied
 
-    def query_all(self, k: int, by_index: bool = False) -> np.ndarray:
+    def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once, each
-        row in distance order, or in ascending index order with by_index,
-        which measures no exact distance for a clean row."""
+        row in ascending index order. A clean row measures no exact
+        distance."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
-        for rows, dcols, dist, cols, near, kth, tied in self._blocks(
-                k, measure_clean=not by_index):
+        for rows, dcols, dist, cols, _, kth, tied in self._blocks(
+                k, measure_clean=False):
             tied = np.flatnonzero(tied)
             if tied.size:
                 # lowest-index rule: every point below kth, then the
@@ -263,12 +262,7 @@ class NeighborIndex:
                 keep = below | (ties & (rank <= room))
                 pick = np.nonzero(keep)[1].reshape(tied.size, k)
                 cols[tied] = np.take_along_axis(dcols, pick, axis=1)
-                near[tied] = np.take_along_axis(dist, pick, axis=1)
-            if by_index:
-                out[rows] = cols
-            else:
-                order = np.argsort(near, axis=1, kind="stable")
-                out[rows] = np.take_along_axis(cols, order, axis=1)
+            out[rows] = cols
         return out
 
 
@@ -325,7 +319,7 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
     if index.n != rho.n:
         raise DomainError(
             f"index holds {index.n} points but rho has {rho.n} rows")
-    members = index.query_all(k, by_index=True)
+    members = index.query_all(k)
     errors = 1.0 - rho.values
     w = np.empty_like(errors)
     step = max(1, _BLOCK_ENTRIES // (k * rho.d))

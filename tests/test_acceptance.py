@@ -167,7 +167,8 @@ def test_property_suite(capsys):
         check("lrw_full_neighborhood_equals_rw",
               np.array_equal(lw.w, np.tile(gw.w, (50, 1))))
 
-        # exact k-nearest-neighbour sets against a full-sort reference
+        # exact k-nearest-neighbour sets, listed in index order, against
+        # a full-sort reference
         knn_ok = True
         for size in (50, 75, 100):
             p = rng.standard_normal((size, 4))
@@ -176,7 +177,8 @@ def test_property_suite(capsys):
             for k in (1, 7, size):
                 got = idx.query_all(k)
                 for i in range(size):
-                    if list(got[i]) != brute_knn(p.tolist(), p[i].tolist(), k):
+                    if list(got[i]) != sorted(
+                            brute_knn(p.tolist(), p[i].tolist(), k)):
                         knn_ok = False
         check("knn_vs_brute_force", knn_ok)
 

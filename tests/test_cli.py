@@ -96,27 +96,12 @@ class TestFit:
                    "--lambda", "1.0", "--out-dir", out) == 0
         printed = capsys.readouterr().out
         assert "lambda=1" in printed
+        for mode in ("full_conditional", "independent"):
+            assert f"mode={mode}  -> {out / f'model_{mode}'}\n" in printed
         full = load_model(out / "model_full_conditional")
         ind = load_model(out / "model_independent")
         assert full.mode == "full_conditional"
         assert ind.mode == "independent"
-
-    def test_cv_does_more_training_than_fixed(self, tmp_path, dataset_file,
-                                              capsys):
-        def runs_reported(*argv):
-            assert run(*argv) == 0
-            line = [l for l in capsys.readouterr().out.splitlines()
-                    if "optimizer runs:" in l][0]
-            return int(line.split("optimizer runs:")[1].split()[0])
-
-        fixed = runs_reported("fit", "--dataset", dataset_file,
-                              "--n-outputs", 3, "--lambda", "1.0",
-                              "--out-dir", tmp_path / "f")
-        cv = runs_reported("fit", "--dataset", dataset_file,
-                           "--n-outputs", 3, "--cv-grid", "0.1,10",
-                           "--cv-folds", "2", "--out-dir", tmp_path / "cv")
-        assert fixed == 3  # one optimization per output dimension
-        assert cv == 3 * (2 * 2 + 1)
 
     def test_lambda_and_grid_conflict(self, tmp_path, dataset_file):
         assert run("fit", "--dataset", dataset_file, "--n-outputs", 3,

@@ -385,6 +385,37 @@ class TestPersistence:
         np.testing.assert_allclose(estimate_rho(model, ds).values,
                                    oracles.oracle_rho(model, ds), atol=1e-15)
 
+    def test_constant_factors_clamp_then_complement(self, tmp_path):
+        # a constant factor's column of rho is its prob_one clamped into
+        # [PROB_EPS, 1 - PROB_EPS], complemented where y = 0 and clamped
+        # again, bit for bit
+        probs = [1e-15, 0.5, 1.0 - 1e-15]
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "format": "mcode-model", "mode": INDEPENDENT,
+            "means": [0.5, -1.0], "std_devs": [2.0, 0.5],
+            "factors": [f"factor_{i:03d}.json" for i in range(4)]}))
+        for i, prob in enumerate(probs):
+            (tmp_path / f"factor_{i:03d}.json").write_text(json.dumps(
+                {"kind": "constant", "dim_index": i, "prob_one": prob}))
+        (tmp_path / "factor_003.json").write_text(json.dumps({
+            "kind": "logistic", "dim_index": 3, "lambda": 1.0,
+            "intercept": 0.2, "weights": [0.7, -1.3],
+            "final_gradient_norm": 1e-9}))
+        gen = np.random.default_rng(4)
+        Y = gen.integers(0, 2, (30, 4))
+        ds = Dataset(gen.normal(size=(30, 2)), Y)
+        rho = estimate_rho(load_model(tmp_path), ds).values
+        for i, prob in enumerate(probs):
+            p = np.clip(np.full(30, prob), PROB_EPS, 1.0 - PROB_EPS)
+            expected = np.clip(np.where(Y[:, i] == 1, p, 1.0 - p),
+                               PROB_EPS, 1.0 - PROB_EPS)
+            assert rho[:, i].tobytes() == expected.tobytes()
+        # a surprise on an extreme factor lands on the bound
+        assert (rho[Y[:, 0] == 1, 0] == PROB_EPS).all()
+        assert (rho[Y[:, 2] == 0, 2] == PROB_EPS).all()
+        np.testing.assert_allclose(rho[:, 3], np.array(oracles.oracle_rho(
+            load_model(tmp_path), ds))[:, 3], rtol=1e-13)
+
     @pytest.mark.parametrize("name, key, value", [
         ("manifest.json", "means", [1.7e308, 1.7e308]),
         ("manifest.json", "std_devs", [5e-324, 5e-324]),

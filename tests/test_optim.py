@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from mcode import (ConfigError, ConstantFactor, DomainError, FixedLambda,
-                   FULL_CONDITIONAL, INDEPENDENT, LogisticFactor, PROB_EPS,
-                   cross_validate_lambda, fit_mcode, inject_outliers,
-                   penalized_nll, predict_prob_batch, standardize,
+from mcode import (ConfigError, ConstantFactor, Dataset, DomainError,
+                   FixedLambda, FULL_CONDITIONAL, INDEPENDENT, LogisticFactor,
+                   McodeModel, PROB_EPS, StandardizationStats,
+                   cross_validate_lambda, estimate_rho, fit_mcode,
+                   inject_outliers, penalized_nll, standardize,
                    train_logistic)
 import mcode.optim
 from mcode.dataset import make_rng
 from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _logits, _newton,
                          _newton_directions, factor_from_dict,
-                         factor_to_dict, optimizer_run_count,
+                         factor_to_dict, predict_prob_stack,
                          train_logistic_columns)
 
 import oracles
@@ -283,17 +284,24 @@ class TestTrainer:
             rtol=1e-6)
         assert (np.abs(grad[:, 1]) > 1e3 * GRAD_TOL).all()
 
-    def test_label_columns_agree_with_single_fits(self):
+    def test_label_columns_agree_with_single_fits(self, monkeypatch):
         gen = np.random.default_rng(9)
         X = gen.normal(size=(150, 3))
         Y = (X @ gen.normal(size=(3, 4)) + gen.normal(size=(150, 4)) > 0)
         Y = Y.astype(np.float64)
         Y[:, 2] = 0.0
         lams = [0.1, 1.0, 10.0, 0.0]
-        before = optimizer_run_count()
+        stacks = []
+
+        def spy(features, labels, lam, params, *args):
+            stacks.append(params.shape[0])
+            return _newton(features, labels, lam, params, *args)
+
+        monkeypatch.setattr(mcode.optim, "_newton", spy)
         factors = train_logistic_columns(X, Y, lams)
-        # one problem per non-constant column
-        assert optimizer_run_count() == before + 3
+        monkeypatch.undo()
+        # one stack, one problem per non-constant column
+        assert stacks == [3]
         assert factors[2] == ConstantFactor(prob_one=1 / 152)
         for j in (0, 1, 3):
             single = train_logistic(X, Y[:, j], lams[j])
@@ -363,11 +371,30 @@ class TestTrainer:
         factor = train_logistic(X, y, 0.0)
         assert np.isfinite(factor.weights).all()
 
-    def test_run_counter_increments(self):
-        X, y, lam = random_problem(4)
-        before = optimizer_run_count()
-        train_logistic(X, y, lam)
-        assert optimizer_run_count() == before + 1
+    def test_final_factors_above_tolerance_are_logged(self, monkeypatch,
+                                                       caplog, capsys):
+        X, Y = random_problem(5, n=45, p=3)[0], np.zeros((45, 3))
+        Y[:, 0] = X[:, 0] > 0
+        Y[:, 2] = X[:, 1] + X[:, 2] > 0
+        lams = [0.01, 0.0, 1.0]
+        with caplog.at_level(logging.WARNING, logger="mcode"):
+            factors = train_logistic_columns(X, Y, lams)
+        assert not caplog.records
+        assert isinstance(factors[1], ConstantFactor)
+        monkeypatch.setattr(mcode.optim, "MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="mcode"):
+            factors = train_logistic_columns(X, Y, lams)
+        [record] = caplog.records
+        message = record.getMessage()
+        assert record.name == "mcode" and record.levelno == logging.WARNING
+        assert "2 factor(s)" in message
+        # the constant column 1 is named nowhere
+        assert "column 1 " not in message
+        for j in (0, 2):
+            assert not factors[j].converged
+            assert f"column {j} at lambda {lams[j]!r} (||g|| = " \
+                   f"{factors[j].final_gradient_norm:.3g})" in message
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("bad", [
         dict(features=np.array([[np.inf]]), labels=np.array([1.0]), lam=1.0),
@@ -382,22 +409,25 @@ class TestTrainer:
 
 class TestPredict:
     def test_known_value(self):
-        factor = LogisticFactor(lam=1.0,
-                                weights=np.array([1.0]), intercept=0.0,
-                                final_gradient_norm=0.0)
-        assert predict_prob_batch(factor, [[math.log(3)]])[0] == \
-            pytest.approx(0.75)
+        # rows [weights..., intercept]: the second holds the first's
+        # weight in its intercept
+        prob = predict_prob_stack(np.array([[1.0, 0.0], [0.0, math.log(3)]]),
+                                  np.array([[math.log(3)]]))
+        np.testing.assert_allclose(prob, [[0.75], [0.75]], rtol=1e-15)
 
     def test_clamped_to_open_interval(self):
-        factor = LogisticFactor(lam=1.0,
-                                weights=np.array([100.0]), intercept=0.0,
-                                final_gradient_norm=0.0)
-        assert predict_prob_batch(factor, [[50.0]])[0] == 1.0 - PROB_EPS
-        assert predict_prob_batch(factor, [[-50.0]])[0] == PROB_EPS
+        prob = predict_prob_stack(np.array([[100.0, 0.0]]),
+                                  np.array([[50.0], [-50.0]]))
+        assert prob.tolist() == [[1.0 - PROB_EPS, PROB_EPS]]
 
     def test_constant_factor(self):
-        factor = ConstantFactor(prob_one=0.8)
-        assert predict_prob_batch(factor, [[1.0, 2.0]])[0] == 0.8
+        # a constant factor's column of rho is its prob_one, clamped, or
+        # the complement of that
+        model = McodeModel(INDEPENDENT, StandardizationStats(
+            np.zeros(1), np.ones(1)), (ConstantFactor(prob_one=0.8),))
+        rho = estimate_rho(model, Dataset(np.array([[1.0], [2.0]]),
+                                          np.array([[1], [0]])))
+        assert rho.values.tolist() == [[0.8], [1.0 - 0.8]]
 
     def test_stack_overflow_is_a_limit_unless_undefined(self):
         # terms holding both infinities give NaN; otherwise an overflowing
@@ -415,8 +445,10 @@ class TestPredict:
         factor = LogisticFactor(lam=1.0,
                                 weights=np.array([1.0, 2.0]), intercept=0.0,
                                 final_gradient_norm=0.0)
-        with pytest.raises(DomainError):
-            predict_prob_batch(factor, [[1.0]])
+        model = McodeModel(INDEPENDENT, StandardizationStats(
+            np.zeros(1), np.ones(1)), (factor,))
+        with pytest.raises(DomainError, match="arity"):
+            estimate_rho(model, Dataset(np.array([[1.0]]), np.array([[1]])))
 
 
 def fold_loop_choice(X, y, grid, n_folds, seed):
@@ -431,7 +463,13 @@ def fold_loop_choice(X, y, grid, n_folds, seed):
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
             factor = train_logistic(X[mask], y[mask], lam)
-            p = predict_prob_batch(factor, X[fold])
+            if isinstance(factor, ConstantFactor):
+                p = np.clip(np.full(fold.size, factor.prob_one), PROB_EPS,
+                            1.0 - PROB_EPS)
+            else:
+                p = predict_prob_stack(
+                    np.append(factor.weights, factor.intercept)[None],
+                    X[fold])[0]
             rho = np.where(y[fold] == 1.0, p, 1.0 - p)
             total += float(np.log(rho).sum())
         scores[lam] = total / n
@@ -442,23 +480,25 @@ class TestCrossValidation:
     def test_matches_explicit_fold_loop(self):
         X, y, _ = random_problem(31, n=45, p=3)
         grid = (0.1, 10.0)
-        assert cross_validate_lambda(X, y, grid, 3, 7) == \
-            fold_loop_choice(X, y, grid, 3, 7)
+        assert cross_validate_lambda(X, y[:, None], grid, 3, 7) == \
+            (fold_loop_choice(X, y, grid, 3, 7),)
 
     def test_pure_noise_prefers_max_shrinkage(self):
         gen = np.random.default_rng(12)
         X = gen.normal(size=(60, 3))
         y = gen.integers(0, 2, size=60).astype(float)
-        chosen = cross_validate_lambda(X, y, (0.01, 0.1, 1.0, 10.0, 100.0),
+        chosen = cross_validate_lambda(X, y[:, None],
+                                       (0.01, 0.1, 1.0, 10.0, 100.0),
                                        n_folds=5, seed=0)
-        assert chosen == 100.0
+        assert chosen == (100.0,)
 
     def test_exact_tie_goes_to_larger(self):
         # all-zero features make every candidate's fit identical
         X = np.zeros((20, 1))
         y = np.array([0.0, 1.0] * 10)
-        chosen = cross_validate_lambda(X, y, (0.5, 2.0), n_folds=4, seed=1)
-        assert chosen == 2.0
+        chosen = cross_validate_lambda(X, y[:, None], (0.5, 2.0), n_folds=4,
+                                       seed=1)
+        assert chosen == (2.0,)
 
     def test_single_class_fold_falls_back(self):
         # the fold holding the only 1 leaves an all-zero training split,
@@ -467,8 +507,9 @@ class TestCrossValidation:
         y = np.zeros(10)
         y[0] = 1.0
         grid = (0.01, 0.1, 1.0, 10.0)
-        assert cross_validate_lambda(X, y, grid, n_folds=2, seed=3) == \
-            fold_loop_choice(X, y, grid, 2, 3)
+        assert cross_validate_lambda(X, y[:, None], grid, n_folds=2,
+                                     seed=3) == \
+            (fold_loop_choice(X, y, grid, 2, 3),)
 
     def test_label_matrix_matches_fold_loop_per_column(self):
         # one stack per fold for every column; column 2 holds a single 1,
@@ -550,11 +591,18 @@ class TestCrossValidation:
     def test_deterministic_given_seed(self):
         X, y, _ = random_problem(9, n=50, p=2)
         grid = (0.01, 1.0, 100.0)
-        assert cross_validate_lambda(X, y, grid, 5, seed=4) == \
-            cross_validate_lambda(X, y, grid, 5, seed=4)
+        Y = np.column_stack([y, 1.0 - y])
+        assert cross_validate_lambda(X, Y, grid, 5, seed=4) == \
+            cross_validate_lambda(X, Y, grid, 5, seed=4)
+
+    def test_label_vector_is_rejected(self):
+        X, y, _ = random_problem(2)
+        with pytest.raises(DomainError, match="2-dimensional"):
+            cross_validate_lambda(X, y, (1.0,), 5, 0)
 
     def test_config_errors(self):
         X, y, _ = random_problem(2)
+        y = y[:, None]
         with pytest.raises(ConfigError):
             cross_validate_lambda(X, y, (), 5, 0)
         with pytest.raises(ConfigError):

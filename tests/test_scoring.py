@@ -29,8 +29,8 @@ class TestNeighborIndex:
     def test_line_with_tie(self):
         index = NeighborIndex(np.array([[0.0], [1.0], [2.0], [3.0]]))
         # distance ties (0 and 2 are both at distance 1 from row 1)
-        # resolve to the smaller index
-        assert index.query_all(2)[1].tolist() == [1, 0]
+        # resolve to the smaller index; lists are in index order
+        assert index.query_all(2)[1].tolist() == [0, 1]
 
     def test_duplicates_come_first(self):
         pts = np.array([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
@@ -45,18 +45,15 @@ class TestNeighborIndex:
         all_neighbors = NeighborIndex(pts).query_all(k)
         for i in range(50):
             expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
-            assert all_neighbors[i].tolist() == expected
+            assert all_neighbors[i].tolist() == sorted(expected)
 
     @pytest.mark.parametrize("k", [1, 3, 17, 40])
     def test_grid_duplicates_match_brute_force(self, k):
         pts = grid_with_duplicates(k)
-        index = NeighborIndex(pts)
-        all_neighbors = index.query_all(k)
-        by_index = index.query_all(k, by_index=True)
+        all_neighbors = NeighborIndex(pts).query_all(k)
         for i in range(len(pts)):
             expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
-            assert all_neighbors[i].tolist() == expected
-            assert by_index[i].tolist() == sorted(expected)
+            assert all_neighbors[i].tolist() == sorted(expected)
 
     def test_k_bounds(self):
         index = NeighborIndex(np.zeros((4, 2)))
@@ -90,7 +87,7 @@ def test_mixed_tie_blocks_match_brute_force(k):
     all_neighbors = NeighborIndex(pts).query_all(k)
     for i in range(len(pts)):
         expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
-        assert all_neighbors[i].tolist() == expected
+        assert all_neighbors[i].tolist() == sorted(expected)
 
 
 def assert_walks_match_oracles(pts, k):
@@ -102,7 +99,8 @@ def assert_walks_match_oracles(pts, k):
         oracles.ties_across_cut(listed, k)
     all_neighbors = NeighborIndex(pts).query_all(k)
     for i, row in enumerate(listed):
-        assert all_neighbors[i].tolist() == oracles.brute_knn(listed, row, k)
+        assert all_neighbors[i].tolist() == \
+            sorted(oracles.brute_knn(listed, row, k))
     if k > 1:
         assert np.concatenate(
             tie_pattern(pts, k - 1, exclude_self=True)).tolist() == \
@@ -221,18 +219,15 @@ def measured(monkeypatch):
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
 def test_screen_settles_untied_rows(measured, offset):
-    # on untied data each row measures its k neighbors and nothing else,
-    # and nothing at all for the lists by index that LRW reads
+    # on untied data each row of LOF's walk measures its k neighbors and
+    # nothing else, and each row of the lists that LRW reads nothing
     n, k = 2000, 50
     pts = np.random.default_rng(8).normal(size=(n, 10)) + offset
-    index = NeighborIndex(pts)
-    index.query_all(k)
-    assert sum(measured) == n * k
-    measured.clear()
     lof_scores(pts, LofConfig(k=k))
     assert sum(measured) == n * k
     measured.clear()
-    index.query_all(k, by_index=True)
+    index = NeighborIndex(pts)
+    index.query_all(k)
     local_weights(random_rho(8, n=n, d=3), index, k)
     assert sum(measured) == 0
 
@@ -248,7 +243,8 @@ def test_tied_rows_measure_only_points_near_their_cut(measured):
     listed = pts.tolist()
     found = NeighborIndex(pts).query_all(k)
     for i in range(0, n, 97):
-        assert found[i].tolist() == oracles.brute_knn(listed, listed[i], k)
+        assert found[i].tolist() == \
+            sorted(oracles.brute_knn(listed, listed[i], k))
 
 
 @pytest.fixture
@@ -311,7 +307,8 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
         assert new.tobytes() == old.tobytes()
     # and against the oracles
     for i in range(n):
-        assert got[0][i].tolist() == oracles.brute_knn(listed, listed[i], k)
+        assert got[0][i].tolist() == \
+            sorted(oracles.brute_knn(listed, listed[i], k))
     np.testing.assert_allclose(
         got[1], oracles.oracle_local_weights(rho.values.tolist(), listed, k),
         rtol=1e-12)
@@ -324,19 +321,22 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
 
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("k", [1, 5])
-def test_by_index_measures_only_rows_that_are_not_clean(measured,
-                                                        clean_flags, k):
-    # a row that is not clean measures what it measures in distance
-    # order; a clean row, k points in distance order, measures nothing
-    index = NeighborIndex(mixed_ties(4, n=20))
-    in_order = index.query_all(k)
+def test_query_all_measures_only_rows_that_are_not_clean(measured,
+                                                         clean_flags, k):
+    # a row that is not clean measures what it measures in a walk that
+    # measures every row; a clean row, k points there, measures nothing
+    pts = mixed_ties(4, n=20)
+    index = NeighborIndex(pts)
+    list(index._blocks(k))
     clean = np.concatenate(clean_flags)
     assert clean.any() and not clean.all()
     total = sum(measured)
     measured.clear()
-    by_index = index.query_all(k, by_index=True)
+    found = index.query_all(k)
     assert sum(measured) == total - k * clean.sum()
-    assert (by_index == np.sort(in_order, axis=1)).all()
+    listed = pts.tolist()
+    for i, row in enumerate(listed):
+        assert found[i].tolist() == sorted(oracles.brute_knn(listed, row, k))
 
 
 @pytest.mark.usefixtures("small_blocks")
