@@ -68,9 +68,10 @@ class NeighborIndex:
     (k+1)-th clears that bound, has its k smallest-screen points as its k
     nearest: LOF measures just those, query_all nothing. Any other row
     measures the points within the bound of its k-th, on tied data every
-    point within its k-th distance and a few more. The k nearest, the tie across the cut and the
-    lowest-index rule come from those exact distances, which are cdist's,
-    bitwise, so the screen changes no result.
+    point within its k-th distance and a few more. The k nearest, the tie
+    across the cut and the lowest-index rule come from those exact
+    distances, which are cdist's, bitwise, so the screen changes no
+    result.
 
     Points whose bounding box has a diagonal beyond float64's range are
     rejected with the non-finite ones: their distances could overflow to
