@@ -22,11 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import optim
 from .dataset import _csv_records
 from .errors import DataError, DomainError
 from .model import RhoMatrix
 
-_BLOCK_ENTRIES = 1 << 18  # per block: N distances, or k x d errors, a row
+# The kNN walk is sized for a core's L2 cache, 2 MiB on the Xeon it was
+# measured on. _BLOCK_ENTRIES, 2^16 entries or 512 KiB, bounds a block's
+# screen (N entries a row), each argpartition slice of it, the gather
+# of exact distances and local_weights' gather of errors (k x d a row),
+# so that a block's arrays fit in L2 together and the allocator reuses
+# their pages. At 2^18 entries the screen and argpartition's index array
+# overflowed L2, and each block's fresh 2 MiB index array came back as
+# new pages: about 3,300 minor faults per N=2000 planted scoring run, at
+# about 3 us each on a VM. A block keeps at least _MIN_BLOCK_ROWS rows,
+# so that per-block Python work stays small beside the arithmetic; past
+# N = 2048 its screen outgrows the budget, and argpartition runs over
+# slices of it.
+_BLOCK_ENTRIES = 1 << 16
+_MIN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -57,7 +71,9 @@ class NeighborIndex:
     its own neighbor at distance zero. Each list is in ascending index
     order, as LRW sums it, with no sort. One blocked walker serves
     query_all and LOF: a block of rows against all N points, so memory is
-    O(block x N).
+    O(block x N). A block holds max(32, 2^16 // N) rows, a screen of
+    512 KiB up to N = 2048, so that it works within a core's L2 cache
+    and reuses its pages instead of faulting in fresh ones.
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
@@ -127,11 +143,15 @@ class NeighborIndex:
         measure_clean=False a clean row measures nothing, and its near
         and kth are NaN: for callers that read only cols and tied rows.
 
-        The screen lives in one buffer allocated once per walk, which the
-        next block overwrites; everything yielded is the block's own.
+        A block holds max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // N) rows, and
+        its argpartition runs over slices of _BLOCK_ENTRIES // N rows, each
+        keeping only the k + 1 columns read below. The screen and those
+        columns live in buffers allocated once per walk, which the next
+        block overwrites; everything yielded is the block's own.
         """
         n, m = self.points.shape
-        step = max(1, _BLOCK_ENTRIES // n)
+        step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // n)
+        slab = max(1, _BLOCK_ENTRIES // n)
         # The screen works on q, the points less their mean: a row's
         # [q_a, 1] times column b of paired, [-2 q_b, |q_b|^2], is
         # |q_a - q_b|^2 - |q_a|^2, so a block's screen is one product.
@@ -174,17 +194,21 @@ class NeighborIndex:
             centred *= -2.0
         features = np.asfortranarray(self.points)  # a column per feature
         buf = np.empty((min(step, n), n))
+        # the columns of each row's k smallest screen values, then of its
+        # (k+1)-th, if any
+        kept = min(k + 1, n)
+        part_buf = np.empty((min(step, n), kept), dtype=np.intp)
         for start in range(0, n, step):
             stop = min(start + step, n)
             rows = np.arange(start, stop)
-            screen = buf[:rows.size]
-            # BLAS calls of at most _BLOCK_ENTRIES (2^18) multiply-adds by
-            # default. On a 2-CPU box OpenBLAS ran calls of 2^19 (32 x 11 x
-            # 1489, 32 x 19 x 862) and of 2^20 on a second thread: the
-            # process spent up to one more CPU-second per second of the call
-            # beyond the calling thread, a spin-wait that takes a CPU from
-            # whatever runs next. No call of 2^18 did.
-            width = max(1, _BLOCK_ENTRIES // (rows.size * (m + 1)))
+            screen, part = buf[:rows.size], part_buf[:rows.size]
+            # BLAS calls of at most optim._BLAS_SERIAL_SIZE (2^18)
+            # multiply-adds. On a 2-CPU box OpenBLAS ran calls of 2^19
+            # (32 x 11 x 1489, 32 x 19 x 862) and of 2^20 on a second
+            # thread: the process spent up to one more CPU-second per
+            # second of the call beyond the calling thread, a spin-wait
+            # that takes a CPU from whatever runs next. No call of 2^18 did.
+            width = max(1, optim._BLAS_SERIAL_SIZE // (rows.size * (m + 1)))
             lifted = np.ones((rows.size, m + 1))
             with np.errstate(over="ignore", invalid="ignore"):
                 np.subtract(self.points[start:stop], mean, out=lifted[:, :m])
@@ -194,7 +218,9 @@ class NeighborIndex:
                 if exclude_self:
                     screen[np.arange(rows.size), rows] = np.inf
                 # each row's k smallest S, a NaN last, and its (k+1)-th
-                part = np.argpartition(screen, min(k, n - 1), axis=1)
+                for lo in range(0, rows.size, slab):
+                    part[lo:lo + slab] = np.argpartition(
+                        screen[lo:lo + slab], min(k, n - 1), axis=1)[:, :kept]
                 kth_s = np.take_along_axis(screen, part[:, :k],
                                            axis=1).max(axis=1)
                 limit = kth_s + margin[rows]
@@ -203,11 +229,9 @@ class NeighborIndex:
             clean = _clean_rows(kth_s, next_s, limit)
             settled, rest = np.flatnonzero(clean), np.flatnonzero(~clean)
             # a clean row measures its k smallest-S points, its k nearest,
-            # and nothing else; the R x N index array goes before the next
-            # block allocates its own
+            # and nothing else
             cols = np.empty((rows.size, k), dtype=np.intp)
             cols[settled] = np.sort(part[settled, :k], axis=1)
-            del part
             near = np.empty((rows.size, k))
             near[settled] = (
                 _distances(features, rows[settled], cols[settled])
@@ -283,11 +307,10 @@ def _distances(points, rows, cols) -> np.ndarray:
     cdist's arithmetic: (a_f - b_f)^2 summed over the features f in
     order, then the square root. The gather runs along the rows of
     points.T, so points is best laid out one contiguous column per
-    feature; it gathers at most a quarter of the block budget of
-    differences at a time."""
+    feature; it gathers about _BLOCK_ENTRIES differences at a time."""
     columns = points.T
     out = np.zeros(cols.shape)
-    step = max(1, _BLOCK_ENTRIES // (4 * max(columns.shape[0], 1)
+    step = max(1, _BLOCK_ENTRIES // (max(columns.shape[0], 1)
                                      * cols.shape[1]))
     with np.errstate(over="ignore"):  # far-apart points: inf, as in cdist
         for start in range(0, rows.size, step):
@@ -315,7 +338,8 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
     being at distance zero), listed in ascending index order as the walk
     finds them, with no sort, and errors are summed in that order so that
     k = N reproduces global_weights exactly. The errors are gathered a
-    block of rows at a time, never as one N x k x d array.
+    block of rows at a time, about _BLOCK_ENTRIES of them, never as one
+    N x k x d array.
     """
     if index.n != rho.n:
         raise DomainError(

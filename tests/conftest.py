@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mcode.optim
 import mcode.scoring
 from mcode import Dataset
 
@@ -32,9 +33,13 @@ def coupled_dataset():
 
 @pytest.fixture(params=[1, 7, 150])
 def small_blocks(request, monkeypatch):
-    """Shrink the kNN block budget so that a block holds one row or a few
-    (rows per block = max(1, entries // N))."""
+    """Shrink the kNN block budget and the screen's BLAS cut to the same
+    few entries, and drop the block's row floor, so that a block holds
+    one row or a few (rows per block = max(1, entries // N)) and its
+    screen product runs in calls of a few columns."""
     monkeypatch.setattr(mcode.scoring, "_BLOCK_ENTRIES", request.param)
+    monkeypatch.setattr(mcode.scoring, "_MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(mcode.optim, "_BLAS_SERIAL_SIZE", request.param)
 
 
 def grid_with_duplicates(seed, n=40):

@@ -17,6 +17,7 @@ from mcode import (DataError, DomainError, LocalWeightMatrix, LofConfig,
 from mcode.scoring import load_score_table, write_score_table
 
 import oracles
+from synthdata import make_benchmark_dataset
 from conftest import grid_with_duplicates, mixed_ties, tie_pattern, traced_peak
 
 
@@ -297,7 +298,8 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
         per_row = np.concatenate(clean_flags)
         assert {"clean": per_row.all(), "tied": not per_row.any(),
                 "mixed": per_row.any() and not per_row.all()}[kind]
-        if kind == "mixed" and mcode.scoring._BLOCK_ENTRIES > n:
+        if kind == "mixed" and max(mcode.scoring._MIN_BLOCK_ROWS,
+                                   mcode.scoring._BLOCK_ENTRIES // n) > 1:
             assert any(f.any() and not f.all() for f in clean_flags)
     elif cut == "n":
         assert np.concatenate(clean_flags).all()
@@ -317,6 +319,35 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
     else:
         np.testing.assert_allclose(got[2], oracles.oracle_lof(listed, k),
                                    rtol=1e-9)
+
+
+BLOCK_SIZINGS = {
+    "default": {},
+    "one row": {"_BLOCK_ENTRIES": 1, "_MIN_BLOCK_ROWS": 1},
+    "one block": {"_BLOCK_ENTRIES": 1 << 40},
+}
+
+
+@pytest.mark.parametrize("kind, k", [("planted", 100), ("mixed", 5),
+                                     ("grid", 17)])
+def test_block_sizes_change_no_output(monkeypatch, kind, k):
+    # the walk's blocks, argpartition slices and gathers decide only which
+    # rows share an array, never a row's arithmetic: every output is
+    # bitwise the same in blocks of one row, of the default size, and in
+    # one block of every row
+    pts = {"planted": lambda: make_benchmark_dataset(n=1000).X,
+           "mixed": lambda: mixed_ties(k),
+           "grid": lambda: grid_with_duplicates(k)}[kind]()
+    rho = random_rho(k, n=len(pts), d=8)
+    outputs = {}
+    for name, sizing in BLOCK_SIZINGS.items():
+        with monkeypatch.context() as patch:
+            for attr, value in sizing.items():
+                patch.setattr(mcode.scoring, attr, value)
+            outputs[name] = [out.tobytes()
+                             for out in walk_outputs(pts, k, rho)]
+    assert outputs["one row"] == outputs["default"]
+    assert outputs["one block"] == outputs["default"]
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -356,6 +387,15 @@ def test_query_all_holds_no_n_by_n_matrix():
     pts = np.random.default_rng(5).normal(size=(3000, 5))
     assert traced_peak(lambda: NeighborIndex(pts).query_all(10)) < \
         3000 * 3000 * 8 // 4
+
+
+def test_query_all_blocks_stay_within_a_core_cache():
+    # beside its N x k output, query_all(100) at N = 2000 holds about
+    # 1.4 MiB: one 512 KiB screen block and the points' copies; screen
+    # blocks of 2 MiB put it at 4.9 MiB
+    n, k = 2000, 100
+    index = NeighborIndex(make_benchmark_dataset(n=n).X)
+    assert traced_peak(lambda: index.query_all(k)) < n * k * 8 + (2 << 20)
 
 
 def test_local_weights_hold_no_n_by_k_by_d_array():
