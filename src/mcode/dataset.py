@@ -23,9 +23,14 @@ from .errors import ConfigError, DataError, DomainError
 RNG_ALGORITHM = "pcg64"
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a NumPy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator for all randomized routines (algorithm: pcg64)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not is_integer(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
@@ -242,7 +247,7 @@ def load_csv(path, n_outputs: int) -> Dataset:
     problems raise DataError naming the line; output values other than
     0/1 raise DomainError.
     """
-    if not isinstance(n_outputs, int) or n_outputs < 1:
+    if not is_integer(n_outputs) or n_outputs < 1:
         raise ConfigError(f"n_outputs must be a positive integer, got {n_outputs!r}")
 
     names = None

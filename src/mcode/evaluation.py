@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .dataset import Dataset, PerturbationLog, inject_outliers, \
+from .dataset import Dataset, PerturbationLog, inject_outliers, is_integer, \
     round_half_up, standardize
 from .lof import LofConfig, lof_scores
 from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, estimate_rho, \
@@ -121,7 +121,7 @@ def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
     """Reject settings that run_experiment cannot carry out on ds, before
     it runs; returns the methods with duplicates dropped."""
     methods = _check_methods(methods, ds.d)
-    if not isinstance(repeats, int) or repeats < 1:
+    if not is_integer(repeats) or repeats < 1:
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
     if lambda_policy is None:
         lambda_policy = CvLambda()
@@ -129,10 +129,12 @@ def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
             and any(name != "lof" for name in methods)):
         raise ConfigError(f"cv_folds={lambda_policy.folds} exceeds the "
                           f"{ds.n} instances")
-    if "mlrw" in methods and k_lrw > ds.n:
-        raise ConfigError(f"k_lrw={k_lrw} exceeds the {ds.n} instances")
-    if "lof" in methods and k_lof >= ds.n:
-        raise ConfigError(f"k_lof={k_lof} must be below the {ds.n} instances")
+    if "mlrw" in methods and not (is_integer(k_lrw) and 1 <= k_lrw <= ds.n):
+        raise ConfigError(f"k_lrw must be an integer in [1, {ds.n}] on "
+                          f"{ds.n} instances, got {k_lrw!r}")
+    if "lof" in methods and not (is_integer(k_lof) and 1 <= k_lof < ds.n):
+        raise ConfigError(f"k_lof must be an integer in [1, {ds.n - 1}] on "
+                          f"{ds.n} instances, got {k_lof!r}")
     return methods
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import is_integer
 from .errors import ConfigError, DomainError
 from .scoring import NeighborIndex, ScoreVector
 
@@ -50,13 +51,14 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     if n < 2:
         raise DomainError("LOF needs at least 2 points")
     k = config.k
-    if not isinstance(k, (int, np.integer)) or not (1 <= k < n):
+    if not is_integer(k) or not (1 <= k < n):
         raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
 
     # each point's neighbours in ascending column order: its first k in
     # nbr and reach, which holds their distances until it holds their
     # reach distances; a tied row's members past its first k, in order,
-    # in a side list
+    # in a side list. A tied row's first k are its first k within kth,
+    # not the walk's list: a run sums in column order
     nbr = np.empty((n, k), dtype=np.intp)
     reach = np.empty((n, k))
     kdist = np.empty(n)

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dposv
 from scipy.special import expit
 
 from .errors import ConfigError, DomainError, NumericalError
-from .dataset import json_int, make_rng
+from .dataset import is_integer, json_int, make_rng
 
 # Probability estimates are clamped into [PROB_EPS, 1 - PROB_EPS] so their
 # logs stay finite everywhere downstream.
@@ -298,14 +298,14 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     return params, gnorm
 
 
-def _check_training_inputs(features, labels, lam=None, label_ndim=1):
+def _check_training_inputs(features, labels, lams=None):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2:
         raise DomainError("features must be a 2-dimensional array")
-    if labels.ndim != label_ndim:
-        raise DomainError(f"labels must be a {label_ndim}-dimensional "
-                          f"array, got shape {labels.shape}")
+    if labels.ndim != 2:
+        raise DomainError(f"labels must be a 2-dimensional array, got "
+                          f"shape {labels.shape}")
     if labels.shape[0] != features.shape[0]:
         raise DomainError(
             f"labels shape {labels.shape} does not match "
@@ -316,13 +316,15 @@ def _check_training_inputs(features, labels, lam=None, label_ndim=1):
         raise DomainError("features contain non-finite values")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise DomainError("labels must all be 0 or 1")
-    if lam is None:
+    if lams is None:
         return features, labels, None
-    lams = np.asarray(lam, dtype=np.float64)
-    if lams.ndim != label_ndim - 1 or not np.isfinite(lams).all() or \
-            (lams < 0.0).any():
-        raise DomainError(f"lam must be a finite non-negative real, got {lam!r}")
-    return features, labels, lams
+    penalties = np.asarray(lams, dtype=np.float64)
+    if penalties.shape != labels.shape[1:]:
+        raise DomainError(f"need one penalty per label column, got "
+                          f"{penalties.size} for {labels.shape[1]}")
+    if not np.isfinite(penalties).all() or (penalties < 0.0).any():
+        raise DomainError(f"lams must be finite and >= 0, got {lams!r}")
+    return features, labels, penalties
 
 
 def _check_pinned(pinned, features, labels):
@@ -339,13 +341,17 @@ def _check_pinned(pinned, features, labels):
 
 
 def train_logistic(features, labels, lam):
-    """Fit one factor; returns LogisticFactor or ConstantFactor.
+    """Fit one factor to a label vector with one penalty, as a stack of
+    one; returns LogisticFactor or ConstantFactor.
 
     Deterministic given its inputs: the optimizer starts from zeros and
     uses no randomness.
     """
-    features, labels, lam = _check_training_inputs(features, labels, lam)
-    return _train_columns(features, labels[None], lam[None])[0]
+    if np.ndim(labels) != 1 or np.ndim(lam) != 0:
+        raise DomainError(f"need a label vector and one penalty, got labels "
+                          f"of shape {np.shape(labels)} and lam {lam!r}")
+    return train_logistic_columns(features, np.asarray(labels)[:, None],
+                                  [lam])[0]
 
 
 def train_logistic_columns(features, labels, lams, pinned=None):
@@ -356,30 +362,22 @@ def train_logistic_columns(features, labels, lams, pinned=None):
     pinned, if given, names one feature per column whose weight that
     column's factor holds at 0 and leaves out of its weights: factor j is
     the one train_logistic fits without feature pinned[j].
+
+    Every fit starts from zeros; single-class columns become
+    ConstantFactors. Factors whose ||g|| ends above GRAD_TOL are returned
+    as they are; one warning on the "mcode" logger names each by column,
+    penalty and ||g||.
     """
-    features, labels, lams = _check_training_inputs(features, labels, lams,
-                                                    label_ndim=2)
-    if lams.shape != labels.shape[1:]:
-        raise DomainError(f"need one penalty per label column, got "
-                          f"{lams.size} for {labels.shape[1]}")
-    return _train_columns(features, labels.T, lams,
-                          _check_pinned(pinned, features, labels))
-
-
-def _train_columns(features, labels, lams, pinned=None):
-    """One factor per row of labels (L x N), from zeros, with feature
-    pinned[j] of row j, if given, held at 0 and left out of its weights;
-    single-class rows become ConstantFactors. Factors whose ||g|| ends
-    above GRAD_TOL are returned as they are; one warning on the "mcode"
-    logger names each by column, penalty and ||g||."""
+    features, labels, lams = _check_training_inputs(features, labels, lams)
+    pinned = _check_pinned(pinned, features, labels)
     n, p = features.shape
-    ones = labels.sum(axis=1)
+    ones = labels.sum(axis=0)
     factors = [ConstantFactor(prob_one=float(prob))
                for prob in _laplace(ones, n)]
     solve = np.flatnonzero((ones > 0) & (ones < n))
     if solve.size:
         params, gnorm = _newton(
-            features, labels[solve], lams[solve],
+            features, labels.T[solve], lams[solve],
             np.zeros((solve.size, p + 1)),
             None if pinned is None else pinned[solve])
         for k, j in enumerate(solve):
@@ -461,8 +459,7 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     on the "mcode" logger names each by column, grid value and fold
     (numbered from 0).
     """
-    features, labels, _ = _check_training_inputs(features, labels,
-                                                 label_ndim=2)
+    features, labels, _ = _check_training_inputs(features, labels)
     pinned = _check_pinned(pinned, features, labels)
     grid = tuple(sorted(float(v) for v in grid))
     if not grid:
@@ -471,7 +468,7 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         if not np.isfinite(v) or v < 0.0:
             raise ConfigError(f"lambda grid values must be >= 0, got {v!r}")
     n, p = features.shape
-    if not isinstance(n_folds, int) or n_folds < 2:
+    if not is_integer(n_folds) or n_folds < 2:
         raise ConfigError(f"n_folds must be an integer >= 2, got {n_folds!r}")
     if n_folds > n:
         raise ConfigError(f"n_folds={n_folds} exceeds the {n} instances")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .dataset import _csv_records
+from .dataset import _csv_records, is_integer
 from .errors import DataError, DomainError
 from .model import RhoMatrix
 
@@ -70,10 +70,13 @@ class NeighborIndex:
     at the k-th distance broken by ascending index, so a point counts as
     its own neighbor at distance zero. Each list is in ascending index
     order, as LRW sums it, with no sort. One blocked walker serves
-    query_all and LOF: a block of rows against all N points, so memory is
-    O(block x N). A block holds max(32, 2^16 // N) rows, a screen of
-    512 KiB up to N = 2048, so that it works within a core's L2 cache
-    and reuses its pages instead of faulting in fresh ones.
+    query_all, which only gathers the final list the walk hands every
+    row by that rule, and LOF, which reads the rows flagged as tied:
+    those whose neighbourhood as LOF counts it, every point within the
+    k-th distance, exceeds k. A block of rows meets all N points, so
+    memory is O(block x N). A block holds max(32, 2^16 // N) rows, a
+    screen of 512 KiB up to N = 2048, to work within a core's L2 cache
+    and reuse its pages instead of faulting in fresh ones.
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
@@ -115,7 +118,7 @@ class NeighborIndex:
         return self.points.shape[0]
 
     def _check_k(self, k: int):
-        if not isinstance(k, (int, np.integer)) or not (1 <= k <= self.n):
+        if not is_integer(k) or not (1 <= k <= self.n):
             raise DomainError(
                 f"k must be an integer in [1, {self.n}], got {k!r}")
 
@@ -124,16 +127,15 @@ class NeighborIndex:
         """Yield (rows, dcols, dist, cols, near, kth, tied) for every block
         of rows, in row order.
 
-        For each row of a block: cols holds its k nearest columns, in
-        ascending column order, and near their distances; kth the k-th
-        smallest distance. tied marks the rows with more than k points
-        within kth, a tie across the cut: their cols hold every point
-        below kth but only some of those at kth, not necessarily the
-        lowest-indexed. An untied row's cols are exactly the points
-        within its kth. For each tied row, in row order, dcols lists the
-        columns it measured in ascending order, every point within its
-        kth among them, and dist their distances, both padded at the end
-        with distance inf.
+        For every row of a block, tied or not, cols holds its final list,
+        its k nearest columns by the lowest-index rule, in ascending
+        column order, and near their distances; kth is the k-th smallest
+        distance. tied only flags the rows whose neighbourhood as LOF
+        counts it, every point within kth, exceeds k: a tie across the
+        cut. For each tied row, in row order, dcols lists the columns it
+        measured in ascending order, every point within its kth among
+        them, and dist their distances, both padded at the end with
+        distance inf.
 
         One argpartition of the screen gives each row its k smallest
         screen values and its (k+1)-th. A clean row, whose (k+1)-th
@@ -258,35 +260,25 @@ class NeighborIndex:
                     dist[dcols == rows[rest, None]] = np.inf
                 # every row measured at least its k smallest-S points, each
                 # at a finite distance unless it measured every point
-                pick = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k],
-                               axis=1)
+                kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+                below, ties = dist < kth, dist == kth
+                room = k - np.count_nonzero(below, axis=1)
+                # rank of each tie in its row; int32 halves this array
+                rank = np.cumsum(ties, axis=1, dtype=np.int32)
+                keep = below | (ties & (rank <= room[:, None]))
+                pick = np.nonzero(keep)[1].reshape(rest.size, k)
                 cols[rest] = np.take_along_axis(dcols, pick, axis=1)
                 near[rest] = np.take_along_axis(dist, pick, axis=1)
-                tied[rest] = np.count_nonzero(
-                    dist <= near[rest].max(axis=1, keepdims=True), axis=1) > k
+                tied[rest] = rank[:, -1] > room
                 dcols, dist = dcols[tied[rest]], dist[tied[rest]]
             yield rows, dcols, dist, cols, near, near.max(axis=1), tied
 
     def query_all(self, k: int) -> np.ndarray:
-        """(n, k) neighbor indices for every reference point at once, each
-        row in ascending index order. A clean row measures no exact
-        distance."""
+        """(n, k) neighbor indices for every reference point at once: the
+        walk's lists, gathered. A clean row measures no exact distance."""
         self._check_k(k)
         out = np.empty((self.n, k), dtype=np.intp)
-        for rows, dcols, dist, cols, _, kth, tied in self._blocks(
-                k, measure_clean=False):
-            tied = np.flatnonzero(tied)
-            if tied.size:
-                # lowest-index rule: every point below kth, then the
-                # first ties in column order until the row holds k
-                kth = kth[tied, None]
-                below, ties = dist < kth, dist == kth
-                room = k - below.sum(axis=1, keepdims=True)
-                # rank of each tie in its row; int32 halves this array
-                rank = np.cumsum(ties, axis=1, dtype=np.int32)
-                keep = below | (ties & (rank <= room))
-                pick = np.nonzero(keep)[1].reshape(tied.size, k)
-                cols[tied] = np.take_along_axis(dcols, pick, axis=1)
+        for rows, _, _, cols, *_ in self._blocks(k, measure_clean=False):
             out[rows] = cols
         return out
 

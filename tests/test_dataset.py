@@ -110,6 +110,9 @@ class TestCsv:
             load_csv(path, n_outputs=3)
         with pytest.raises(ConfigError):
             load_csv(path, n_outputs=0)
+        with pytest.raises(ConfigError):
+            load_csv(path, n_outputs=True)
+        assert load_csv(path, n_outputs=np.int64(1)).d == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcode import (ConfigError, Dataset, DomainError, FixedLambda,
+from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    ScoreVector, atpar, inject_outliers, run_experiment, tpar,
                    tpar_curve)
 from mcode.evaluation import make_report
@@ -197,11 +197,27 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ds, ["lof"], 0.1, 0.5, repeats=1, seed=0,
                            k_lof=30)
+        # rejected before any fit, as the bounds are
+        for bad in (0, True, 2.0):
+            with pytest.raises(ConfigError):
+                run_experiment(ds, ["mlrw"], 0.1, 0.5, repeats=1, seed=0,
+                               lambda_policy=FixedLambda(1.0), k_lrw=bad)
+            with pytest.raises(ConfigError):
+                run_experiment(ds, ["lof"], 0.1, 0.5, repeats=1, seed=0,
+                               k_lof=bad)
 
     def test_repeats_validation(self):
         ds = make_coupled_dataset(n=30, m=3, d=2, seed=7)
         with pytest.raises(ConfigError):
             run_experiment(ds, ["iprod"], 0.1, 0.5, repeats=0, seed=0)
+        with pytest.raises(ConfigError):
+            run_experiment(ds, ["iprod"], 0.1, 0.5, repeats=True, seed=0)
+        # a NumPy integer counts, as make_rng's seed does, and so do
+        # CvLambda's folds
+        runs = [run_experiment(ds, ["iprod"], 0.1, 0.5, repeats=repeats,
+                               seed=0, lambda_policy=CvLambda(folds=folds))
+                for repeats, folds in [(2, 3), (np.int64(2), np.int64(3))]]
+        assert runs[0] == runs[1]
 
     def test_fit_on_original_flag(self):
         ds = make_coupled_dataset(n=80, m=3, d=3, seed=8)

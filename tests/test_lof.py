@@ -133,6 +133,10 @@ class TestValidation:
             lof_scores(pts, LofConfig(k=5))
         with pytest.raises(ConfigError):
             lof_scores(pts, LofConfig(k=0))
+        with pytest.raises(ConfigError):
+            lof_scores(pts, LofConfig(k=True))
+        assert lof_scores(pts, LofConfig(k=np.int64(2))).scores.tolist() == \
+            lof_scores(pts, LofConfig(k=2)).scores.tolist()
 
     def test_bad_points(self):
         with pytest.raises(DomainError):

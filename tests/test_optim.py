@@ -608,6 +608,11 @@ class TestCrossValidation:
         with pytest.raises(ConfigError):
             cross_validate_lambda(X, y, (1.0,), 1, 0)
         with pytest.raises(ConfigError):
+            cross_validate_lambda(X, y, (1.0,), True, 0)
+        # a NumPy integer counts as an integer, as make_rng's seed does
+        assert cross_validate_lambda(X, y, (0.5, 2.0), np.int64(3), 0) == \
+            cross_validate_lambda(X, y, (0.5, 2.0), 3, 0)
+        with pytest.raises(ConfigError):
             cross_validate_lambda(X, y, (1.0,), X.shape[0] + 1, 0)
         with pytest.raises(ConfigError):
             cross_validate_lambda(X, y, (-1.0, 1.0), 5, 0)

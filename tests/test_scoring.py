@@ -62,6 +62,10 @@ class TestNeighborIndex:
             index.query_all(5)
         with pytest.raises(DomainError):
             index.query_all(0)
+        with pytest.raises(DomainError):
+            index.query_all(True)
+        assert index.query_all(np.int64(2)).tolist() == \
+            index.query_all(2).tolist()
         assert index.query_all(4)[0].tolist() == [0, 1, 2, 3]
 
     def test_input_validation(self):
@@ -89,6 +93,25 @@ def test_mixed_tie_blocks_match_brute_force(k):
     for i in range(len(pts)):
         expected = oracles.brute_knn(pts.tolist(), pts[i].tolist(), k)
         assert all_neighbors[i].tolist() == sorted(expected)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("points", [mixed_ties, grid_with_duplicates])
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_walk_hands_every_row_its_lowest_index_list(points, k, exclude_self):
+    # tied or not, each row's cols are its k nearest by the lowest-index
+    # rule: the first k of a stable argsort of cdist's exact distances,
+    # in ascending index order
+    pts = points(k)
+    dist = cdist(pts, pts)
+    if exclude_self:
+        np.fill_diagonal(dist, np.inf)
+    expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :k], axis=1)
+    walked = list(NeighborIndex(pts)._blocks(k, exclude_self))
+    assert any(tied.any() for *_, tied in walked)
+    for rows, _, _, cols, *_ in walked:
+        assert cols.tolist() == expected[rows].tolist()
 
 
 def assert_walks_match_oracles(pts, k):
