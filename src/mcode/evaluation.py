@@ -17,8 +17,8 @@ from .errors import ConfigError, DomainError
 from .dataset import Dataset, PerturbationLog, inject_outliers, is_integer, \
     round_half_up, standardize
 from .lof import LofConfig, lof_scores
-from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, estimate_rho, \
-    fit_mcode
+from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, check_policy, \
+    estimate_rho, fit_mcode
 from .scoring import NeighborIndex, ScoreVector, global_weights, \
     local_weights, rank_descending, score_lrw, score_prod, score_rw
 
@@ -118,13 +118,14 @@ def _check_methods(methods, d: int):
 
 def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
                      k_lrw: int, lambda_policy=None) -> tuple:
-    """Reject settings that run_experiment cannot carry out on ds, before
-    it runs; returns the methods with duplicates dropped."""
+    """Reject settings, the lambda policy among them, that run_experiment
+    cannot carry out on ds; returns the methods, duplicates dropped."""
     methods = _check_methods(methods, ds.d)
     if not is_integer(repeats) or repeats < 1:
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
     if lambda_policy is None:
         lambda_policy = CvLambda()
+    check_policy(lambda_policy)
     if (isinstance(lambda_policy, CvLambda) and lambda_policy.folds > ds.n
             and any(name != "lof" for name in methods)):
         raise ConfigError(f"cv_folds={lambda_policy.folds} exceeds the "

@@ -31,8 +31,9 @@ import numpy as np
 from .errors import ConfigError, DataError, DomainError
 from .dataset import Dataset, StandardizationStats, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
-                    cross_validate_lambda, factor_from_dict, factor_to_dict,
-                    predict_prob_stack, train_logistic_columns)
+                    _checked_grid, cross_validate_lambda, factor_from_dict,
+                    factor_to_dict, observed_prob, predict_prob_stack,
+                    train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
 INDEPENDENT = "independent"
@@ -130,33 +131,37 @@ def check_mode(mode: str, d: int):
             "full_conditional mode needs at least 2 output dimensions")
 
 
+def check_policy(policy):
+    """Reject all but a FixedLambda or CvLambda of finite penalties >= 0."""
+    if not isinstance(policy, (FixedLambda, CvLambda)):
+        raise ConfigError(f"unknown lambda policy {policy!r}")
+    _checked_grid(policy.grid if isinstance(policy, CvLambda)
+                  else (policy.value,))
+
+
 def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
               lambda_policy=None) -> McodeModel:
     """Fit one factor per output dimension on the given dataset.
 
     The penalty for each factor comes from the policy: FixedLambda uses
     the value as-is, CvLambda runs a grid search for every dimension at
-    once. Dimensions with constant labels become ConstantFactors and skip
-    the search; their recorded penalty is None.
+    once. Dimensions with constant labels enter no stack, in the search
+    or after it, and become ConstantFactors with recorded penalty None.
     """
     check_mode(mode, ds.d)
     if lambda_policy is None:
         lambda_policy = CvLambda()
-    if not isinstance(lambda_policy, (FixedLambda, CvLambda)):
-        raise ConfigError(f"unknown lambda policy {lambda_policy!r}")
+    check_policy(lambda_policy)
 
     ds_std, stats = standardize(ds)
     Y = ds.Y.astype(np.float64)
     features, pinned = _design(mode, ds_std.X, Y)
-    varying = np.flatnonzero(Y.min(axis=0) != Y.max(axis=0))
-    lams = np.zeros(ds.d)
     if isinstance(lambda_policy, FixedLambda):
-        lams[varying] = float(lambda_policy.value)
-    elif varying.size:
-        lams[varying] = cross_validate_lambda(
-            features, Y[:, varying], grid=lambda_policy.grid,
-            n_folds=lambda_policy.folds, seed=lambda_policy.seed,
-            pinned=None if pinned is None else pinned[varying])
+        lams = np.full(ds.d, float(lambda_policy.value))
+    else:
+        lams = cross_validate_lambda(
+            features, Y, grid=lambda_policy.grid, n_folds=lambda_policy.folds,
+            seed=lambda_policy.seed, pinned=pinned)
     factors = train_logistic_columns(features, Y, lams, pinned)
     return McodeModel(mode=mode, stats=stats, factors=factors)
 
@@ -196,9 +201,7 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
     if np.isnan(prob).any():
         raise DomainError("the model's parameters overflow float64 on this "
                           "data: a logit is undefined")
-    # prob becomes rho in place
-    np.subtract(1.0, prob, out=prob, where=ds.Y != 1)
-    return RhoMatrix(np.clip(prob, PROB_EPS, 1.0 - PROB_EPS, out=prob))
+    return RhoMatrix(observed_prob(prob, ds.Y))
 
 
 MANIFEST_NAME = "manifest.json"

@@ -298,7 +298,7 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     return params, gnorm
 
 
-def _check_training_inputs(features, labels, lams=None):
+def _check_training_inputs(features, labels, lams=None, pinned=None):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2:
@@ -316,28 +316,23 @@ def _check_training_inputs(features, labels, lams=None):
         raise DomainError("features contain non-finite values")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise DomainError("labels must all be 0 or 1")
-    if lams is None:
-        return features, labels, None
-    penalties = np.asarray(lams, dtype=np.float64)
-    if penalties.shape != labels.shape[1:]:
-        raise DomainError(f"need one penalty per label column, got "
-                          f"{penalties.size} for {labels.shape[1]}")
-    if not np.isfinite(penalties).all() or (penalties < 0.0).any():
-        raise DomainError(f"lams must be finite and >= 0, got {lams!r}")
-    return features, labels, penalties
-
-
-def _check_pinned(pinned, features, labels):
-    """pinned as an index array, one feature per label column, or None."""
-    if pinned is None:
-        return None
-    index = np.asarray(pinned)
-    if index.shape != labels.shape[1:] or \
-            not np.issubdtype(index.dtype, np.integer) or \
-            ((index < 0) | (index >= features.shape[1])).any():
-        raise DomainError(f"pinned must hold one feature index per label "
-                          f"column, got {pinned!r}")
-    return index
+    if lams is not None:
+        penalties = np.asarray(lams, dtype=np.float64)
+        if penalties.shape != labels.shape[1:]:
+            raise DomainError(f"need one penalty per label column, got "
+                              f"{penalties.size} for {labels.shape[1]}")
+        if not np.isfinite(penalties).all() or (penalties < 0.0).any():
+            raise DomainError(f"lams must be finite and >= 0, got {lams!r}")
+        lams = penalties
+    if pinned is not None:
+        index = np.asarray(pinned)
+        if index.shape != labels.shape[1:] or \
+                not np.issubdtype(index.dtype, np.integer) or \
+                ((index < 0) | (index >= features.shape[1])).any():
+            raise DomainError(f"pinned must hold one feature index per "
+                              f"label column, got {pinned!r}")
+        pinned = index
+    return features, labels, lams, pinned
 
 
 def train_logistic(features, labels, lam):
@@ -363,18 +358,16 @@ def train_logistic_columns(features, labels, lams, pinned=None):
     column's factor holds at 0 and leaves out of its weights: factor j is
     the one train_logistic fits without feature pinned[j].
 
-    Every fit starts from zeros; single-class columns become
-    ConstantFactors. Factors whose ||g|| ends above GRAD_TOL are returned
-    as they are; one warning on the "mcode" logger names each by column,
-    penalty and ||g||.
+    Every fit starts from zeros; a single-class column enters no stack
+    and becomes a ConstantFactor. Factors whose ||g|| ends above GRAD_TOL
+    are returned as they are; one warning on the "mcode" logger names
+    each by column, penalty and ||g||.
     """
-    features, labels, lams = _check_training_inputs(features, labels, lams)
-    pinned = _check_pinned(pinned, features, labels)
+    features, labels, lams, pinned = _check_training_inputs(
+        features, labels, lams, pinned)
     n, p = features.shape
-    ones = labels.sum(axis=0)
-    factors = [ConstantFactor(prob_one=float(prob))
-               for prob in _laplace(ones, n)]
-    solve = np.flatnonzero((ones > 0) & (ones < n))
+    laplace, solve = _single_class(labels.sum(axis=0), n)
+    factors = [ConstantFactor(prob_one=float(prob)) for prob in laplace]
     if solve.size:
         params, gnorm = _newton(
             features, labels.T[solve], lams[solve],
@@ -400,14 +393,17 @@ def train_logistic_columns(features, labels, lams, pinned=None):
     return tuple(factors)
 
 
-def _laplace(ones, n):
-    """Laplace-smoothed probability of a one, (ones + 1) / (n + 2), for
-    each count of ones among n labels: a ConstantFactor's prob_one."""
-    return (ones + 1) / (n + 2)
+def _single_class(ones, n):
+    """Each column's Laplace-smoothed P(y = 1) from its count of ones in n
+    labels, a ConstantFactor's prob_one, and the two-class columns."""
+    return (ones + 1) / (n + 2), np.flatnonzero((ones > 0) & (ones < n))
 
 
-def _clamp(p):
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+def observed_prob(prob, labels):
+    """P(y = 1) in prob turned in place into the probability of the 0/1
+    labels, clamped into [PROB_EPS, 1 - PROB_EPS]; labels broadcast."""
+    np.subtract(1.0, prob, out=prob, where=labels != 1)
+    return np.clip(prob, PROB_EPS, 1.0 - PROB_EPS, out=prob)
 
 
 def predict_prob_stack(params, features) -> np.ndarray:
@@ -437,6 +433,18 @@ def predict_prob_stack(params, features) -> np.ndarray:
     return np.clip(expit(z, out=z), PROB_EPS, 1.0 - PROB_EPS, out=z)
 
 
+def _checked_grid(grid):
+    """grid as an ascending tuple of floats; a ConfigError unless it holds
+    a value and each is an int or float, not a bool, in [0, float64 max]."""
+    grid = tuple(grid)
+    if not grid or not all(
+            isinstance(v, (int, float, np.integer, np.floating)) and
+            not isinstance(v, bool) and _finite_non_negative(v) for v in grid):
+        raise ConfigError(f"lambda values must be finite numbers >= 0, at "
+                          f"least one, got {grid!r}")
+    return tuple(sorted(float(v) for v in grid))
+
+
 def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
                           n_folds=5, seed=0, pinned=None):
     """Pick, for each column of the N x L label matrix, the penalty
@@ -453,20 +461,15 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     starts from the solution of its column and grid value in the last
     fold that solved that column, or from zeros in the first. Only the
     held-out scores read these fold solutions; every final fit starts
-    from zeros. A training split with single-class labels falls back to
-    ConstantFactor scoring for that column and fold rather than failing.
-    Fold problems whose ||g|| ends above GRAD_TOL still score; one warning
-    on the "mcode" logger names each by column, grid value and fold
-    (numbered from 0).
+    from zeros. A column single-class on a fold's training rows scores as
+    a ConstantFactor there, so one single-class in every fold takes the
+    largest grid value. Fold problems whose ||g|| ends above GRAD_TOL
+    still score; one warning on the "mcode" logger names each by column
+    (an output dimension under fit_mcode), grid value and fold (from 0).
     """
-    features, labels, _ = _check_training_inputs(features, labels)
-    pinned = _check_pinned(pinned, features, labels)
-    grid = tuple(sorted(float(v) for v in grid))
-    if not grid:
-        raise ConfigError("lambda grid must not be empty")
-    for v in grid:
-        if not np.isfinite(v) or v < 0.0:
-            raise ConfigError(f"lambda grid values must be >= 0, got {v!r}")
+    features, labels, _, pinned = _check_training_inputs(
+        features, labels, pinned=pinned)
+    grid = _checked_grid(grid)
     n, p = features.shape
     if not is_integer(n_folds) or n_folds < 2:
         raise ConfigError(f"n_folds must be an integer >= 2, got {n_folds!r}")
@@ -490,31 +493,27 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     for number, fold in enumerate(folds):
         rows = np.delete(np.arange(n), fold)  # the training rows, ascending
         train_labels = labels[rows].T
-        ones = train_labels.sum(axis=1)
-        size = train_labels.shape[1]
-        prob = np.empty((len(grid), labels.shape[1], fold.size))
-        prob[...] = _laplace(ones, size)[:, None]
-        solved = np.flatnonzero((ones > 0) & (ones < size))
+        laplace, solved = _single_class(train_labels.sum(axis=1), rows.size)
+        # P(y = 1) of each held-out row, by grid value and column
+        prob = np.tile(laplace[:, None], (len(grid), 1, fold.size))
         if solved.size:
             # Problem j * len(solved) + s fits grid[j] to column solved[s].
             params, gnorm = _newton(
-                np.take(features, rows, axis=0, out=fold_features[:size],
+                np.take(features, rows, axis=0, out=fold_features[:rows.size],
                         mode="clip"),
                 np.tile(train_labels[solved], (len(grid), 1)),
                 np.repeat(grid, solved.size),
                 start[:, solved].reshape(-1, p + 1),
                 None if pinned is None else np.tile(pinned[solved], len(grid)),
-                np.take(pairs, rows, axis=0, out=fold_pairs[:size],
+                np.take(pairs, rows, axis=0, out=fold_pairs[:rows.size],
                         mode="clip"))
             start[:, solved] = params.reshape(len(grid), solved.size, p + 1)
             missed += [(int(solved[b % solved.size]), grid[b // solved.size],
                         number, float(gnorm[b]))
                        for b in np.flatnonzero(gnorm > GRAD_TOL)]
-            prob[:, solved] = expit(_logits(params, features[fold])).reshape(
-                len(grid), solved.size, fold.size)
-        prob = _clamp(prob)
-        rho = np.where(labels[fold].T == 1.0, prob, 1.0 - prob)
-        total += np.log(_clamp(rho)).sum(axis=-1)
+            prob[:, solved] = predict_prob_stack(
+                params, features[fold]).reshape(len(grid), -1, fold.size)
+        total += np.log(observed_prob(prob, labels[fold].T)).sum(axis=-1)
     scores = total / n
     if missed:
         _log.warning(
@@ -576,8 +575,8 @@ def factor_from_dict(doc: dict, dim_index: int):
     return factor
 
 
-def _finite_non_negative(value: float) -> bool:
-    return 0.0 <= value < math.inf
+def _finite_non_negative(value) -> bool:
+    return 0.0 <= value <= float(np.finfo(np.float64).max)
 
 
 def _number(doc: dict, key: str, ok=math.isfinite) -> float:

@@ -204,19 +204,15 @@ class NeighborIndex:
             stop = min(start + step, n)
             rows = np.arange(start, stop)
             screen, part = buf[:rows.size], part_buf[:rows.size]
-            # BLAS calls of at most optim._BLAS_SERIAL_SIZE (2^18)
-            # multiply-adds. On a 2-CPU box OpenBLAS ran calls of 2^19
-            # (32 x 11 x 1489, 32 x 19 x 862) and of 2^20 on a second
-            # thread: the process spent up to one more CPU-second per
-            # second of the call beyond the calling thread, a spin-wait
-            # that takes a CPU from whatever runs next. No call of 2^18 did.
-            width = max(1, optim._BLAS_SERIAL_SIZE // (rows.size * (m + 1)))
+            # BLAS calls cut as the solver's are, to stay on one thread:
+            # on a 2-CPU box OpenBLAS ran calls of 2^19 multiply-adds
+            # (32 x 11 x 1489, 32 x 19 x 862) on a second thread, which
+            # spin-waits after the call. No call of 2^18 did.
             lifted = np.ones((rows.size, m + 1))
             with np.errstate(over="ignore", invalid="ignore"):
                 np.subtract(self.points[start:stop], mean, out=lifted[:, :m])
-                for c in range(0, n, width):
-                    np.matmul(lifted, paired[:, c:c + width],
-                              out=screen[:, c:c + width])
+                for cut in optim._row_slices(n, rows.size * (m + 1)):
+                    np.matmul(lifted, paired[:, cut], out=screen[:, cut])
                 if exclude_self:
                     screen[np.arange(rows.size), rows] = np.inf
                 # each row's k smallest S, a NaN last, and its (k+1)-th

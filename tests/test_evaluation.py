@@ -4,7 +4,7 @@ import pytest
 from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    ScoreVector, atpar, inject_outliers, run_experiment, tpar,
                    tpar_curve)
-from mcode.evaluation import make_report
+from mcode.evaluation import check_experiment, make_report
 from mcode.scoring import rank_descending
 
 import oracles
@@ -218,6 +218,24 @@ class TestRunExperiment:
                                seed=0, lambda_policy=CvLambda(folds=folds))
                 for repeats, folds in [(2, 3), (np.int64(2), np.int64(3))]]
         assert runs[0] == runs[1]
+
+    def test_policy_validation(self, monkeypatch):
+        # a policy run_experiment cannot carry out is a ConfigError from
+        # check_experiment, before any fit
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_mcode reached")
+
+        monkeypatch.setattr("mcode.evaluation.fit_mcode", no_fit)
+        ds = make_coupled_dataset(n=30, m=3, d=2, seed=9)
+        for bad in (FixedLambda(-1.0), FixedLambda(float("nan")),
+                    FixedLambda("x"), FixedLambda(True),
+                    CvLambda(grid=(-1.0,)), CvLambda(grid=()),
+                    CvLambda(grid=("1.0",)), 0.5):
+            with pytest.raises(ConfigError):
+                check_experiment(ds, ["mprod"], 1, 10, 10, bad)
+            with pytest.raises(ConfigError):
+                run_experiment(ds, ["mprod"], 0.1, 0.5, repeats=1, seed=0,
+                               lambda_policy=bad)
 
     def test_fit_on_original_flag(self):
         ds = make_coupled_dataset(n=80, m=3, d=3, seed=8)

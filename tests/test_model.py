@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import shutil
 import tempfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcode.optim
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                    PROB_EPS, RhoMatrix, estimate_rho, fit_mcode,
@@ -42,6 +44,19 @@ class TestFit:
     def test_bad_policy(self, coupled_dataset):
         with pytest.raises(ConfigError):
             fit_mcode(coupled_dataset, INDEPENDENT, lambda_policy=0.5)
+        # a penalty that is not a finite number >= 0 is rejected as a
+        # ConfigError before any fit, in a FixedLambda or in a grid
+        for bad in (FixedLambda(-1.0), FixedLambda(math.nan),
+                    FixedLambda(math.inf), FixedLambda(10**400),
+                    FixedLambda("x"), FixedLambda(True),
+                    CvLambda(grid=(-1.0,)), CvLambda(grid=()),
+                    CvLambda(grid=(1.0, False))):
+            with pytest.raises(ConfigError):
+                fit_mcode(coupled_dataset, INDEPENDENT, bad)
+        # any real number counts, as it does in a grid
+        for good in (FixedLambda(1), FixedLambda(np.float64(1.0))):
+            model = fit_mcode(coupled_dataset, INDEPENDENT, good)
+            assert model.lambdas == (1.0,) * coupled_dataset.d
 
     def test_constant_output_dimension(self):
         gen = np.random.default_rng(4)
@@ -53,6 +68,11 @@ class TestFit:
         assert isinstance(factor, ConstantFactor)
         assert factor.prob_one == pytest.approx(31 / 32)
         assert model.lambdas[1] is None
+        # every dimension constant: CV still runs, so it still rejects
+        # more folds than instances, as check_experiment does
+        with pytest.raises(ConfigError, match="exceeds"):
+            fit_mcode(Dataset(ds.X, np.ones_like(Y)), INDEPENDENT,
+                      CvLambda(folds=31))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_mode_stack_matches_lone_fits(self, mode):
@@ -93,6 +113,25 @@ class TestFit:
         # benchmark runs check
         ds, _ = inject_outliers(make_benchmark_dataset(n=1000), 0.01, 0.25, 0)
         assert fit_mcode(ds, mode, CvLambda()).lambdas == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cv_warning_names_output_dimensions(self, mode, monkeypatch,
+                                                caplog):
+        # output 0 is constant, so it enters no stack; the fold problems
+        # left above GRAD_TOL are named by their output dimensions, 1 and 2
+        ds = make_coupled_dataset(n=60, m=3, d=3, seed=13)
+        Y = ds.Y.copy()
+        Y[:, 0] = 0
+        monkeypatch.setattr(mcode.optim, "MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="mcode"):
+            model = fit_mcode(Dataset(ds.X, Y), mode,
+                              CvLambda(grid=(1.0,), folds=2))
+        [message] = [record.getMessage() for record in caplog.records
+                     if record.getMessage().startswith("cross-validation")]
+        for column in (1, 2):
+            assert f"column {column} at lambda 1.0 in fold " in message
+        assert "column 0 " not in message
+        assert model.lambdas[0] is None
 
     def test_deterministic(self, coupled_dataset):
         a = fit_mcode(coupled_dataset, FULL_CONDITIONAL, FixedLambda(0.5))

@@ -614,8 +614,9 @@ class TestCrossValidation:
             cross_validate_lambda(X, y, (0.5, 2.0), 3, 0)
         with pytest.raises(ConfigError):
             cross_validate_lambda(X, y, (1.0,), X.shape[0] + 1, 0)
-        with pytest.raises(ConfigError):
-            cross_validate_lambda(X, y, (-1.0, 1.0), 5, 0)
+        for grid in ((-1.0, 1.0), (1.0, np.nan), (1.0, True), ("1.0",)):
+            with pytest.raises(ConfigError):
+                cross_validate_lambda(X, y, grid, 5, 0)
 
 
 class TestFactorSerialization:
