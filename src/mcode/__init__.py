@@ -23,9 +23,8 @@ from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                     McodeModel, RhoMatrix, estimate_rho, fit_mcode,
                     load_model, save_model)
 from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
-                      WeightVector, brier_per_dimension, global_weights,
-                      local_weights, rank_descending, score_lrw, score_prod,
-                      score_rw)
+                      WeightVector, global_weights, local_weights,
+                      rank_descending, score_lrw, score_prod, score_rw)
 from .lof import LofConfig, lof_scores
 from .evaluation import (EvalCurve, METHODS, TrialReport, atpar,
                          run_experiment, score_methods, tpar, tpar_curve)

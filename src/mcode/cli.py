@@ -17,7 +17,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,10 +24,12 @@ from typing import Callable
 
 from . import __version__
 from .errors import ConfigError, DataError, DomainError, NumericalError
-from .dataset import inject_outliers, load_csv, load_log, save_csv, save_log
+from .dataset import (inject_outliers, is_rate, load_csv, load_log, save_csv,
+                      save_log)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, MODES,
                     check_mode, fit_mcode, save_model)
-from .optim import ConstantFactor, DEFAULT_LAMBDA_GRID
+from .optim import ConstantFactor, DEFAULT_LAMBDA_GRID, _checked_grid, \
+    is_penalty
 from .scoring import load_score_table, write_score_table, ScoreVector
 from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar,
                          check_experiment, run_experiment, tpar_curve)
@@ -44,7 +45,7 @@ class Option:
     kind: str  # a key of _KINDS
     default: object = None
     help: str = ""
-    valid: Callable[[object], bool] = lambda value: True
+    valid: Callable[[object], object] = lambda value: True
     expect: str = ""  # the values valid() accepts; the kind's noun if empty
     required: bool = False
     choices: tuple | None = None
@@ -66,7 +67,7 @@ def _at_least(low):
     return dict(valid=lambda v: v >= low, expect=f"an integer >= {low}")
 
 
-_RATE = dict(valid=lambda v: 0.0 < v <= 1.0, expect="a number in (0, 1]")
+_RATE = dict(valid=is_rate, expect="a number in (0, 1]")
 
 
 def _one_or_more_of(choices):
@@ -75,17 +76,10 @@ def _one_or_more_of(choices):
                 expect=f"a non-empty list of {', '.join(choices)}")
 
 
-def _parse_grid(value) -> tuple:
-    """Penalty grid from a comma-separated string or a list of numbers."""
-    items = value.split(",") if isinstance(value, str) else value
-    if any(isinstance(v, bool) for v in items):
-        raise TypeError("booleans are not penalties")
-    return tuple(float(v) for v in items)
-
-
-def _penalties(values) -> bool:
-    return len(values) > 0 and all(math.isfinite(v) and v >= 0.0
-                                   for v in values)
+def _parse_grid(value):
+    """The numbers of a comma-separated string; a list as it is."""
+    return tuple(map(float, value.split(","))) if isinstance(value, str) \
+        else value
 
 
 OPTIONS = {
@@ -105,11 +99,11 @@ OPTIONS = {
     "k_lof": Option("--k-lof", "int", 100, "LOF neighbors", **_at_least(1)),
     "k_lrw": Option("--k-lrw", "int", 100, "LRW neighbors", **_at_least(1)),
     "lam": Option("--lambda", "number", None,
-                  "fixed penalty (skips cross-validation)",
-                  lambda v: _penalties([float(v)]), "a finite number >= 0"),
+                  "fixed penalty (skips cross-validation)", is_penalty,
+                  "a finite number >= 0"),
     "cv_grid": Option("--cv-grid", "grid", None,
                       "comma-separated penalty grid",
-                      lambda v: _penalties(_parse_grid(v)),
+                      lambda v: _checked_grid(_parse_grid(v)),
                       "a non-empty comma-separated string or list of finite "
                       "numbers >= 0"),
     "cv_folds": Option("--cv-folds", "int", 5, "cross-validation folds",
@@ -172,7 +166,7 @@ def _check(key, value):
     try:
         ok = isinstance(value, types) and (
             bool in types or not isinstance(value, bool)) and opt.valid(value)
-    except (OverflowError, TypeError, ValueError):  # e.g. float(10**400)
+    except (ConfigError, ValueError):  # the grid's rule, or float("x")
         ok = False
     if not ok:
         raise ConfigError(f"{opt.flag} (config key {key!r}) must be "

@@ -28,12 +28,25 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """Whether value is an int or a float, NumPy's too, never a bool."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def is_rate(value) -> bool:
+    """The rule of every rate, injected or alerted: a number in (0, 1]."""
+    return is_number(value) and 0.0 < value <= 1.0
+
+
+def is_seed(value) -> bool:
+    """The rule of every seed, make_rng's: a non-negative integer."""
+    return is_integer(value) and value >= 0
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator for all randomized routines (algorithm: pcg64)."""
-    if not is_integer(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    if not is_seed(seed):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -157,19 +170,17 @@ class PerturbationLog:
     def from_dict(cls, doc: dict) -> "PerturbationLog":
         """Inverse of to_dict; the seed and rates must obey the rules of
         make_rng and inject_outliers."""
-        def rate(name):
-            value = float(doc[name])
-            if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
-            return value
-
         try:
             seed = json_int(doc["seed"])
-            if seed < 0:
+            if not is_seed(seed):
                 raise ValueError(f"seed must be non-negative, got {seed}")
+            for name in ("ratio", "dim_fraction"):
+                if not is_rate(doc[name]):
+                    raise ValueError(f"{name} must be in (0, 1], got "
+                                     f"{doc[name]!r}")
             return cls(
-                seed=seed, ratio=rate("ratio"),
-                dim_fraction=rate("dim_fraction"),
+                seed=seed, ratio=float(doc["ratio"]),
+                dim_fraction=float(doc["dim_fraction"]),
                 outlier_rows=frozenset(
                     json_int(r) for r in doc["outlier_rows"]),
                 flipped_cells=tuple(
@@ -351,7 +362,7 @@ def inject_outliers(ds: Dataset, ratio: float, dim_fraction: float, seed: int):
     y -> |y - 1|. X is shared with the input dataset; Y is a fresh copy.
     """
     for name, value in (("ratio", ratio), ("dim_fraction", dim_fraction)):
-        if not (0.0 < value <= 1.0):
+        if not is_rate(value):
             raise DomainError(f"{name} must be in (0, 1], got {value!r}")
     rng = make_rng(seed)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .dataset import Dataset, PerturbationLog, inject_outliers, is_integer, \
+from .dataset import Dataset, inject_outliers, is_integer, is_rate, \
     round_half_up, standardize
 from .lof import LofConfig, lof_scores
 from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, check_policy, \
@@ -59,7 +59,7 @@ def _check_truth(scores: ScoreVector, truth) -> np.ndarray:
 
 
 def _alert_count(rate: float, n: int) -> int:
-    if not (0.0 < rate <= 1.0):
+    if not is_rate(rate):
         raise DomainError(f"alert rate must be in (0, 1], got {rate!r}")
     return max(1, round_half_up(rate * n))
 
@@ -118,18 +118,15 @@ def _check_methods(methods, d: int):
 
 def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
                      k_lrw: int, lambda_policy=None) -> tuple:
-    """Reject settings, the lambda policy among them, that run_experiment
-    cannot carry out on ds; returns the methods, duplicates dropped."""
+    """Reject settings run_experiment cannot carry out on ds, the lambda
+    policy by check_policy; returns the methods, duplicates dropped."""
     methods = _check_methods(methods, ds.d)
     if not is_integer(repeats) or repeats < 1:
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
     if lambda_policy is None:
         lambda_policy = CvLambda()
-    check_policy(lambda_policy)
-    if (isinstance(lambda_policy, CvLambda) and lambda_policy.folds > ds.n
-            and any(name != "lof" for name in methods)):
-        raise ConfigError(f"cv_folds={lambda_policy.folds} exceeds the "
-                          f"{ds.n} instances")
+    check_policy(lambda_policy,
+                 ds.n if any(name != "lof" for name in methods) else None)
     if "mlrw" in methods and not (is_integer(k_lrw) and 1 <= k_lrw <= ds.n):
         raise ConfigError(f"k_lrw must be an integer in [1, {ds.n}] on "
                           f"{ds.n} instances, got {k_lrw!r}")
@@ -197,6 +194,7 @@ def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
     """
     methods = check_experiment(ds, methods, repeats, k_lof, k_lrw,
                                lambda_policy)
+    _alert_count(upper, ds.n)  # atpar's check of upper, before any fit
 
     values = {name: [] for name in methods}
     for r in range(repeats):

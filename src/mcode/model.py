@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .dataset import Dataset, StandardizationStats, standardize
+from .dataset import Dataset, StandardizationStats, is_seed, standardize
 from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
-                    _checked_grid, cross_validate_lambda, factor_from_dict,
-                    factor_to_dict, observed_prob, predict_prob_stack,
-                    train_logistic_columns)
+                    _checked_grid, check_folds, cross_validate_lambda,
+                    factor_from_dict, factor_to_dict, observed_prob,
+                    predict_prob_stack, train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
 INDEPENDENT = "independent"
@@ -131,12 +131,18 @@ def check_mode(mode: str, d: int):
             "full_conditional mode needs at least 2 output dimensions")
 
 
-def check_policy(policy):
-    """Reject all but a FixedLambda or CvLambda of finite penalties >= 0."""
+def check_policy(policy, n=None):
+    """A ConfigError unless policy is a FixedLambda or CvLambda whose values
+    pass is_penalty, check_folds (with n, if given) and make_rng's is_seed."""
     if not isinstance(policy, (FixedLambda, CvLambda)):
         raise ConfigError(f"unknown lambda policy {policy!r}")
     _checked_grid(policy.grid if isinstance(policy, CvLambda)
                   else (policy.value,))
+    if isinstance(policy, CvLambda):
+        check_folds(policy.folds, n)
+        if not is_seed(policy.seed):
+            raise ConfigError(f"seed must be a non-negative integer, got "
+                              f"{policy.seed!r}")
 
 
 def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
@@ -151,7 +157,7 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     check_mode(mode, ds.d)
     if lambda_policy is None:
         lambda_policy = CvLambda()
-    check_policy(lambda_policy)
+    check_policy(lambda_policy, ds.n)
 
     ds_std, stats = standardize(ds)
     Y = ds.Y.astype(np.float64)

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dposv
 from scipy.special import expit
 
 from .errors import ConfigError, DomainError, NumericalError
-from .dataset import is_integer, json_int, make_rng
+from .dataset import is_integer, is_number, json_int, make_rng
 
 # Probability estimates are clamped into [PROB_EPS, 1 - PROB_EPS] so their
 # logs stay finite everywhere downstream.
@@ -317,13 +317,10 @@ def _check_training_inputs(features, labels, lams=None, pinned=None):
     if not np.isin(labels, (0.0, 1.0)).all():
         raise DomainError("labels must all be 0 or 1")
     if lams is not None:
-        penalties = np.asarray(lams, dtype=np.float64)
-        if penalties.shape != labels.shape[1:]:
-            raise DomainError(f"need one penalty per label column, got "
-                              f"{penalties.size} for {labels.shape[1]}")
-        if not np.isfinite(penalties).all() or (penalties < 0.0).any():
-            raise DomainError(f"lams must be finite and >= 0, got {lams!r}")
-        lams = penalties
+        if np.shape(lams) != labels.shape[1:] or \
+                not all(map(is_penalty, lams)):
+            raise DomainError(f"need one penalty per column, got {lams!r}")
+        lams = np.asarray(lams, dtype=np.float64)
     if pinned is not None:
         index = np.asarray(pinned)
         if index.shape != labels.shape[1:] or \
@@ -433,16 +430,28 @@ def predict_prob_stack(params, features) -> np.ndarray:
     return np.clip(expit(z, out=z), PROB_EPS, 1.0 - PROB_EPS, out=z)
 
 
+def is_penalty(value) -> bool:
+    """The rule of every penalty: a number in [0, float64 max]."""
+    # a Python int compares exactly; a NumPy float32 would warn unwidened
+    return is_number(value) and _finite_non_negative(
+        value if isinstance(value, int) else float(value))
+
+
 def _checked_grid(grid):
-    """grid as an ascending tuple of floats; a ConfigError unless it holds
-    a value and each is an int or float, not a bool, in [0, float64 max]."""
-    grid = tuple(grid)
-    if not grid or not all(
-            isinstance(v, (int, float, np.integer, np.floating)) and
-            not isinstance(v, bool) and _finite_non_negative(v) for v in grid):
+    """grid as ascending floats; a ConfigError unless one or more penalties."""
+    values = tuple(grid) if np.iterable(grid) else ()
+    if not values or not all(map(is_penalty, values)):
         raise ConfigError(f"lambda values must be finite numbers >= 0, at "
                           f"least one, got {grid!r}")
-    return tuple(sorted(float(v) for v in grid))
+    return tuple(sorted(float(v) for v in values))
+
+
+def check_folds(folds, n=None):
+    """The fold rule: a ConfigError unless folds is an integer in [2, n]."""
+    if not is_integer(folds) or folds < 2:
+        raise ConfigError(f"folds must be an integer >= 2, got {folds!r}")
+    if n is not None and folds > n:
+        raise ConfigError(f"folds={folds} exceeds the {n} instances")
 
 
 def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
@@ -451,9 +460,10 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     maximizing mean held-out log-likelihood: a tuple of L penalties, each
     chosen as for that column alone. pinned, if given, names one feature
     per column that its fits hold at weight 0, as train_logistic_columns
-    does.
+    does. Unless grid holds one or more penalties (is_penalty) and n_folds
+    passes check_folds with N, as check_policy requires too, a ConfigError.
 
-    The instances are partitioned into n_folds random folds (seeded).
+    The instances are partitioned into n_folds folds by make_rng(seed).
     Each grid value is scored by training on the complement of every fold
     and evaluating the held-out log-likelihood; exact ties go to the
     larger penalty. Every column at every grid value is one problem of a
@@ -471,10 +481,7 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
         features, labels, pinned=pinned)
     grid = _checked_grid(grid)
     n, p = features.shape
-    if not is_integer(n_folds) or n_folds < 2:
-        raise ConfigError(f"n_folds must be an integer >= 2, got {n_folds!r}")
-    if n_folds > n:
-        raise ConfigError(f"n_folds={n_folds} exceeds the {n} instances")
+    check_folds(n_folds, n)
 
     total = np.zeros((len(grid), labels.shape[1]))
     pairs = _pair_products(features)

@@ -370,16 +370,6 @@ def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:
     return _weighted_score(rho, local.w, "LRW")
 
 
-def brier_per_dimension(rho: RhoMatrix) -> np.ndarray:
-    """Mean squared error (1 - rho)^2 per output dimension.
-
-    A diagnostic of per-dimension model quality, not an outlier score:
-    the forecast probability of the observed outcome is rho, so the
-    squared forecast error is (1 - rho)^2.
-    """
-    return ((1.0 - rho.values) ** 2).mean(axis=0)
-
-
 def rank_descending(scores: np.ndarray) -> np.ndarray:
     """Instance indices from highest score to lowest, ties by ascending index."""
     scores = np.asarray(scores, dtype=np.float64)

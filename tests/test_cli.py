@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcode import (Dataset, PerturbationLog, load_csv, load_model, save_csv,
-                   save_log)
+from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
+                   PerturbationLog, ScoreVector, atpar, inject_outliers,
+                   load_csv, load_model, save_csv, save_log)
 import mcode.cli
 from mcode.cli import COMMANDS, OPTIONS, build_parser, main
 from mcode.evaluation import METHODS
-from mcode.model import MODES
+from mcode.model import MODES, check_policy
 from mcode.scoring import load_score_table
 
 from conftest import make_coupled_dataset
@@ -390,7 +391,8 @@ _NOT_STR = _NULL | _BOOL | _INT | _FLOAT | _LIST | _DICT
 
 
 def _penalty(item):
-    """Whether one cv_grid entry, string or number, is a valid penalty."""
+    """Whether one entry of a cv_grid string, or a number, is a valid
+    penalty."""
     try:
         value = float(item)
     except ValueError:
@@ -434,9 +436,9 @@ INVALID = {
                                                      s.split(","))))
                 | st.builds(lambda good, bad: good + [bad],
                             st.lists(st.floats(0, 100), max_size=2),
-                            _NULL | _BOOL | _DICT
-                            | st.floats().filter(lambda v: not _penalty(v))
-                            | _TEXT.filter(lambda s: not _penalty(s)))),
+                            # a list holds numbers, never numeric strings
+                            _NULL | _BOOL | _DICT | _TEXT
+                            | st.floats().filter(lambda v: not _penalty(v)))),
     "fit_on_original": _NULL | _INT | _FLOAT | _TEXT | _LIST | _DICT,
     "methods": _bad_list(METHODS),
     "modes": _bad_list(MODES),
@@ -472,6 +474,47 @@ def test_invalid_config_value_exits_1(command, key, data):
         assert code == 1, err
         assert OPTIONS[key].flag in err
         assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
+
+
+# Each setting whose rule the library applies: the library's gate, which
+# rejects a value with a ConfigError or DomainError.
+_DS = Dataset(np.zeros((4, 1)), np.zeros((4, 2)))
+_GATES = {
+    "lam": lambda v: check_policy(FixedLambda(v)),
+    "cv_grid": lambda v: check_policy(
+        CvLambda(grid=mcode.cli._parse_grid(v))),
+    "ratio": lambda v: inject_outliers(_DS, v, 0.5, 0),
+    "dim_fraction": lambda v: inject_outliers(_DS, 0.5, v, 0),
+    "upper": lambda v: atpar(ScoreVector(np.arange(4.0), "x"), {0}, v),
+}
+# JSON values of every type, and values near the rules' edges; null means
+# unset for lam and cv_grid, so it is left out
+_JSON = st.recursive(_BOOL | _INT | _FLOAT | _TEXT,
+                     lambda inner: st.lists(inner | _NULL, max_size=3)
+                     | st.dictionaries(_TEXT, inner, max_size=2),
+                     max_leaves=4)
+_NUMBERS = st.lists(st.floats(-1, 100) | st.integers(-1, 100) | _TEXT,
+                    min_size=1, max_size=3)
+_EDGES = (st.floats(0, 1) | st.floats(-0.5, 1.5) | st.integers(-1, 2)
+          | st.just(2 ** 1024)
+          | _NUMBERS | _NUMBERS.map(lambda v: ",".join(map(str, v))))
+
+
+def _passes(check, value):
+    try:
+        check(value)
+    except (ConfigError, DomainError, ValueError):  # ValueError: float("x")
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(_GATES))
+@settings(max_examples=80, deadline=None, database=None)
+@given(value=_JSON | _EDGES)
+def test_cli_check_matches_library_gate(key, value):
+    # the CLI and the library apply one rule, so they cannot drift apart
+    assert _passes(lambda v: mcode.cli._check(key, v), value) == \
+        _passes(_GATES[key], value)
 
 
 class TestTopLevel:

@@ -236,7 +236,8 @@ class TestInjectOutliers:
         assert len(log.flipped_cells) == 24
 
     @pytest.mark.parametrize("ratio,dim_fraction", [
-        (0.0, 0.5), (1.2, 0.5), (0.5, 0.0), (0.5, -0.1), (0.5, 1.01)])
+        (0.0, 0.5), (1.2, 0.5), (0.5, 0.0), (0.5, -0.1), (0.5, 1.01),
+        (True, 0.5), (0.5, True)])
     def test_rate_bounds(self, ratio, dim_fraction):
         with pytest.raises(DomainError):
             inject_outliers(small_dataset(), ratio, dim_fraction, seed=0)
@@ -273,7 +274,7 @@ class TestPerturbationLog:
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("ratio", 0.0), ("ratio", 1.5), ("ratio", math.nan),
         ("dim_fraction", -0.25), ("dim_fraction", math.inf),
-        ("dim_fraction", math.nan)])
+        ("dim_fraction", math.nan), ("ratio", True), ("ratio", "0.5")])
     def test_seed_and_rates_obey_the_injection_rules(self, key, value):
         # the rules inject_outliers and make_rng apply when writing a log
         doc = {"seed": 0, "ratio": 0.5, "dim_fraction": 1.0,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,8 @@ class TestTpar:
             tpar(sv, {0}, 0.0)
         with pytest.raises(DomainError):
             tpar(sv, {0}, 1.01)
+        with pytest.raises(DomainError):
+            atpar(sv, {0}, True)
 
 
 class TestAtpar:
@@ -230,12 +234,26 @@ class TestRunExperiment:
         for bad in (FixedLambda(-1.0), FixedLambda(float("nan")),
                     FixedLambda("x"), FixedLambda(True),
                     CvLambda(grid=(-1.0,)), CvLambda(grid=()),
-                    CvLambda(grid=("1.0",)), 0.5):
+                    CvLambda(grid=("1.0",)), CvLambda(folds=1),
+                    CvLambda(folds=True), CvLambda(folds=2.0),
+                    CvLambda(folds="3"), CvLambda(seed=-1),
+                    CvLambda(seed="s"), CvLambda(seed=True), 0.5):
             with pytest.raises(ConfigError):
                 check_experiment(ds, ["mprod"], 1, 10, 10, bad)
             with pytest.raises(ConfigError):
                 run_experiment(ds, ["mprod"], 0.1, 0.5, repeats=1, seed=0,
                                lambda_policy=bad)
+
+    @pytest.mark.parametrize("upper", [0, 2.0, math.nan, True])
+    def test_upper_checked_before_any_fit(self, monkeypatch, upper):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_mcode reached")
+
+        monkeypatch.setattr("mcode.evaluation.fit_mcode", no_fit)
+        ds = make_coupled_dataset(n=30, m=3, d=2, seed=9)
+        with pytest.raises(DomainError):
+            run_experiment(ds, ["mprod"], 0.1, 0.5, repeats=1, seed=0,
+                           lambda_policy=FixedLambda(1.0), upper=upper)
 
     def test_fit_on_original_flag(self):
         ds = make_coupled_dataset(n=80, m=3, d=3, seed=8)

@@ -314,6 +314,8 @@ class TestTrainer:
             train_logistic_columns(X, Y, lams[:3])
         with pytest.raises(DomainError):
             train_logistic_columns(X, Y[:, 0], 1.0)
+        with pytest.raises(DomainError):
+            train_logistic_columns(X, Y, [True, 1.0, 1.0, 1.0])
         for pinned in ([0, 1, 2], [0, 1, 2, 3], [0.0, 1.0, 2.0, 0.0]):
             with pytest.raises(DomainError, match="pinned"):
                 train_logistic_columns(X, Y, lams, pinned)
@@ -401,6 +403,8 @@ class TestTrainer:
         dict(features=np.ones((2, 1)), labels=np.array([0.0, 0.5]), lam=1.0),
         dict(features=np.ones((2, 1)), labels=np.array([0.0, 1.0]), lam=-1.0),
         dict(features=np.ones((2, 1)), labels=np.array([0.0]), lam=1.0),
+        # a bool is no penalty, in train_logistic_columns too
+        dict(features=np.ones((2, 1)), labels=np.array([0.0, 1.0]), lam=True),
     ])
     def test_contract_violations(self, bad):
         with pytest.raises(DomainError):

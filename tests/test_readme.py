@@ -1,21 +1,42 @@
 """The README's code runs as printed."""
 
 import re
+import shlex
 from pathlib import Path
 
 from mcode import save_csv
+from mcode.cli import main
 
 from conftest import make_coupled_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _block(heading, language):
+    [block] = re.findall(rf"^## {heading}\n.*?^```{language}\n(.*?)^```",
+                         README.read_text(), flags=re.M | re.S)
+    return block
+
+
 def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the block reads data.csv from the working directory, 14 outputs
-    [block] = re.findall(r"^## Library quick start\n\n```python\n(.*?)^```",
-                         README.read_text(), flags=re.M | re.S)
+    block = _block("Library quick start", "python")
     save_csv(make_coupled_dataset(n=300, m=4, d=14, seed=3),
              tmp_path / "data.csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(block, str(README), "exec"), {})
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
+def test_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # every command of the CLI section's block, in order, on data.csv
+    commands = [shlex.split(line) for line in
+                _block("CLI", "bash").replace("\\\n", " ").splitlines()
+                if line.startswith("mcode ")]
+    assert [argv[1] for argv in commands] == ["simulate", "fit", "detect",
+                                              "eval"]
+    save_csv(make_coupled_dataset(n=300, m=4, d=14, seed=3),
+             tmp_path / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, capsys.readouterr().err

@@ -11,9 +11,8 @@ from scipy.spatial.distance import cdist
 import mcode.scoring
 from mcode import (DataError, DomainError, LocalWeightMatrix, LofConfig,
                    NeighborIndex, PROB_EPS, RhoMatrix, ScoreVector,
-                   WeightVector, brier_per_dimension, global_weights,
-                   local_weights, lof_scores, rank_descending, score_lrw,
-                   score_prod, score_rw)
+                   WeightVector, global_weights, local_weights, lof_scores,
+                   rank_descending, score_lrw, score_prod, score_rw)
 from mcode.scoring import load_score_table, write_score_table
 
 import oracles
@@ -568,20 +567,6 @@ class TestScores:
             score_rw(rho, WeightVector(np.ones(2)))
         with pytest.raises(DomainError):
             score_lrw(rho, LocalWeightMatrix(np.ones((4, 3)), k=2))
-
-
-class TestBrier:
-    def test_known_value(self):
-        rho = RhoMatrix(np.array([[0.9], [0.7]]))
-        assert brier_per_dimension(rho)[0] == pytest.approx(0.05, rel=1e-15)
-
-    def test_matches_formula(self):
-        rho = random_rho(50, n=20, d=5)
-        expected = ((1 - rho.values) ** 2).sum(axis=0) / 20
-        np.testing.assert_allclose(brier_per_dimension(rho), expected,
-                                   rtol=1e-14)
-        assert ((brier_per_dimension(rho) >= 0)
-                & (brier_per_dimension(rho) <= 1)).all()
 
 
 class TestRankingAndTables:
