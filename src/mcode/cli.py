@@ -24,15 +24,16 @@ from typing import Callable
 
 from . import __version__
 from .errors import ConfigError, DataError, DomainError, NumericalError
-from .dataset import (inject_outliers, is_rate, load_csv, load_log, save_csv,
-                      save_log)
+from .dataset import (inject_outliers, is_rate, is_seed, load_csv, load_json,
+                      load_log, save_csv, save_json, save_log, write_table)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, MODES,
                     check_mode, fit_mcode, save_model)
 from .optim import ConstantFactor, DEFAULT_LAMBDA_GRID, _checked_grid, \
-    is_penalty
+    check_folds, is_penalty
 from .scoring import load_score_table, write_score_table, ScoreVector
 from .evaluation import (DEFAULT_UPPER_RATE, METHODS, atpar,
-                         check_experiment, run_experiment, tpar_curve)
+                         check_experiment, run_experiment, tpar_curve,
+                         write_curve)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,7 @@ _KINDS = {
 }
 
 
-def _at_least(low):
-    return dict(valid=lambda v: v >= low, expect=f"an integer >= {low}")
-
-
+_POSITIVE = dict(valid=lambda v: v >= 1, expect="an integer >= 1")
 _RATE = dict(valid=is_rate, expect="a number in (0, 1]")
 
 
@@ -86,7 +84,7 @@ OPTIONS = {
     "dataset": Option("--dataset", "str", None, "input CSV", required=True),
     "n_outputs": Option("--n-outputs", "int", None,
                         "number of output columns", required=True,
-                        **_at_least(1)),
+                        **_POSITIVE),
     "methods": Option("--methods", "list", list(METHODS), "scores to compute",
                       **_one_or_more_of(METHODS)),
     "modes": Option("--modes", "list", [FULL_CONDITIONAL], "models to fit",
@@ -96,8 +94,8 @@ OPTIONS = {
     "dim_fraction": Option("--dim-fraction", "number", None,
                            "fraction of an outlier's outputs flipped",
                            required=True, **_RATE),
-    "k_lof": Option("--k-lof", "int", 100, "LOF neighbors", **_at_least(1)),
-    "k_lrw": Option("--k-lrw", "int", 100, "LRW neighbors", **_at_least(1)),
+    "k_lof": Option("--k-lof", "int", 100, "LOF neighbors", **_POSITIVE),
+    "k_lrw": Option("--k-lrw", "int", 100, "LRW neighbors", **_POSITIVE),
     "lam": Option("--lambda", "number", None,
                   "fixed penalty (skips cross-validation)", is_penalty,
                   "a finite number >= 0"),
@@ -107,9 +105,9 @@ OPTIONS = {
                       "a non-empty comma-separated string or list of finite "
                       "numbers >= 0"),
     "cv_folds": Option("--cv-folds", "int", 5, "cross-validation folds",
-                       **_at_least(2)),
+                       lambda v: check_folds(v) or True, "an integer >= 2"),
     "repeats": Option("--repeats", "int", 10, "injection repeats",
-                      **_at_least(1)),
+                      **_POSITIVE),
     "upper": Option("--upper", "number", DEFAULT_UPPER_RATE,
                     "upper alert rate for ATPAR", **_RATE),
     "fit_on_original": Option("--fit-on-original", "bool", False,
@@ -122,7 +120,8 @@ OPTIONS = {
                        required=True),
     "curve_out": Option("--curve-out", "str", None,
                         "write the TPAR curve to this CSV file"),
-    "seed": Option("--seed", "int", 0, "random seed", **_at_least(0)),
+    "seed": Option("--seed", "int", 0, "random seed", is_seed,
+                   "an integer >= 0"),
     "out_dir": Option("--out-dir", "str", "mcode_out", "artifact directory"),
 }
 
@@ -179,20 +178,16 @@ def _resolve(args) -> dict:
     keys = COMMANDS[args.command][2]
     file_values = {}
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file {path} not found")
-        with open(path) as fh:
-            try:
-                file_values = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        try:
+            file_values = load_json(args.config)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(file_values, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+            raise ConfigError(f"{args.config}: config must be a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
             raise ConfigError(
-                f"{path}: unknown config keys {sorted(unknown)}")
+                f"{args.config}: unknown config keys {sorted(unknown)}")
 
     resolved = {}
     for key in keys:
@@ -299,9 +294,7 @@ def cmd_detect(args) -> int:
     meta = _meta(resolved["seed"], cfg_hash)
 
     config_doc = dict(resolved, _meta=meta)
-    with open(out / "config.json", "w") as fh:
-        json.dump(config_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(config_doc, out / "config.json")
     print(json.dumps(config_doc, sort_keys=True))
 
     records = open(out / "report.jsonl", "w")
@@ -312,9 +305,8 @@ def cmd_detect(args) -> int:
             labeled = ScoreVector(scores=sv.scores, method=name)
             write_score_table(out / "scores" / f"{name}_r{r:02d}.csv",
                               labeled, comments=header)
-            curve = tpar_curve(labeled, log.outlier_rows)
-            _write_curve(out / "curves" / f"{name}_r{r:02d}.csv",
-                         curve, header)
+            write_curve(out / "curves" / f"{name}_r{r:02d}.csv",
+                        tpar_curve(labeled, log.outlier_rows), header)
             records.write(json.dumps({
                 "dataset": resolved["dataset"], "method": name,
                 "dim_fraction": resolved["dim_fraction"], "repeat": r,
@@ -332,28 +324,14 @@ def cmd_detect(args) -> int:
     finally:
         records.close()
 
-    lines = [f"{'method':<8}{'dim_fraction':>14}{'mean_atpar':>12}"
-             f"{'std':>10}{'repeats':>9}"]
-    for name, rep in reports.items():
-        lines.append(f"{name:<8}{rep.dim_fraction:>14.4g}{rep.mean:>12.4f}"
-                     f"{rep.std:>10.4f}{len(rep.atpar_values):>9}")
-    table = "\n".join(lines)
-    with open(out / "report.txt", "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(table + "\n")
-    print(table)
+    title = (f"{'method':<8}{'dim_fraction':>14}{'mean_atpar':>12}"
+             f"{'std':>10}{'repeats':>9}")
+    rows = [f"{name:<8}{rep.dim_fraction:>14.4g}{rep.mean:>12.4f}"
+            f"{rep.std:>10.4f}{len(rep.atpar_values):>9}"
+            for name, rep in reports.items()]
+    write_table(out / "report.txt", title, rows, header)
+    print("\n".join([title, *rows]))
     return 0
-
-
-def _write_curve(path, curve, comments):
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("alert_rate,tpar\n")
-        fh.write("".join(
-            f"{rate!r},{value!r}\n" for rate, value in
-            zip(curve.alert_rates.tolist(), curve.tpar_values.tolist())))
 
 
 def cmd_eval(args) -> int:
@@ -366,9 +344,8 @@ def cmd_eval(args) -> int:
     value = atpar(sv, log.outlier_rows, resolved["upper"])
     print(f"method={method} upper={resolved['upper']:g} atpar={value!r}")
     if resolved["curve_out"]:
-        curve = tpar_curve(sv, log.outlier_rows)
-        _write_curve(resolved["curve_out"], curve,
-                     _header_lines(log.seed, cfg_hash))
+        write_curve(resolved["curve_out"], tpar_curve(sv, log.outlier_rows),
+                    _header_lines(log.seed, cfg_hash))
         print(f"wrote {resolved['curve_out']}")
     return 0
 

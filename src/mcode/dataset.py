@@ -54,10 +54,36 @@ def json_int(value) -> int:
     """An integer field read from JSON: an int or an integral float, else
     ValueError (a bool, a string, 1.7, nan) or OverflowError (inf, which
     is how json reads 1e400)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or int(value) != value:
+    if not is_number(value) or int(value) != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def load_json(path):
+    """The document in the JSON file at path; a DataError naming the file
+    if it cannot be read or decoded."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes or JSON, or a NUL in the name;
+        # RecursionError: arrays or objects nested too deep to decode
+        raise DataError(f"{path}: not readable JSON: {exc}") from exc
+
+
+def save_json(doc, path) -> None:
+    """Write doc as indented JSON, keys sorted, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_table(path, header: str, rows, comments=()) -> None:
+    """Write '# ' comment lines, the header line and one line per row, a
+    string each, as one write."""
+    text = "\n".join([*(f"# {line}" for line in comments), header, *rows])
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def round_half_up(x: float) -> int:
@@ -196,17 +222,11 @@ def save_log(log: PerturbationLog, path, meta: dict | None = None) -> None:
     doc = log.to_dict()
     if meta:
         doc["_meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(doc, path)
 
 
 def load_log(path) -> PerturbationLog:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    doc = load_json(path)
     try:
         return PerturbationLog.from_dict(doc)
     except DataError as exc:

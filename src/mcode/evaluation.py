@@ -15,14 +15,17 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .dataset import Dataset, inject_outliers, is_integer, is_rate, \
-    round_half_up, standardize
+    round_half_up, standardize, write_table
 from .lof import LofConfig, lof_scores
-from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, check_policy, \
-    estimate_rho, fit_mcode
+from .model import CvLambda, FULL_CONDITIONAL, INDEPENDENT, check_mode, \
+    check_policy, estimate_rho, fit_mcode
 from .scoring import NeighborIndex, ScoreVector, global_weights, \
     local_weights, rank_descending, score_lrw, score_prod, score_rw
 
 METHODS = ("lof", "iprod", "mprod", "mrw", "mlrw")
+# the mode of the model each method scores by; LOF fits none
+_MODE_OF = {"iprod": INDEPENDENT, "mprod": FULL_CONDITIONAL,
+            "mrw": FULL_CONDITIONAL, "mlrw": FULL_CONDITIONAL}
 
 DEFAULT_UPPER_RATE = 0.01
 DEFAULT_CURVE_RATE = 0.04
@@ -87,9 +90,17 @@ def tpar_curve(scores: ScoreVector, truth) -> EvalCurve:
     """TPAR at every achievable alert count from 1 to round(0.04 * N),
     expressed as rates a/N."""
     n = scores.scores.shape[0]
-    a_top = max(1, round_half_up(DEFAULT_CURVE_RATE * n))
+    a_top = _alert_count(DEFAULT_CURVE_RATE, n)
     return EvalCurve(alert_rates=np.arange(1, a_top + 1) / n,
                      tpar_values=_precision_at(scores, truth, a_top))
+
+
+def write_curve(path, curve: EvalCurve, comments=()) -> None:
+    """Write (alert_rate, tpar) rows, rates ascending."""
+    write_table(path, "alert_rate,tpar", (
+        f"{rate!r},{value!r}" for rate, value in
+        zip(curve.alert_rates.tolist(), curve.tpar_values.tolist())),
+        comments)
 
 
 def make_report(method: str, dim_fraction: float, values) -> TrialReport:
@@ -108,9 +119,11 @@ def _check_methods(methods, d: int):
         if name not in METHODS:
             raise ConfigError(
                 f"unknown method {name!r}, expected a subset of {METHODS}")
-        if name in ("mprod", "mrw", "mlrw") and d < 2:
-            raise ConfigError(
-                f"method {name!r} needs at least 2 output dimensions")
+        if name in _MODE_OF:
+            try:
+                check_mode(_MODE_OF[name], d)
+            except ConfigError as exc:
+                raise ConfigError(f"method {name!r}: {exc}") from exc
         if name not in seen:
             seen.append(name)
     return tuple(seen)
@@ -125,8 +138,7 @@ def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
     if lambda_policy is None:
         lambda_policy = CvLambda()
-    check_policy(lambda_policy,
-                 ds.n if any(name != "lof" for name in methods) else None)
+    check_policy(lambda_policy, ds.n if _MODE_OF.keys() & methods else None)
     if "mlrw" in methods and not (is_integer(k_lrw) and 1 <= k_lrw <= ds.n):
         raise ConfigError(f"k_lrw must be an integer in [1, {ds.n}] on "
                           f"{ds.n} instances, got {k_lrw!r}")
@@ -154,8 +166,9 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
 
     out = {}
     std_ds, _ = standardize(perturbed)
+    modes = {_MODE_OF.get(name) for name in methods}
 
-    if any(name in methods for name in ("mprod", "mrw", "mlrw")):
+    if FULL_CONDITIONAL in modes:
         model = fit_mcode(fit_ds, FULL_CONDITIONAL, lambda_policy)
         rho = estimate_rho(model, perturbed)
         if "mprod" in methods:
@@ -166,7 +179,7 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
             out["mlrw"] = score_lrw(
                 rho, local_weights(rho, NeighborIndex(std_ds.X), k_lrw))
 
-    if "iprod" in methods:
+    if INDEPENDENT in modes:
         model_i = fit_mcode(fit_ds, INDEPENDENT, lambda_policy)
         out["iprod"] = score_prod(estimate_rho(model_i, perturbed))
 

@@ -22,17 +22,18 @@ one stack per fold, and its rho computed with one product.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .dataset import Dataset, StandardizationStats, is_seed, standardize
-from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
-                    _checked_grid, check_folds, cross_validate_lambda,
-                    factor_from_dict, factor_to_dict, observed_prob,
+from .dataset import (Dataset, StandardizationStats, is_number, is_seed,
+                      json_int, load_json, save_json, standardize)
+from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, LogisticFactor,
+                    PROB_EPS, _checked_grid, check_folds,
+                    cross_validate_lambda, is_penalty, observed_prob,
                     predict_prob_stack, train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
@@ -213,6 +214,70 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
 MANIFEST_NAME = "manifest.json"
 
 
+def factor_to_dict(factor, dim_index: int) -> dict:
+    """Serializable form of the factor of output dimension dim_index;
+    floats survive the JSON round trip exactly."""
+    if isinstance(factor, ConstantFactor):
+        return {"kind": "constant",
+                "dim_index": int(dim_index),
+                "prob_one": float(factor.prob_one)}
+    return {"kind": "logistic",
+            "dim_index": int(dim_index),
+            "lambda": float(factor.lam),
+            "intercept": float(factor.intercept),
+            "weights": [float(w) for w in factor.weights],
+            "final_gradient_norm": float(factor.final_gradient_norm)}
+
+
+def factor_from_dict(doc: dict, dim_index: int):
+    """Inverse of factor_to_dict. The document must record dim_index, so a
+    factor read from the wrong position is caught; a missing, mistyped or
+    out-of-range value is a DomainError. Keys it does not read, such as
+    the "converged" flag older files carry, are ignored."""
+    try:
+        kind = doc["kind"]
+        stored = json_int(doc["dim_index"])
+        if kind == "constant":
+            factor = ConstantFactor(
+                prob_one=_number(doc, "prob_one", lambda p: 0.0 < p < 1.0))
+        elif kind == "logistic":
+            factor = LogisticFactor(
+                lam=_number(doc, "lambda", is_penalty),
+                weights=_numbers(doc, "weights"),
+                intercept=_number(doc, "intercept"),
+                final_gradient_norm=_number(
+                    doc, "final_gradient_norm",
+                    lambda g: math.isfinite(g) and g >= 0.0))
+        else:
+            raise ValueError(f"unknown factor kind {kind!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed factor document: {exc}") from exc
+    if stored != dim_index:
+        raise DomainError(
+            f"holds the factor of dimension {stored}, listed at position "
+            f"{dim_index}")
+    return factor
+
+
+def _number(doc: dict, key: str, ok=math.isfinite) -> float:
+    """doc[key], a JSON number (is_number), as a float that passes ok;
+    json reads 1e400 as inf."""
+    value = doc[key]
+    if not is_number(value) or not ok(float(value)):
+        raise ValueError(f"{key} must be a number in range, got {value!r}")
+    return float(value)
+
+
+def _numbers(doc: dict, key: str, ok=math.isfinite) -> np.ndarray:
+    """doc[key], a JSON list of numbers (is_number) that pass ok, as a
+    float64 vector."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(
+            is_number(v) and ok(float(v)) for v in values):
+        raise ValueError(f"{key} must be a list of numbers in range")
+    return np.array(values, dtype=np.float64)
+
+
 def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
     """Write the model as a directory: manifest plus one file per factor."""
     root = Path(path)
@@ -220,9 +285,7 @@ def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
     factor_files = []
     for i, factor in enumerate(model.factors):
         name = f"factor_{i:03d}.json"
-        with open(root / name, "w") as fh:
-            json.dump(factor_to_dict(factor, i), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(factor_to_dict(factor, i), root / name)
         factor_files.append(name)
     manifest = {
         "format": "mcode-model",
@@ -233,23 +296,12 @@ def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
     }
     if meta:
         manifest["_meta"] = meta
-    with open(root / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError: undecodable bytes or JSON, or a NUL in the name
-        raise DataError(f"{path}: not readable JSON: {exc}") from exc
+    save_json(manifest, root / MANIFEST_NAME)
 
 
 def _load_factor(path, dim_index: int):
     try:
-        return factor_from_dict(_load_json(path), dim_index)
+        return factor_from_dict(load_json(path), dim_index)
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -268,23 +320,19 @@ def load_model(path) -> McodeModel:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise DataError(f"{root}: no {MANIFEST_NAME} found")
-    manifest = _load_json(manifest_path)
+    manifest = load_json(manifest_path)
     if not isinstance(manifest, dict) or \
             manifest.get("format") != "mcode-model":
         raise DataError(f"{manifest_path}: not a model manifest")
     try:
         mode = manifest["mode"]
-        means = np.asarray(manifest["means"], dtype=np.float64)
-        std_devs = np.asarray(manifest["std_devs"], dtype=np.float64)
+        means = _numbers(manifest, "means")
+        std_devs = _numbers(manifest, "std_devs",
+                            lambda s: math.isfinite(s) and s > 0.0)
         names = manifest["factors"]
-        if means.ndim != 1 or not means.size or \
-                means.shape != std_devs.shape:
+        if not means.size or means.shape != std_devs.shape:
             raise ValueError("means and std_devs must be non-empty lists of "
                              "equal length")
-        if not np.isfinite(means).all():
-            raise ValueError("means must be finite")
-        if not (np.isfinite(std_devs) & (std_devs > 0.0)).all():
-            raise ValueError("std_devs must be finite and positive")
         if not isinstance(names, list) or not names or \
                 not all(isinstance(name, str) for name in names):
             raise ValueError("factors must be a non-empty list of file names")

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dposv
 from scipy.special import expit
 
 from .errors import ConfigError, DomainError, NumericalError
-from .dataset import is_integer, is_number, json_int, make_rng
+from .dataset import is_integer, is_number, make_rng
 
 # Probability estimates are clamped into [PROB_EPS, 1 - PROB_EPS] so their
 # logs stay finite everywhere downstream.
@@ -44,6 +44,7 @@ PROB_EPS = 1e-12
 GRAD_TOL = 1e-6
 MAX_ITER = 500
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _log = logging.getLogger("mcode")
 
@@ -317,8 +318,11 @@ def _check_training_inputs(features, labels, lams=None, pinned=None):
     if not np.isin(labels, (0.0, 1.0)).all():
         raise DomainError("labels must all be 0 or 1")
     if lams is not None:
-        if np.shape(lams) != labels.shape[1:] or \
-                not all(map(is_penalty, lams)):
+        try:
+            shape = np.shape(lams)
+        except ValueError:  # a ragged nesting, which NumPy cannot shape
+            shape = None
+        if shape != labels.shape[1:] or not all(map(is_penalty, lams)):
             raise DomainError(f"need one penalty per column, got {lams!r}")
         lams = np.asarray(lams, dtype=np.float64)
     if pinned is not None:
@@ -433,8 +437,8 @@ def predict_prob_stack(params, features) -> np.ndarray:
 def is_penalty(value) -> bool:
     """The rule of every penalty: a number in [0, float64 max]."""
     # a Python int compares exactly; a NumPy float32 would warn unwidened
-    return is_number(value) and _finite_non_negative(
-        value if isinstance(value, int) else float(value))
+    return is_number(value) and 0.0 <= (
+        value if isinstance(value, int) else float(value)) <= _FLOAT_MAX
 
 
 def _checked_grid(grid):
@@ -533,62 +537,3 @@ def cross_validate_lambda(features, labels, grid=DEFAULT_LAMBDA_GRID,
     # The last best grid value: ties go to the larger penalty.
     best = len(grid) - 1 - np.argmax(scores[::-1], axis=0)
     return tuple(grid[j] for j in best)
-
-
-def factor_to_dict(factor, dim_index: int) -> dict:
-    """Serializable form of the factor of output dimension dim_index;
-    floats survive the JSON round trip exactly."""
-    if isinstance(factor, ConstantFactor):
-        return {"kind": "constant",
-                "dim_index": int(dim_index),
-                "prob_one": float(factor.prob_one)}
-    return {"kind": "logistic",
-            "dim_index": int(dim_index),
-            "lambda": float(factor.lam),
-            "intercept": float(factor.intercept),
-            "weights": [float(w) for w in factor.weights],
-            "final_gradient_norm": float(factor.final_gradient_norm)}
-
-
-def factor_from_dict(doc: dict, dim_index: int):
-    """Inverse of factor_to_dict. The document must record dim_index, so a
-    factor read from the wrong position is caught; a missing, mistyped or
-    out-of-range value is a DomainError. Keys it does not read, such as
-    the "converged" flag older files carry, are ignored."""
-    try:
-        kind = doc["kind"]
-        stored = json_int(doc["dim_index"])
-        if kind == "constant":
-            factor = ConstantFactor(
-                prob_one=_number(doc, "prob_one", lambda p: 0.0 < p < 1.0))
-        elif kind == "logistic":
-            weights = np.asarray(doc["weights"], dtype=np.float64)
-            if weights.ndim != 1 or not np.isfinite(weights).all():
-                raise ValueError("weights must be a list of finite numbers")
-            factor = LogisticFactor(
-                lam=_number(doc, "lambda", _finite_non_negative),
-                weights=weights,
-                intercept=_number(doc, "intercept"),
-                final_gradient_norm=_number(doc, "final_gradient_norm",
-                                            _finite_non_negative))
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed factor document: {exc}") from exc
-    if stored != dim_index:
-        raise DomainError(
-            f"holds the factor of dimension {stored}, listed at position "
-            f"{dim_index}")
-    return factor
-
-
-def _finite_non_negative(value) -> bool:
-    return 0.0 <= value <= float(np.finfo(np.float64).max)
-
-
-def _number(doc: dict, key: str, ok=math.isfinite) -> float:
-    """doc[key] as a float that passes ok; json reads 1e400 as inf."""
-    value = float(doc[key])
-    if not ok(value):
-        raise ValueError(f"{key} out of range: {value!r}")
-    return value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .dataset import _csv_records, is_integer
+from .dataset import _csv_records, is_integer, write_table
 from .errors import DataError, DomainError
 from .model import RhoMatrix
 
@@ -382,13 +382,9 @@ _SCORE_HEADER = ["instance_index", "method", "score"]
 def write_score_table(path, sv: ScoreVector, comments=()) -> None:
     """Write (instance_index, method, score) rows, highest score first."""
     order = rank_descending(sv.scores)
-    rows = zip(order.tolist(), sv.scores[order].tolist())
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(_SCORE_HEADER) + "\n")
-        fh.write("".join(f"{idx},{sv.method},{score!r}\n"
-                         for idx, score in rows))
+    write_table(path, ",".join(_SCORE_HEADER), (
+        f"{idx},{sv.method},{score!r}" for idx, score in
+        zip(order.tolist(), sv.scores[order].tolist())), comments)
 
 
 def load_score_table(path):

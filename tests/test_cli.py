@@ -205,6 +205,18 @@ class TestDetect:
                    "--n-outputs", 3, "--dim-fraction", "0.34",
                    "--out-dir", out) == 1
 
+    def test_unreadable_config_file_exits_1_naming_it(self, tmp_path,
+                                                     dataset_file):
+        # the one JSON reader's data error, re-raised as a usage error
+        config = tmp_path / "config.json"
+        for content in (None, b"{", b"\xff\xfe{}"):
+            if content is not None:
+                config.write_bytes(content)
+            code, err = run_quiet("fit", "--config", config, "--dataset",
+                                  dataset_file, "--n-outputs", 3)
+            assert code == 1
+            assert err.startswith(f"mcode: error: {config}: ")
+
     def test_unknown_config_key(self, tmp_path, dataset_file):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": str(dataset_file),
@@ -486,6 +498,8 @@ _GATES = {
     "ratio": lambda v: inject_outliers(_DS, v, 0.5, 0),
     "dim_fraction": lambda v: inject_outliers(_DS, 0.5, v, 0),
     "upper": lambda v: atpar(ScoreVector(np.arange(4.0), "x"), {0}, v),
+    "cv_folds": lambda v: check_policy(CvLambda(folds=v)),
+    "seed": lambda v: check_policy(CvLambda(seed=v)),
 }
 # JSON values of every type, and values near the rules' edges; null means
 # unset for lam and cv_grid, so it is left out

@@ -257,6 +257,8 @@ class TestPerturbationLog:
         save_log(log, path, meta={"tool": "mcode"})
         assert load_log(path) == log
         doc = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(doc, indent=2,
+                                              sort_keys=True) + "\n"
         assert set(doc) == {"seed", "ratio", "dim_fraction", "outlier_rows",
                             "flipped_cells", "rng", "_meta"}
         assert doc["rng"] == "pcg64"
@@ -290,6 +292,15 @@ class TestPerturbationLog:
                                     "flipped_cells": []}))
         with pytest.raises(DataError, match=f"^{path}: malformed"):
             load_log(path)
+        # a file missing, undecodable, nested too deep, or a directory
+        path.unlink()
+        for content in (None, b"\xff\xfe{}", b"[" * 10**5 + b"]" * 10**5):
+            if content is not None:
+                path.write_bytes(content)
+            with pytest.raises(DataError, match=f"^{path}: "):
+                load_log(path)
+        with pytest.raises(DataError, match=f"^{tmp_path}: "):
+            load_log(tmp_path)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 import mcode.optim
 from mcode import (ConfigError, ConstantFactor, CvLambda, Dataset,
                    DomainError, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
-                   PROB_EPS, RhoMatrix, estimate_rho, fit_mcode,
-                   inject_outliers, load_model, save_model, standardize,
-                   train_logistic)
-from mcode.model import MODES
+                   LogisticFactor, PROB_EPS, RhoMatrix, estimate_rho,
+                   fit_mcode, inject_outliers, load_model, save_model,
+                   standardize, train_logistic)
+from mcode.model import MODES, factor_from_dict, factor_to_dict
+from mcode.optim import GRAD_TOL
 from mcode.errors import DataError
 
 import oracles
@@ -302,6 +303,9 @@ class TestPersistence:
                            ("std_devs", [0.0] + std_devs[1:]),
                            ("std_devs", [-1.0] + std_devs[1:]),
                            ("std_devs", ["1e400"] + std_devs[1:]),
+                           # a numeric string or a bool is not a number
+                           ("means", [str(v) for v in good["means"]]),
+                           ("std_devs", [True] + std_devs[1:]),
                            ("factors", [0, 1, 2]), ("factors", []),
                            ("factors", "factor_000.json"),
                            ("mode", "mystery")):
@@ -336,7 +340,10 @@ class TestPersistence:
                            ("lambda", -math.inf), ("lambda", -1.0),
                            ("final_gradient_norm", math.nan),
                            ("final_gradient_norm", "1e400"),
-                           ("final_gradient_norm", -1e-9)):
+                           ("final_gradient_norm", -1e-9),
+                           ("lambda", True), ("intercept", "0.5"),
+                           ("weights", [str(factor["weights"][0])]
+                            + factor["weights"][1:])):
             factor_path.write_text(with_value(factor, key, value))
             with pytest.raises(DataError,
                                match="factor_000.json: malformed factor"):
@@ -473,6 +480,40 @@ class TestPersistence:
         (tmp_path / name).write_text(json.dumps({**doc, key: value}))
         with pytest.raises(DomainError, match="overflow"):
             estimate_rho(load_model(tmp_path), ds)
+
+
+class TestFactorSerialization:
+    def test_logistic_round_trip_exact(self):
+        ds = make_coupled_dataset(n=30, m=4, d=1, seed=14)
+        factor = train_logistic(ds.X, ds.Y[:, 0], 0.25)
+        assert isinstance(factor, LogisticFactor)
+        doc = factor_to_dict(factor, 2)
+        assert doc["dim_index"] == 2 and "converged" not in doc
+        back = factor_from_dict(doc, 2)
+        assert np.array_equal(back.weights, factor.weights)
+        assert back.intercept == factor.intercept
+        assert back.lam == factor.lam
+        assert back.final_gradient_norm == factor.final_gradient_norm
+        assert back.converged == factor.converged
+
+    def test_constant_round_trip(self):
+        factor = ConstantFactor(prob_one=0.125)
+        assert factor_from_dict(factor_to_dict(factor, 1), 1) == factor
+
+    def test_malformed_document(self):
+        with pytest.raises(DomainError):
+            factor_from_dict({"kind": "mystery", "dim_index": 0}, 0)
+        with pytest.raises(DomainError):
+            factor_from_dict({"kind": "logistic", "weights": [1.0]}, 0)
+        with pytest.raises(DomainError, match="position 0"):
+            factor_from_dict(factor_to_dict(ConstantFactor(0.5), 1), 0)
+
+    def test_converged_is_the_gradient_test(self):
+        # one fact, one home: no stored flag can disagree with the norm
+        for norm in (0.0, GRAD_TOL, np.nextafter(GRAD_TOL, 1.0), 1.0):
+            factor = LogisticFactor(lam=1.0, weights=np.zeros(1),
+                                    intercept=0.0, final_gradient_norm=norm)
+            assert factor.converged == (norm <= GRAD_TOL)
 
 
 @pytest.fixture(scope="module")

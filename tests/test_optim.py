@@ -16,8 +16,7 @@ from mcode import (ConfigError, ConstantFactor, Dataset, DomainError,
 import mcode.optim
 from mcode.dataset import make_rng
 from mcode.optim import (DEFAULT_LAMBDA_GRID, GRAD_TOL, _logits, _newton,
-                         _newton_directions, factor_from_dict,
-                         factor_to_dict, predict_prob_stack,
+                         _newton_directions, predict_prob_stack,
                          train_logistic_columns)
 
 import oracles
@@ -316,6 +315,9 @@ class TestTrainer:
             train_logistic_columns(X, Y[:, 0], 1.0)
         with pytest.raises(DomainError):
             train_logistic_columns(X, Y, [True, 1.0, 1.0, 1.0])
+        # a ragged nesting, which NumPy cannot shape
+        with pytest.raises(DomainError, match="one penalty per column"):
+            train_logistic_columns(X, Y[:, :2], [[1.0], 1.0])
         for pinned in ([0, 1, 2], [0, 1, 2, 3], [0.0, 1.0, 2.0, 0.0]):
             with pytest.raises(DomainError, match="pinned"):
                 train_logistic_columns(X, Y, lams, pinned)
@@ -621,36 +623,3 @@ class TestCrossValidation:
         for grid in ((-1.0, 1.0), (1.0, np.nan), (1.0, True), ("1.0",)):
             with pytest.raises(ConfigError):
                 cross_validate_lambda(X, y, grid, 5, 0)
-
-
-class TestFactorSerialization:
-    def test_logistic_round_trip_exact(self):
-        X, y, lam = random_problem(14, n=30, p=4, lam=0.25)
-        factor = train_logistic(X, y, lam)
-        doc = factor_to_dict(factor, 2)
-        assert doc["dim_index"] == 2 and "converged" not in doc
-        back = factor_from_dict(doc, 2)
-        assert np.array_equal(back.weights, factor.weights)
-        assert back.intercept == factor.intercept
-        assert back.lam == factor.lam
-        assert back.final_gradient_norm == factor.final_gradient_norm
-        assert back.converged == factor.converged
-
-    def test_constant_round_trip(self):
-        factor = ConstantFactor(prob_one=0.125)
-        assert factor_from_dict(factor_to_dict(factor, 1), 1) == factor
-
-    def test_malformed_document(self):
-        with pytest.raises(DomainError):
-            factor_from_dict({"kind": "mystery", "dim_index": 0}, 0)
-        with pytest.raises(DomainError):
-            factor_from_dict({"kind": "logistic", "weights": [1.0]}, 0)
-        with pytest.raises(DomainError, match="position 0"):
-            factor_from_dict(factor_to_dict(ConstantFactor(0.5), 1), 0)
-
-    def test_converged_is_the_gradient_test(self):
-        # one fact, one home: no stored flag can disagree with the norm
-        for norm in (0.0, GRAD_TOL, np.nextafter(GRAD_TOL, 1.0), 1.0):
-            factor = LogisticFactor(lam=1.0, weights=np.zeros(1),
-                                    intercept=0.0, final_gradient_norm=norm)
-            assert factor.converged == (norm <= GRAD_TOL)
