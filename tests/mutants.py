@@ -118,6 +118,71 @@ MUTANTS = (
            "return is_integer(value) and value >= 0",
            "return isinstance(value, int) and value >= 0",
            ("test_evaluation.py",)),
+    # Newton directions: the fallback to -g falls on the failing problems
+    # alone, and the others solve by Cholesky substitution
+    Mutant("directions-fallback-whole-stack", "optim.py",
+           "definite = np.flatnonzero([_positive_definite(h) for h in hess])",
+           "definite = np.flatnonzero([False for h in hess])",
+           ("test_optim.py",)),
+    Mutant("directions-no-fallback", "optim.py",
+           "definite = np.flatnonzero([_positive_definite(h) for h in hess])",
+           "definite = np.arange(len(hess))",
+           ("test_optim.py",)),
+    Mutant("directions-lu-solve", "optim.py",
+           "d[definite] = _substituted(low, d[definite])",
+           "d[definite] = np.linalg.solve(hess[definite],\n"
+           "                                  d[definite, :, None])[..., 0]",
+           ("test_optim.py",)),
+    Mutant("substitution-untransposed", "optim.py",
+           "np.subtract(rest, low[i, :i] * row, out=rest)",
+           "np.subtract(rest, low[:i, i] * row, out=rest)",
+           ("test_optim.py",)),
+    # NumPy is the only runtime dependency
+    Mutant("scipy-import", "optim.py",
+           "import numpy as np\n",
+           "import numpy as np\nimport scipy.special\n",
+           ("test_readme.py",)),
+    # a pinned feature's weight stays exactly 0
+    Mutant("pinned-gradient-kept", "optim.py",
+           "g[np.arange(g.shape[0]), pinned[rows]] = 0.0",
+           "g[np.arange(g.shape[0]), pinned[rows]] *= 1.0",
+           ("test_optim.py", "test_model.py")),
+    Mutant("pinned-hessian-diagonal-2", "optim.py",
+           "hess[problem, col, col] = 1.0",
+           "hess[problem, col, col] = 2.0",
+           ("test_optim.py", "test_model.py")),
+    Mutant("pinned-weight-one-early", "model.py",
+           "np.insert(factor.weights, pinned[i], 0.0)",
+           "np.insert(factor.weights, pinned[i] - 1, 0.0)",
+           ("test_optim.py", "test_model.py")),
+    # an overflowing logit is summed again
+    Mutant("overflow-resum-off", "optim.py",
+           "if overflow.any():",
+           "if False:",
+           ("test_optim.py",)),
+    # exact CV ties go to the larger penalty
+    Mutant("cv-ties-smaller-lambda", "optim.py",
+           "best = len(grid) - 1 - np.argmax(scores[::-1], axis=0)",
+           "best = np.argmax(scores, axis=0)",
+           ("test_optim.py",)),
+    # each fold problem starts from its column's last fold solution
+    Mutant("warm-start-wrong-columns", "optim.py",
+           "start[:, solved].reshape(-1, p + 1),",
+           "start[:, solved[::-1]].reshape(-1, p + 1),",
+           ("test_optim.py",)),
+    Mutant("warm-start-not-carried", "optim.py",
+           "start[:, solved] = params.reshape(len(grid), solved.size, p + 1)",
+           "params.reshape(len(grid), solved.size, p + 1)",
+           ("test_optim.py",)),
+    # the solver's workspace
+    Mutant("curvature-weights-in-workspace", "optim.py",
+           "weight = weight.copy()  # out of the workspace",
+           "weight = weight  # out of the workspace",
+           ("test_optim.py",)),
+    Mutant("workspace-one-short", "optim.py",
+           "workspace = np.empty(_NLL_TEMPORARIES * params.shape[0]",
+           "workspace = np.empty((_NLL_TEMPORARIES - 1) * params.shape[0]",
+           ("test_optim.py",)),
 )
 
 
