@@ -26,7 +26,7 @@ from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
                       WeightVector, global_weights, local_weights,
                       rank_descending, score_lrw, score_prod, score_rw)
 from .lof import LofConfig, lof_scores
-from .evaluation import (EvalCurve, METHODS, TrialReport, atpar,
-                         run_experiment, score_methods, tpar, tpar_curve)
+from .evaluation import (EvalCurve, METHODS, atpar, run_experiment,
+                         score_methods, tpar, tpar_curve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

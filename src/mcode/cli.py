@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .dataset import (inject_outliers, is_rate, is_seed, load_csv, load_json,
@@ -297,38 +299,36 @@ def cmd_detect(args) -> int:
     save_json(config_doc, out / "config.json")
     print(json.dumps(config_doc, sort_keys=True))
 
-    records = open(out / "report.jsonl", "w")
+    with open(out / "report.jsonl", "w") as records:
+        def on_repeat(r, log, scored, atpars):
+            save_log(log, out / "logs" / f"perturbation_r{r:02d}.json",
+                     meta=meta)
+            for name, sv in scored.items():
+                write_score_table(out / "scores" / f"{name}_r{r:02d}.csv",
+                                  name, sv, comments=header)
+                write_curve(out / "curves" / f"{name}_r{r:02d}.csv",
+                            tpar_curve(sv, log.outlier_rows), header)
+                records.write(json.dumps({
+                    "dataset": resolved["dataset"], "method": name,
+                    "dim_fraction": resolved["dim_fraction"], "repeat": r,
+                    "atpar": atpars[name]}, sort_keys=True) + "\n")
 
-    def on_repeat(r, log, scored):
-        save_log(log, out / "logs" / f"perturbation_r{r:02d}.json", meta=meta)
-        for name, sv in scored.items():
-            labeled = ScoreVector(scores=sv.scores, method=name)
-            write_score_table(out / "scores" / f"{name}_r{r:02d}.csv",
-                              labeled, comments=header)
-            write_curve(out / "curves" / f"{name}_r{r:02d}.csv",
-                        tpar_curve(labeled, log.outlier_rows), header)
-            records.write(json.dumps({
-                "dataset": resolved["dataset"], "method": name,
-                "dim_fraction": resolved["dim_fraction"], "repeat": r,
-                "atpar": atpar(labeled, log.outlier_rows, resolved["upper"]),
-            }, sort_keys=True) + "\n")
-
-    try:
-        reports = run_experiment(
+        atpars = run_experiment(
             ds, resolved["methods"], resolved["ratio"],
             resolved["dim_fraction"], repeats=resolved["repeats"],
             seed=resolved["seed"], lambda_policy=policy,
             k_lof=resolved["k_lof"], k_lrw=resolved["k_lrw"],
             fit_on_original=resolved["fit_on_original"],
             upper=resolved["upper"], on_repeat=on_repeat)
-    finally:
-        records.close()
 
     title = (f"{'method':<8}{'dim_fraction':>14}{'mean_atpar':>12}"
              f"{'std':>10}{'repeats':>9}")
-    rows = [f"{name:<8}{rep.dim_fraction:>14.4g}{rep.mean:>12.4f}"
-            f"{rep.std:>10.4f}{len(rep.atpar_values):>9}"
-            for name, rep in reports.items()]
+    rows = []
+    for name, values in atpars.items():
+        # the sample std (ddof=1), which one repeat leaves undefined: 0 then
+        std = np.std(values, ddof=1) if len(values) > 1 else 0.0
+        rows.append(f"{name:<8}{resolved['dim_fraction']:>14.4g}"
+                    f"{np.mean(values):>12.4f}{std:>10.4f}{len(values):>9}")
     write_table(out / "report.txt", title, rows, header)
     print("\n".join([title, *rows]))
     return 0
@@ -340,7 +340,7 @@ def cmd_eval(args) -> int:
 
     scores, method = load_score_table(resolved["scores"])
     log = load_log(resolved["log_path"])
-    sv = ScoreVector(scores=scores, method=method)
+    sv = ScoreVector(scores=scores)
     value = atpar(sv, log.outlier_rows, resolved["upper"])
     print(f"method={method} upper={resolved['upper']:g} atpar={value!r}")
     if resolved["curve_out"]:

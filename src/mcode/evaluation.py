@@ -38,16 +38,6 @@ class EvalCurve:
     tpar_values: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    """ATPAR of one method across the repeats of an experiment."""
-    method: str
-    dim_fraction: float
-    atpar_values: tuple
-    mean: float
-    std: float
-
-
 def _check_truth(scores: ScoreVector, truth) -> np.ndarray:
     n = scores.scores.shape[0]
     mask = np.zeros(n, dtype=bool)
@@ -101,14 +91,6 @@ def write_curve(path, curve: EvalCurve, comments=()) -> None:
         f"{rate!r},{value!r}" for rate, value in
         zip(curve.alert_rates.tolist(), curve.tpar_values.tolist())),
         comments)
-
-
-def make_report(method: str, dim_fraction: float, values) -> TrialReport:
-    values = tuple(float(v) for v in values)
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return TrialReport(method=method, dim_fraction=float(dim_fraction),
-                       atpar_values=values, mean=mean, std=std)
 
 
 def _check_methods(methods, d: int):
@@ -199,26 +181,26 @@ def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
     """Repeated inject-fit-score-evaluate loop.
 
     Repeat r uses seed + r for its injection, so an experiment is fully
-    reproducible from (dataset, config, seed). Returns
-    {method name: TrialReport} in the order methods were requested.
-    on_repeat, if given, is called after each repeat with
-    (repeat index, PerturbationLog, {method: ScoreVector}) so callers can
-    persist per-repeat artifacts.
+    reproducible from (dataset, config, seed). Returns {method name:
+    tuple of its ATPAR in each repeat} in the order methods were
+    requested. on_repeat, if given, is called after each repeat with
+    (repeat index, PerturbationLog, {method: ScoreVector}, {method:
+    ATPAR}) so callers can persist per-repeat artifacts.
     """
     methods = check_experiment(ds, methods, repeats, k_lof, k_lrw,
                                lambda_policy)
     _alert_count(upper, ds.n)  # atpar's check of upper, before any fit
 
-    values = {name: [] for name in methods}
+    per_repeat = []
     for r in range(repeats):
         perturbed, log = inject_outliers(ds, ratio, dim_fraction, seed + r)
         scored = score_methods(
             perturbed, methods, lambda_policy=lambda_policy, k_lof=k_lof,
             k_lrw=k_lrw, fit_ds=ds if fit_on_original else None)
-        for name in methods:
-            values[name].append(atpar(scored[name], log.outlier_rows, upper))
+        atpars = {name: atpar(scored[name], log.outlier_rows, upper)
+                  for name in methods}
+        per_repeat.append(atpars)
         if on_repeat is not None:
-            on_repeat(r, log, scored)
+            on_repeat(r, log, scored, atpars)
 
-    return {name: make_report(name, dim_fraction, values[name])
-            for name in methods}
+    return {name: tuple(a[name] for a in per_repeat) for name in methods}

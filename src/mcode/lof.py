@@ -88,7 +88,7 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     ratio = np.take(lrd, nbr, out=reach)
     ratio /= lrd[:, None]
     scores = _row_sums(ratio, lrd[more] / lrd[owner], sizes) / sizes
-    return ScoreVector(scores=scores, method="LOF")
+    return ScoreVector(scores=scores)
 
 
 def _row_sums(first, extra, sizes) -> np.ndarray:

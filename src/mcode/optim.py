@@ -80,14 +80,13 @@ class ConstantFactor:
 _NLL_TEMPORARIES = 5
 
 
-def penalized_nll(params, features, labels, lam, *, curvature=False,
-                  workspace=None):
-    """Objective value and gradient at params = [weights..., intercept].
+def penalized_nll(params, features, labels, lam, *, workspace=None):
+    """Objective value, gradient and the Hessian's instance weights
+    p(1 - p) at params = [weights..., intercept].
 
     params may also be a B x (p+1) stack whose rows are separate problems:
     lam then holds B penalties, and labels is one vector shared by every
-    row or a B x N matrix. With curvature=True a third value is returned,
-    the Hessian's instance weights p(1 - p).
+    row or a B x N matrix.
 
     workspace, if given, is a float64 vector of at least _NLL_TEMPORARIES
     * B * N entries (B = 1 for a single problem) that holds every N-wide
@@ -123,8 +122,6 @@ def penalized_nll(params, features, labels, lam, *, curvature=False,
     grad[..., :-1] = (_summed_over_rows(residual, features)
                       + lam[..., None] * w)
     grad[..., -1] = residual.sum(axis=-1)
-    if not curvature:
-        return value, grad
     weight = np.subtract(1.0, prob, out=e)
     return value, grad, np.multiply(prob, weight, out=weight)
 
@@ -293,7 +290,7 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
         shared = labels.ndim == 1 or rows.size == labels.shape[0]
         f, g, weight = penalized_nll(
             trial, features, labels if shared else labels[rows],
-            lam[rows], curvature=True, workspace=workspace)
+            lam[rows], workspace=workspace)
         if pinned is not None:
             g[np.arange(g.shape[0]), pinned[rows]] = 0.0
         return f, g, weight

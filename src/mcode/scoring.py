@@ -53,14 +53,12 @@ class WeightVector:
 class LocalWeightMatrix:
     """Per-instance, per-dimension reliability weights from k-neighborhoods."""
     w: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-instance outlier scores plus the tag of the formula used."""
+    """Per-instance outlier scores, higher more outlying."""
     scores: np.ndarray
-    method: str
 
 
 class NeighborIndex:
@@ -339,18 +337,17 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
     for start in range(0, rho.n, step):
         rows = slice(start, start + step)
         w[rows] = k / errors[members[rows]].sum(axis=1)
-    return LocalWeightMatrix(w=w, k=k)
+    return LocalWeightMatrix(w=w)
 
 
-def _weighted_score(rho: RhoMatrix, w, method: str) -> ScoreVector:
+def _weighted_score(rho: RhoMatrix, w) -> ScoreVector:
     """-sum_i w_i log rho_i per instance, w broadcast against rho."""
-    return ScoreVector(scores=(-np.log(rho.values) * w).sum(axis=1),
-                       method=method)
+    return ScoreVector(scores=(-np.log(rho.values) * w).sum(axis=1))
 
 
 def score_prod(rho: RhoMatrix) -> ScoreVector:
     """Unweighted negative log pseudo-joint of each instance."""
-    return _weighted_score(rho, 1.0, "PROD")
+    return _weighted_score(rho, 1.0)
 
 
 def score_rw(rho: RhoMatrix, weights: WeightVector) -> ScoreVector:
@@ -358,7 +355,7 @@ def score_rw(rho: RhoMatrix, weights: WeightVector) -> ScoreVector:
     if weights.w.shape != (rho.d,):
         raise DomainError(
             f"expected {rho.d} weights, got shape {weights.w.shape}")
-    return _weighted_score(rho, weights.w, "RW")
+    return _weighted_score(rho, weights.w)
 
 
 def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:
@@ -367,7 +364,7 @@ def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:
         raise DomainError(
             f"local weights shape {local.w.shape} does not match rho "
             f"shape {rho.values.shape}")
-    return _weighted_score(rho, local.w, "LRW")
+    return _weighted_score(rho, local.w)
 
 
 def rank_descending(scores: np.ndarray) -> np.ndarray:
@@ -379,11 +376,13 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
 _SCORE_HEADER = ["instance_index", "method", "score"]
 
 
-def write_score_table(path, sv: ScoreVector, comments=()) -> None:
-    """Write (instance_index, method, score) rows, highest score first."""
+def write_score_table(path, method: str, sv: ScoreVector,
+                      comments=()) -> None:
+    """Write (instance_index, method, score) rows, highest score first,
+    method naming the scores in every row."""
     order = rank_descending(sv.scores)
     write_table(path, ",".join(_SCORE_HEADER), (
-        f"{idx},{sv.method},{score!r}" for idx, score in
+        f"{idx},{method},{score!r}" for idx, score in
         zip(order.tolist(), sv.scores[order].tolist())), comments)
 
 

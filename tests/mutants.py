@@ -183,6 +183,114 @@ MUTANTS = (
            "workspace = np.empty(_NLL_TEMPORARIES * params.shape[0]",
            "workspace = np.empty((_NLL_TEMPORARIES - 1) * params.shape[0]",
            ("test_optim.py",)),
+    # the kNN walk's screen: a margin too small, or none, lets a clean
+    # verdict through where a point within rounding of the k-th may be
+    # nearer
+    Mutant("screen-margin-small", "scoring.py",
+           "margin = (8 * (m + 3) * 2.0 ** -53 * reach",
+           "margin = 1e-3 * (8 * (m + 3) * 2.0 ** -53 * reach",
+           ("test_scoring.py",)),
+    Mutant("clean-rule-no-margin", "scoring.py",
+           "limit = kth_s + margin[rows]",
+           "limit = kth_s",
+           ("test_scoring.py",)),
+    # the walk's exact distances: padding at inf, a point's own distance
+    # excluded for LOF
+    Mutant("padding-not-inf", "scoring.py",
+           "dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf",
+           "pass",
+           ("test_scoring.py", "test_lof.py")),
+    Mutant("self-screen-kept", "scoring.py",
+           "screen[np.arange(rows.size), rows] = np.inf",
+           "pass",
+           ("test_lof.py",)),
+    Mutant("self-distance-kept", "scoring.py",
+           "dist[dcols == rows[rest, None]] = np.inf",
+           "pass",
+           ("test_scoring.py",)),
+    # the walk's verdicts: a tie across the cut, clean columns in index
+    # order, k = N clean, the (k+1)-th a true one
+    Mutant("tie-count-at-k", "scoring.py",
+           "tied[rest] = rank[:, -1] > room",
+           "tied[rest] = rank[:, -1] >= room",
+           ("test_scoring.py", "test_lof.py")),
+    Mutant("clean-columns-unsorted", "scoring.py",
+           "cols[settled] = np.sort(part[settled, :k], axis=1)",
+           "cols[settled] = part[settled, :k]",
+           ("test_scoring.py",)),
+    Mutant("k-equals-n-never-clean", "scoring.py",
+           "return ~np.isnan(kth_s)",
+           "return np.zeros(kth_s.shape, dtype=bool)",
+           ("test_scoring.py",)),
+    Mutant("wrong-next-after-kth", "scoring.py",
+           "next_s = (screen[np.arange(rows.size), part[:, k]]",
+           "next_s = (screen[np.arange(rows.size), part[:, k - 1]]",
+           ("test_scoring.py",)),
+    # points whose distances overflow are rejected
+    Mutant("diagonal-check-off", "scoring.py",
+           "if diagonal.size and not np.isfinite(diagonal[-1]):",
+           "if False:",
+           ("test_scoring.py",)),
+    # re-aimed: LRW's lists are summed in ascending index order, with no
+    # sort, so that k = N gives global_weights' bits (the distance-order
+    # rule this guarded went in an earlier rewrite)
+    Mutant("local-weights-descending-order", "scoring.py",
+           "w[rows] = k / errors[members[rows]].sum(axis=1)",
+           "w[rows] = k / errors[members[rows][:, ::-1]].sum(axis=1)",
+           ("test_scoring.py",)),
+    # re-aimed: a tie at the k-th distance goes to the lowest index (the
+    # tied-row rule this guarded went in an earlier rewrite)
+    Mutant("ties-to-highest-index", "scoring.py",
+           "keep = below | (ties & (rank <= room[:, None]))",
+           "keep = below | (ties & (rank > rank[:, -1:] - room[:, None]))",
+           ("test_scoring.py",)),
+    # re-aimed: LOF reads the walk's tied rows (the tied-row rule this
+    # guarded went in an earlier rewrite)
+    Mutant("tied-rows-never-flagged", "scoring.py",
+           "tied[rest] = rank[:, -1] > room",
+           "tied[rest] = False",
+           ("test_lof.py",)),
+    # LOF's tie-inclusive neighbourhoods and its ratio
+    Mutant("lof-extra-members-dropped", "lof.py",
+           "extra.append((rows[tied[r]], dcols[r, s], dist[r, s]))",
+           "pass",
+           ("test_lof.py",)),
+    Mutant("lof-first-k-from-walk", "lof.py",
+           "nbr[rows[tied]] = np.take_along_axis(dcols, first, axis=1)",
+           "nbr[rows[tied]] = cols[tied]",
+           ("test_lof.py",)),
+    Mutant("lof-ratio-not-divided", "lof.py",
+           "ratio /= lrd[:, None]",
+           "pass",
+           ("test_lof.py",)),
+    # a '#' line after the first row of a score table is an error
+    Mutant("late-comment-skipped", "dataset.py",
+           "if started and not comments_anywhere:",
+           "if False:",
+           ("test_scoring.py",)),
+    # detect: one ATPAR per method and repeat, written for its own repeat,
+    # summarized by the sample std, which is 0 for one repeat
+    Mutant("detect-stale-atpar", "evaluation.py",
+           "on_repeat(r, log, scored, atpars)",
+           "on_repeat(r, log, scored, per_repeat[0])",
+           ("test_cli.py",)),
+    Mutant("detect-recomputes-atpar", "cli.py",
+           '"atpar": atpars[name]}',
+           '"atpar": atpar(sv, log.outlier_rows, resolved["upper"])}',
+           ("test_cli.py",)),
+    Mutant("report-std-ddof-0", "cli.py",
+           "std = np.std(values, ddof=1) if len(values) > 1 else 0.0",
+           "std = np.std(values, ddof=0) if len(values) > 1 else 0.0",
+           ("test_cli.py",)),
+    Mutant("report-single-repeat-std", "cli.py",
+           "std = np.std(values, ddof=1) if len(values) > 1 else 0.0",
+           "std = np.std(values, ddof=1) if len(values) > 0 else 0.0",
+           ("test_cli.py",)),
+    # a score table's method column names its scores
+    Mutant("score-table-fixed-method", "scoring.py",
+           'f"{idx},{method},{score!r}"',
+           'f"{idx},PROD,{score!r}"',
+           ("test_cli.py",)),
 )
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with plain loops and the math
 module, independent of the library's vectorized code paths, so a bug in
-the package cannot confirm itself through a shared helper.
+the package cannot confirm itself through a shared helper. Distances
+square a difference as (a - b) * (a - b), the product cdist forms; a
+float ** 2 goes through libm's pow, which can differ in the last bit.
 """
 
 import csv
@@ -15,7 +17,7 @@ def brute_knn(points, query, k):
     """k nearest indices by full sort on (distance, index)."""
     dists = []
     for i, p in enumerate(points):
-        d2 = sum((a - b) ** 2 for a, b in zip(p, query))
+        d2 = sum((a - b) * (a - b) for a, b in zip(p, query))
         dists.append((math.sqrt(d2), i))
     dists.sort()
     return [i for _, i in dists[:k]]
@@ -27,7 +29,7 @@ def ties_across_cut(points, k, exclude_self=False):
     flags = []
     for i, query in enumerate(points):
         dists = sorted(
-            math.sqrt(sum((a - b) ** 2 for a, b in zip(p, query)))
+            math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, query)))
             for j, p in enumerate(points) if not (exclude_self and j == i))
         flags.append(len(dists) > k and dists[k] == dists[k - 1])
     return flags
@@ -67,7 +69,7 @@ def oracle_lof(points, k, floor=1e-12):
     n = len(points)
 
     def dist(a, b):
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
     dmat = [[dist(points[i], points[j]) for j in range(n)] for i in range(n)]
     kdist = []

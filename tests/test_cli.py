@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    PerturbationLog, ScoreVector, atpar, inject_outliers,
-                   load_csv, load_model, save_csv, save_log)
+                   load_csv, load_log, load_model, save_csv, save_log)
 import mcode.cli
 from mcode.cli import COMMANDS, OPTIONS, build_parser, main
 from mcode.evaluation import METHODS
@@ -159,6 +159,67 @@ class TestDetect:
         assert "# config=" in lines
         config = json.loads((detect_out / "config.json").read_text())
         assert config["_meta"]["seed"] == 5
+
+    def test_records_hold_each_repeats_atpar(self, detect_out):
+        # every report.jsonl record is the ATPAR of the score table and
+        # perturbation log written for its own repeat
+        for line in (detect_out / "report.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            tag = f"r{record['repeat']:02d}"
+            scores, _ = load_score_table(
+                detect_out / "scores" / f"{record['method']}_{tag}.csv")
+            log = load_log(detect_out / "logs" / f"perturbation_{tag}.json")
+            assert record["atpar"] == atpar(ScoreVector(scores),
+                                            log.outlier_rows, 0.1)
+
+    def test_one_atpar_per_method_and_repeat(self, tmp_path, dataset_file,
+                                             monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return atpar(*args, **kwargs)
+
+        monkeypatch.setattr(mcode.evaluation, "atpar", spy)
+        monkeypatch.setattr(mcode.cli, "atpar", spy)
+        assert run("detect", "--dataset", dataset_file, "--n-outputs", 3,
+                   "--methods", "lof", "iprod", "mrw", "--ratio", "0.1",
+                   "--dim-fraction", "0.34", "--k-lof", 10, "--k-lrw", 10,
+                   "--lambda", "1.0", "--repeats", 2, "--upper", "0.1",
+                   "--out-dir", tmp_path / "run") == 0
+        assert len(calls) == 3 * 2
+
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_report_summarizes_the_records(self, tmp_path, dataset_file,
+                                           repeats):
+        out = tmp_path / "run"
+        assert run("detect", "--dataset", dataset_file, "--n-outputs", 3,
+                   "--methods", "lof", "iprod", "mrw", "--ratio", "0.1",
+                   "--dim-fraction", "0.34", "--k-lof", 10, "--k-lrw", 10,
+                   "--lambda", "1.0", "--repeats", repeats,
+                   "--upper", "0.1", "--out-dir", out) == 0
+        values = {}
+        for line in (out / "report.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            values.setdefault(record["method"], []).append(record["atpar"])
+        lines = [line for line in (out / "report.txt").read_text()
+                 .splitlines() if not line.startswith("#")]
+        assert lines[0].split() == ["method", "dim_fraction", "mean_atpar",
+                                    "std", "repeats"]
+        rows = [line.split() for line in lines[1:]]
+        assert [row[0] for row in rows] == ["lof", "iprod", "mrw"]
+        stds = []
+        for name, dim_fraction, mean, std, count in rows:
+            atpars = values[name]
+            assert (dim_fraction, count) == ("0.34", str(repeats))
+            assert len(atpars) == repeats
+            assert mean == f"{np.mean(atpars):.4f}"
+            # the sample std, ddof=1; 0 for a single repeat
+            expected = np.std(atpars, ddof=1) if repeats > 1 else 0.0
+            assert std == f"{expected:.4f}"
+            stds.append(float(std))
+        # the repeats differ, so ddof=0 would print other numbers
+        assert (max(stds) > 0) == (repeats > 1)
 
     def test_usage_errors(self, tmp_path, dataset_file):
         assert run("detect", "--dataset", dataset_file,
@@ -497,7 +558,7 @@ _GATES = {
         CvLambda(grid=mcode.cli._parse_grid(v))),
     "ratio": lambda v: inject_outliers(_DS, v, 0.5, 0),
     "dim_fraction": lambda v: inject_outliers(_DS, 0.5, v, 0),
-    "upper": lambda v: atpar(ScoreVector(np.arange(4.0), "x"), {0}, v),
+    "upper": lambda v: atpar(ScoreVector(np.arange(4.0)), {0}, v),
     "cv_folds": lambda v: check_policy(CvLambda(folds=v)),
     "seed": lambda v: check_policy(CvLambda(seed=v)),
 }

@@ -6,7 +6,7 @@ import pytest
 from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    ScoreVector, atpar, inject_outliers, run_experiment, tpar,
                    tpar_curve)
-from mcode.evaluation import check_experiment, make_report
+from mcode.evaluation import check_experiment
 from mcode.scoring import rank_descending
 
 import oracles
@@ -20,7 +20,7 @@ def ranking_scores(n, ranked_first):
     rest = [i for i in range(n) if i not in ranked_first]
     for rank, row in enumerate(list(ranked_first) + rest):
         out[row] = scores[rank]
-    return ScoreVector(scores=out, method="RW")
+    return ScoreVector(scores=out)
 
 
 class TestTpar:
@@ -44,7 +44,7 @@ class TestTpar:
         assert tpar(sv, {1, 2, 3}, 1.0) == pytest.approx(3 / 40)
 
     def test_ties_break_by_index(self):
-        sv = ScoreVector(scores=np.zeros(6), method="RW")
+        sv = ScoreVector(scores=np.zeros(6))
         assert tpar(sv, {0}, 1 / 6) == 1.0
         assert tpar(sv, {5}, 1 / 6) == 0.0
 
@@ -81,7 +81,7 @@ class TestAtpar:
         for _ in range(5):
             scores = gen.uniform(size=120)
             truth = set(gen.choice(120, size=6, replace=False).tolist())
-            sv = ScoreVector(scores=scores, method="RW")
+            sv = ScoreVector(scores=scores)
             a_max = max(1, round(0.05 * 120))
             assert atpar(sv, truth, 0.05) == pytest.approx(
                 oracles.oracle_atpar(scores.tolist(), truth, a_max),
@@ -95,9 +95,9 @@ class TestAtpar:
         gen = np.random.default_rng(6)
         scores = gen.uniform(1, 5, size=80)
         truth = {4, 17, 33}
-        base = atpar(ScoreVector(scores, "RW"), truth)
-        shifted = atpar(ScoreVector(3 * scores + 10, "RW"), truth)
-        curved = atpar(ScoreVector(np.exp(scores), "RW"), truth)
+        base = atpar(ScoreVector(scores), truth)
+        shifted = atpar(ScoreVector(3 * scores + 10), truth)
+        curved = atpar(ScoreVector(np.exp(scores)), truth)
         assert base == shifted == curved
 
     def test_perfect_ranking_scores_one(self):
@@ -117,7 +117,7 @@ class TestTparCurve:
     def test_matches_tpar_pointwise(self):
         gen = np.random.default_rng(11)
         for n in (1, 24, 100, 2417):
-            sv = ScoreVector(gen.integers(0, 5, size=n).astype(float), "RW")
+            sv = ScoreVector(gen.integers(0, 5, size=n).astype(float))
             truth = set(gen.choice(n, size=max(1, n // 20),
                                    replace=False).tolist())
             curve = tpar_curve(sv, truth)
@@ -128,31 +128,23 @@ class TestTparCurve:
                 assert value == tpar(sv, truth, rate)
 
 
-class TestTrialReport:
-    def test_statistics_consistent(self):
-        gen = np.random.default_rng(9)
-        values = gen.uniform(size=10)
-        report = make_report("mrw", 0.25, values)
-        assert report.mean == pytest.approx(np.mean(values), abs=1e-12)
-        assert report.std == pytest.approx(np.std(values, ddof=1), abs=1e-12)
-        assert len(report.atpar_values) == 10
-
-    def test_single_repeat_has_zero_std(self):
-        report = make_report("lof", 0.1, [0.6])
-        assert report.std == 0.0
-
-
 class TestRunExperiment:
     def test_seed_derivation_matches_direct_injection(self):
         ds = make_coupled_dataset(n=80, m=3, d=3, seed=1)
         captured = []
-        run_experiment(ds, ["iprod"], ratio=0.05, dim_fraction=0.34,
-                       repeats=3, seed=11, lambda_policy=FixedLambda(1.0),
-                       k_lof=10, k_lrw=10, upper=0.05,
-                       on_repeat=lambda r, log, scored: captured.append(log))
-        for r, log in enumerate(captured):
+        values = run_experiment(
+            ds, ["iprod"], ratio=0.05, dim_fraction=0.34, repeats=3,
+            seed=11, lambda_policy=FixedLambda(1.0), k_lof=10, k_lrw=10,
+            upper=0.05, on_repeat=lambda *args: captured.append(args))
+        assert [r for r, *_ in captured] == [0, 1, 2]
+        for r, log, scored, atpars in captured:
             _, expected = inject_outliers(ds, 0.05, 0.34, seed=11 + r)
             assert log == expected
+            # the ATPAR handed to on_repeat is the one returned, of the
+            # repeat's own scores
+            assert atpars == {"iprod": values["iprod"][r]}
+            assert atpars["iprod"] == atpar(scored["iprod"],
+                                            log.outlier_rows, 0.05)
 
     def test_deterministic_and_ordered(self):
         ds = make_coupled_dataset(n=70, m=3, d=3, seed=2)
@@ -162,10 +154,10 @@ class TestRunExperiment:
         first = run_experiment(ds, ["mrw", "lof"], **kwargs)
         second = run_experiment(ds, ["mrw", "lof"], **kwargs)
         assert list(first) == ["mrw", "lof"]
-        assert first["mrw"].atpar_values == second["mrw"].atpar_values
-        assert all(len(rep.atpar_values) == 2 for rep in first.values())
-        assert all(0.0 <= v <= 1.0 for rep in first.values()
-                   for v in rep.atpar_values)
+        assert first == second
+        assert all(len(values) == 2 for values in first.values())
+        assert all(0.0 <= v <= 1.0 for values in first.values()
+                   for v in values)
 
     def test_strong_signal_detected(self):
         # blatant coupled outliers should be found by the conditional model
@@ -173,7 +165,7 @@ class TestRunExperiment:
         reports = run_experiment(
             ds, ["mprod"], ratio=0.03, dim_fraction=0.34, repeats=2, seed=1,
             lambda_policy=FixedLambda(1.0), k_lof=10, k_lrw=10, upper=0.03)
-        assert reports["mprod"].mean > 0.5
+        assert np.mean(reports["mprod"]) > 0.5
 
     def test_method_validation(self):
         ds = make_coupled_dataset(n=40, m=3, d=3, seed=4)
@@ -261,7 +253,7 @@ class TestRunExperiment:
             ds, ["mrw"], ratio=0.05, dim_fraction=0.34, repeats=1, seed=3,
             lambda_policy=FixedLambda(1.0), k_lof=10, k_lrw=10,
             fit_on_original=True, upper=0.05)
-        assert 0.0 <= reports["mrw"].mean <= 1.0
+        assert 0.0 <= reports["mrw"][0] <= 1.0
 
     def test_constant_rho_collapses_prod_and_rw(self, monkeypatch):
         # with every estimate identical the reliability weights carry no
@@ -276,4 +268,4 @@ class TestRunExperiment:
         reports = run_experiment(
             ds, ["mprod", "mrw"], ratio=0.05, dim_fraction=0.34, repeats=2,
             seed=6, lambda_policy=FixedLambda(1.0), upper=0.05)
-        assert reports["mprod"].atpar_values == reports["mrw"].atpar_values
+        assert reports["mprod"] == reports["mrw"]

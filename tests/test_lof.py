@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,11 @@ class TestProperties:
         b = lof_scores(moved, LofConfig(k=6)).scores
         np.testing.assert_allclose(a, b, rtol=1e-9)
 
-    def test_method_tag(self):
+    def test_returns_scores_alone(self):
         pts = np.random.default_rng(1).normal(size=(10, 2))
-        assert lof_scores(pts, LofConfig(k=2)).method == "LOF"
+        result = lof_scores(pts, LofConfig(k=2))
+        assert [f.name for f in dataclasses.fields(result)] == ["scores"]
+        assert result.scores.shape == (10,)
 
 
 class TestValidation:

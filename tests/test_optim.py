@@ -41,7 +41,7 @@ class TestObjective:
         gen = np.random.default_rng(1000 + seed)
         for _ in range(10):
             params = gen.normal(scale=2.0, size=5)
-            _, grad = penalized_nll(params, X, y, lam)
+            _, grad, _ = penalized_nll(params, X, y, lam)
             fd = np.empty_like(params)
             h = 1e-6
             for j in range(params.size):
@@ -57,11 +57,11 @@ class TestObjective:
     def test_penalty_excludes_intercept(self):
         X = np.zeros((4, 1))
         y = np.array([0.0, 1.0, 1.0, 1.0])
-        value_b0, _ = penalized_nll(np.array([0.0, 0.0]), X, y, 10.0)
-        value_b2, _ = penalized_nll(np.array([0.0, 2.0]), X, y, 10.0)
+        value_b0 = penalized_nll(np.array([0.0, 0.0]), X, y, 10.0)[0]
+        value_b2 = penalized_nll(np.array([0.0, 2.0]), X, y, 10.0)[0]
         # moving the intercept changes only the likelihood term
         assert value_b2 != value_b0
-        value_w, _ = penalized_nll(np.array([2.0, 0.0]), X, y, 10.0)
+        value_w = penalized_nll(np.array([2.0, 0.0]), X, y, 10.0)[0]
         assert value_w == pytest.approx(value_b0 + 0.5 * 10.0 * 4.0)
 
     def test_stack_rows_are_the_single_problems(self):
@@ -70,10 +70,9 @@ class TestObjective:
         params = gen.normal(size=(4, 4))
         lams = np.array([0.0, 0.1, 1.0, 10.0])
         labels = np.vstack([y, 1.0 - y, (gen.random((2, 30)) < 0.4) * 1.0])
-        values, grads, weights = penalized_nll(params, X, labels, lams,
-                                               curvature=True)
+        values, grads, weights = penalized_nll(params, X, labels, lams)
         for b in range(4):
-            value, grad = penalized_nll(params[b], X, labels[b], lams[b])
+            value, grad, _ = penalized_nll(params[b], X, labels[b], lams[b])
             assert values[b] == pytest.approx(value, rel=1e-12)
             np.testing.assert_allclose(grads[b], grad, rtol=1e-12,
                                        atol=1e-12)
@@ -83,8 +82,7 @@ class TestObjective:
         # a workspace larger than the stack, holding stale values, changes
         # no bit
         workspace = np.full(mcode.optim._NLL_TEMPORARIES * 5 * 30, np.nan)
-        reused = penalized_nll(params, X, labels, lams, curvature=True,
-                               workspace=workspace)
+        reused = penalized_nll(params, X, labels, lams, workspace=workspace)
         for fresh, again in zip((values, grads, weights), reused):
             assert fresh.tobytes() == again.tobytes()
 
@@ -100,7 +98,7 @@ class TestObjective:
         features, labels = np.ones((1, 1)), np.zeros(1)
         with np.errstate(all="ignore"):
             _, grad, weight = penalized_nll(params, features, labels,
-                                            np.zeros(z.size), curvature=True)
+                                            np.zeros(z.size))
             logit = _logits(params, features)
             e = np.exp(-np.abs(logit))
             inv = 1.0 / (1.0 + e)
@@ -114,10 +112,10 @@ class TestObjective:
         X, y, _ = random_problem(12, n=50, p=3)
         params = np.random.default_rng(3).normal(size=(3, 4))
         lams = np.array([0.0, 1.0, 5.0])
-        whole = penalized_nll(params, X, y, lams, curvature=True)
+        whole = penalized_nll(params, X, y, lams)
         monkeypatch.setattr(mcode.optim, "_BLAS_SERIAL_SIZE", 20)
         assert len(mcode.optim._row_slices(50, 3 * 3)) == 25
-        cut = penalized_nll(params, X, y, lams, curvature=True)
+        cut = penalized_nll(params, X, y, lams)
         for a, b in zip(whole, cut):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
 
@@ -191,7 +189,7 @@ class TestTrainer:
         factor = train_logistic(X, y, lam)
         assert factor.converged
         assert factor.final_gradient_norm <= 1e-6
-        value, grad = penalized_nll(
+        _, grad, _ = penalized_nll(
             np.append(factor.weights, factor.intercept), X, y, lam)
         assert np.linalg.norm(grad) == pytest.approx(
             factor.final_gradient_norm)
@@ -276,8 +274,8 @@ class TestTrainer:
             assert (grad[:, 1] == 0.0).all() and (d[:, 1] == 0.0).all()
             assert (hess[:, 1] == unit).all() and (hess[:, :, 1] == unit).all()
         assert (params[:, 1] == 0.0).all()
-        _, grad = penalized_nll(params, X, np.vstack([y, 1.0 - y]),
-                                np.array([0.5, 2.0]))
+        _, grad, _ = penalized_nll(params, X, np.vstack([y, 1.0 - y]),
+                                   np.array([0.5, 2.0]))
         # ||g|| is the norm without the pinned entry, which is far from 0
         np.testing.assert_allclose(
             gnorm, np.linalg.norm(np.delete(grad, 1, axis=1), axis=1),

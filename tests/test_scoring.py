@@ -477,7 +477,6 @@ class TestLocalWeights:
         expected = oracles.oracle_local_weights(
             rho.values.tolist(), pts.tolist(), 7)
         np.testing.assert_allclose(local.w, expected, rtol=1e-12)
-        assert local.k == 7
 
     def test_size_mismatch(self):
         rho = random_rho(1, n=10)
@@ -507,11 +506,10 @@ class TestScores:
         prod = score_prod(rho)
         rw = score_rw(rho, WeightVector(np.ones(rho.d)))
         assert np.array_equal(prod.scores, rw.scores)
-        assert prod.method == "PROD" and rw.method == "RW"
 
     def test_lrw_all_unit_weights_reduces_to_prod(self):
         rho = random_rho(24, n=15, d=4)
-        lrw = score_lrw(rho, LocalWeightMatrix(np.ones((15, 4)), k=3))
+        lrw = score_lrw(rho, LocalWeightMatrix(np.ones((15, 4))))
         assert np.array_equal(lrw.scores, score_prod(rho).scores)
 
     def test_lrw_with_full_neighborhood_equals_rw(self):
@@ -566,7 +564,7 @@ class TestScores:
         with pytest.raises(DomainError):
             score_rw(rho, WeightVector(np.ones(2)))
         with pytest.raises(DomainError):
-            score_lrw(rho, LocalWeightMatrix(np.ones((4, 3)), k=2))
+            score_lrw(rho, LocalWeightMatrix(np.ones((4, 3))))
 
 
 class TestRankingAndTables:
@@ -575,9 +573,9 @@ class TestRankingAndTables:
 
     def test_score_table_round_trip(self, tmp_path):
         gen = np.random.default_rng(60)
-        sv = ScoreVector(scores=gen.uniform(0, 50, size=17), method="RW")
+        sv = ScoreVector(scores=gen.uniform(0, 50, size=17))
         path = tmp_path / "scores.csv"
-        write_score_table(path, sv, comments=("mcode test", "seed=1"))
+        write_score_table(path, "RW", sv, comments=("mcode test", "seed=1"))
         scores, method = load_score_table(path)
         assert method == "RW"
         assert np.array_equal(scores, sv.scores)
@@ -628,11 +626,10 @@ _FIELD = st.text(st.characters(exclude_categories=("Cs",)))
 @example(row=5, field=0, text="#")
 @given(row=st.integers(0, 5), field=st.integers(0, 2), text=_FIELD)
 def test_any_single_field_edit_loads_or_is_a_data_error(row, field, text):
-    sv = ScoreVector(scores=np.array([3.5, 0.25, 7.0, 1e-300, 2.0, 0.0]),
-                     method="RW")
+    sv = ScoreVector(scores=np.array([3.5, 0.25, 7.0, 1e-300, 2.0, 0.0]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.csv"
-        write_score_table(path, sv, comments=("mcode test",))
+        write_score_table(path, "RW", sv, comments=("mcode test",))
         lines = path.read_text().splitlines(keepends=True)
         body = lines.index("instance_index,method,score\n") + 1 + row
         fields = lines[body].rstrip("\n").split(",")
