@@ -10,6 +10,8 @@ simulator and a TPAR/ATPAR evaluation harness.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .errors import (ConfigError, DataError, DomainError, McodeError,
                      NumericalError)
 from .dataset import (Dataset, PerturbationLog, RNG_ALGORITHM,
@@ -29,4 +31,7 @@ from .lof import LofConfig, lof_scores
 from .evaluation import (EvalCurve, METHODS, atpar, run_experiment,
                          score_methods, tpar, tpar_curve)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; importing them bound their submodules too,
+# which a star import must not
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _Module)]

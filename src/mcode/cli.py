@@ -1,11 +1,13 @@
 """Command line front end: simulate, fit, detect, eval.
 
 OPTIONS declares each option once. Every flag can also come from a JSON
-config file (--config) under its OPTIONS key; explicit flags win, and
-every value is checked before any file is written. Output artifacts carry
-a header with the tool version, the seed, and a hash of the resolved
-configuration so results can be traced back to the exact run that
-produced them.
+config file (--config) under its OPTIONS key; explicit flags win. main
+resolves a run once, before any file is written: it checks every value
+and keeps it in its kind's one form, a number as a float and a grid as
+its ascending floats, whichever source gave it. Output artifacts carry
+a header with the tool version, the seed, and a hash of that resolved
+configuration, so results can be traced back to the exact run that
+produced them, and one run has one hash.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -54,15 +56,27 @@ class Option:
     choices: tuple | None = None
 
 
+def _parse_grid(value):
+    """The numbers of a comma-separated string; a list as it is."""
+    return tuple(map(float, value.split(","))) if isinstance(value, str) \
+        else value
+
+
+def _as_is(value):
+    return value
+
+
 # kind: (JSON types a config value may take, argparse keywords of the
-# flag, what a value must be)
+# flag, what a value must be, the value a valid one resolves to)
 _KINDS = {
-    "int": ((int,), {"type": int}, "an integer"),
-    "number": ((int, float), {"type": float}, "a number"),
-    "str": ((str,), {}, "a string"),
-    "bool": ((bool,), {"action": "store_true"}, "true or false"),
-    "list": ((list,), {"nargs": "+"}, "a list"),
-    "grid": ((str, list), {}, "a comma-separated string or a list"),
+    "int": ((int,), {"type": int}, "an integer", _as_is),
+    "number": ((int, float), {"type": float}, "a number", float),
+    "str": ((str,), {}, "a string", _as_is),
+    "bool": ((bool,), {"action": "store_true"}, "true or false", _as_is),
+    "list": ((list,), {"nargs": "+"}, "a list", _as_is),
+    "grid": ((str, list), {}, "a non-empty comma-separated string or list "
+             "of finite numbers >= 0",
+             lambda v: _checked_grid(_parse_grid(v))),
 }
 
 
@@ -74,12 +88,6 @@ def _one_or_more_of(choices):
     return dict(choices=choices,
                 valid=lambda v: len(v) > 0 and all(x in choices for x in v),
                 expect=f"a non-empty list of {', '.join(choices)}")
-
-
-def _parse_grid(value):
-    """The numbers of a comma-separated string; a list as it is."""
-    return tuple(map(float, value.split(","))) if isinstance(value, str) \
-        else value
 
 
 OPTIONS = {
@@ -102,10 +110,7 @@ OPTIONS = {
                   "fixed penalty (skips cross-validation)", is_penalty,
                   "a finite number >= 0"),
     "cv_grid": Option("--cv-grid", "grid", None,
-                      "comma-separated penalty grid",
-                      lambda v: _checked_grid(_parse_grid(v)),
-                      "a non-empty comma-separated string or list of finite "
-                      "numbers >= 0"),
+                      "comma-separated penalty grid"),
     "cv_folds": Option("--cv-folds", "int", 5, "cross-validation folds",
                        lambda v: check_folds(v) or True, "an integer >= 2"),
     "repeats": Option("--repeats", "int", 10, "injection repeats",
@@ -158,25 +163,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(key, value):
+    """value as its option's kind resolves it, None for an unset option; a
+    ConfigError unless the option's kind and rule accept it."""
     opt = OPTIONS[key]
     if value is None and opt.required:
         raise ConfigError(f"{opt.flag} is required")
     if value is None and opt.default is None:
-        return
-    types, _, noun = _KINDS[opt.kind]
+        return None
+    types, _, noun, resolve = _KINDS[opt.kind]
     try:
         ok = isinstance(value, types) and (
             bool in types or not isinstance(value, bool)) and opt.valid(value)
+        if ok:  # resolved only once checked: float(2 ** 1024) overflows
+            return resolve(value)
     except (ConfigError, ValueError):  # the grid's rule, or float("x")
-        ok = False
-    if not ok:
-        raise ConfigError(f"{opt.flag} (config key {key!r}) must be "
-                          f"{opt.expect or noun}, got {value!r}")
+        pass
+    raise ConfigError(f"{opt.flag} (config key {key!r}) must be "
+                      f"{opt.expect or noun}, got {value!r}")
 
 
 def _resolve(args) -> dict:
     """Merge flag values over config-file values over the defaults of
-    OPTIONS, and check every value against its option."""
+    OPTIONS, each value checked and resolved by _check."""
     keys = COMMANDS[args.command][2]
     file_values = {}
     if args.config:
@@ -193,14 +201,10 @@ def _resolve(args) -> dict:
 
     resolved = {}
     for key in keys:
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = OPTIONS[key].default
-        _check(key, resolved[key])
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key, OPTIONS[key].default)
+        resolved[key] = _check(key, value)
     if resolved.get("lam") is not None and resolved.get("cv_grid") is not None:
         raise ConfigError("--lambda and --cv-grid are mutually exclusive")
     return resolved
@@ -209,18 +213,15 @@ def _resolve(args) -> dict:
 def _lambda_policy(resolved):
     if resolved["lam"] is not None:
         return FixedLambda(resolved["lam"])
-    grid = DEFAULT_LAMBDA_GRID
-    if resolved["cv_grid"] is not None:
-        grid = _parse_grid(resolved["cv_grid"])
-    return CvLambda(grid=grid, folds=resolved["cv_folds"],
-                    seed=resolved["seed"])
+    return CvLambda(grid=resolved["cv_grid"] or DEFAULT_LAMBDA_GRID,
+                    folds=resolved["cv_folds"], seed=resolved["seed"])
 
 
 def _config_hash(resolved: dict) -> str:
     # identifies the run parameters, not where the artifacts land
     params = {k: v for k, v in resolved.items()
               if k not in ("out_dir", "curve_out")}
-    canon = json.dumps(params, sort_keys=True, default=str)
+    canon = json.dumps(params, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -233,10 +234,7 @@ def _meta(seed, cfg_hash):
             "config_hash": cfg_hash}
 
 
-def cmd_simulate(args) -> int:
-    resolved = _resolve(args)
-    cfg_hash = _config_hash(resolved)
-
+def cmd_simulate(resolved, cfg_hash) -> int:
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
     perturbed, log = inject_outliers(
         ds, resolved["ratio"], resolved["dim_fraction"], resolved["seed"])
@@ -253,10 +251,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    resolved = _resolve(args)
-    cfg_hash = _config_hash(resolved)
-
+def cmd_fit(resolved, cfg_hash) -> int:
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
     policy = _lambda_policy(resolved)
     for mode in resolved["modes"]:
@@ -279,10 +274,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    resolved = _resolve(args)
-    cfg_hash = _config_hash(resolved)
-
+def cmd_detect(resolved, cfg_hash) -> int:
     ds = load_csv(resolved["dataset"], resolved["n_outputs"])
     policy = _lambda_policy(resolved)
     check_experiment(ds, resolved["methods"], resolved["repeats"],
@@ -334,10 +326,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    resolved = _resolve(args)
-    cfg_hash = _config_hash(resolved)
-
+def cmd_eval(resolved, cfg_hash) -> int:
     scores, method = load_score_table(resolved["scores"])
     log = load_log(resolved["log_path"])
     sv = ScoreVector(scores=scores)
@@ -360,16 +349,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        resolved = _resolve(args)
+        return args.func(resolved, _config_hash(resolved))
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
     except ConfigError as exc:
         print(f"mcode: error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, DomainError) as exc:
-        print(f"mcode: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, DomainError, OSError) as exc:
         print(f"mcode: data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -112,14 +112,12 @@ def _check_methods(methods, d: int):
 
 
 def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
-                     k_lrw: int, lambda_policy=None) -> tuple:
+                     k_lrw: int, lambda_policy=CvLambda()) -> tuple:
     """Reject settings run_experiment cannot carry out on ds, the lambda
     policy by check_policy; returns the methods, duplicates dropped."""
     methods = _check_methods(methods, ds.d)
     if not is_integer(repeats) or repeats < 1:
         raise ConfigError(f"repeats must be a positive integer, got {repeats!r}")
-    if lambda_policy is None:
-        lambda_policy = CvLambda()
     check_policy(lambda_policy, ds.n if _MODE_OF.keys() & methods else None)
     if "mlrw" in methods and not (is_integer(k_lrw) and 1 <= k_lrw <= ds.n):
         raise ConfigError(f"k_lrw must be an integer in [1, {ds.n}] on "
@@ -130,7 +128,7 @@ def check_experiment(ds: Dataset, methods, repeats: int, k_lof: int,
     return methods
 
 
-def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
+def score_methods(perturbed: Dataset, methods, *, lambda_policy=CvLambda(),
                   k_lof: int = 100, k_lrw: int = 100,
                   fit_ds: Dataset = None) -> dict:
     """Score one contaminated dataset with each requested method.
@@ -143,8 +141,6 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
     methods = _check_methods(methods, perturbed.d)
     if fit_ds is None:
         fit_ds = perturbed
-    if lambda_policy is None:
-        lambda_policy = CvLambda()
 
     out = {}
     std_ds, _ = standardize(perturbed)
@@ -173,7 +169,8 @@ def score_methods(perturbed: Dataset, methods, *, lambda_policy=None,
 
 
 def run_experiment(ds: Dataset, methods, ratio: float, dim_fraction: float,
-                   repeats: int = 10, seed: int = 0, *, lambda_policy=None,
+                   repeats: int = 10, seed: int = 0, *,
+                   lambda_policy=CvLambda(),
                    k_lof: int = 100, k_lrw: int = 100,
                    fit_on_original: bool = False,
                    upper: float = DEFAULT_UPPER_RATE,

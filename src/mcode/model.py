@@ -147,7 +147,7 @@ def check_policy(policy, n=None):
 
 
 def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
-              lambda_policy=None) -> McodeModel:
+              lambda_policy=CvLambda()) -> McodeModel:
     """Fit one factor per output dimension on the given dataset.
 
     The penalty for each factor comes from the policy: FixedLambda uses
@@ -156,8 +156,6 @@ def fit_mcode(ds: Dataset, mode: str = FULL_CONDITIONAL,
     or after it, and become ConstantFactors with recorded penalty None.
     """
     check_mode(mode, ds.d)
-    if lambda_policy is None:
-        lambda_policy = CvLambda()
     check_policy(lambda_policy, ds.n)
 
     ds_std, stats = standardize(ds)

@@ -91,6 +91,25 @@ MUTANTS = (
            'is_seed,\n                   "an integer >= 0"',
            'lambda v: True,\n                   "an integer >= 0"',
            ("test_cli.py",)),
+    # a run resolves once: a number to a float, a grid to its ascending
+    # floats, whichever source gave it
+    Mutant("cli-number-raw", "cli.py",
+           '"a number", float),',
+           '"a number", _as_is),',
+           ("test_cli.py",)),
+    Mutant("cli-grid-raw", "cli.py",
+           "lambda v: _checked_grid(_parse_grid(v))),",
+           "lambda v: _checked_grid(_parse_grid(v)) and v),",
+           ("test_cli.py",)),
+    Mutant("cli-grid-unsorted", "cli.py",
+           "lambda v: _checked_grid(_parse_grid(v))),",
+           "lambda v: _checked_grid(_parse_grid(v)) and _parse_grid(v)),",
+           ("test_cli.py",)),
+    # a star import binds no submodule
+    Mutant("all-lists-modules", "__init__.py",
+           " and not isinstance(value, _Module)]",
+           "]",
+           ("test_readme.py",)),
     # the curve's alert count is _alert_count's
     Mutant("curve-alert-count", "evaluation.py",
            "a_top = _alert_count(DEFAULT_CURVE_RATE, n)",

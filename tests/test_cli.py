@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -284,6 +285,32 @@ class TestDetect:
                                       "mystery": 1}))
         assert run("detect", "--config", config, "--n-outputs", 3,
                    "--dim-fraction", "0.34", "--out-dir", tmp_path) == 1
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--lambda", "1"], {"lam": 1}),
+        (["--cv-grid", "0.1,1,10"], {"cv_grid": [10, 0.1, 1]}),
+    ], ids=["lam", "cv_grid"])
+    def test_flag_and_config_give_one_run(self, tmp_path, dataset_file,
+                                          flags, config):
+        # a value resolves to one form whichever source gave it, so both
+        # runs write the same bytes: one config hash, one config.json
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        written = []
+        for source in (flags, ["--config", path]):
+            shutil.rmtree(out, ignore_errors=True)
+            assert run_quiet(
+                "detect", "--dataset", dataset_file, "--n-outputs", 3,
+                "--methods", "iprod", "--ratio", "0.1",
+                "--dim-fraction", "0.34", "--repeats", 1,
+                "--out-dir", out, *source)[0] == 0
+            written.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert written[0] == written[1]
+        assert b"# config=" in written[0][Path("report.txt")]
+        resolved = json.loads(written[0][Path("config.json")])
+        assert resolved["cv_grid"] in (None, [0.1, 1.0, 10.0])
 
 
 class TestEval:
@@ -590,6 +617,20 @@ def test_cli_check_matches_library_gate(key, value):
     # the CLI and the library apply one rule, so they cannot drift apart
     assert _passes(lambda v: mcode.cli._check(key, v), value) == \
         _passes(_GATES[key], value)
+
+
+@pytest.mark.parametrize("key,value,resolved", [
+    ("lam", 1, "1.0"),
+    ("ratio", 1, "1.0"),
+    ("cv_grid", "10,0.1,1", "(0.1, 1.0, 10.0)"),
+    ("cv_grid", [10, 0.1, 1], "(0.1, 1.0, 10.0)"),
+    ("seed", 3, "3"),
+    ("methods", ["mrw", "lof"], "['mrw', 'lof']"),
+])
+def test_check_resolves_by_kind(key, value, resolved):
+    # a number as a float, a grid as its ascending floats, the rest as
+    # given; compared by repr, since 1 == 1.0
+    assert repr(mcode.cli._check(key, value)) == resolved
 
 
 class TestTopLevel:

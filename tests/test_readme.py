@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import mcode
 from mcode import save_csv
@@ -58,3 +59,13 @@ def test_package_imports_no_scipy():
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded == "[]\n"
+
+
+def test_star_import_binds_no_module():
+    # `from mcode import *` binds the package's names, never its
+    # submodules, which would overwrite a caller's `model` or `dataset`
+    names = {}
+    exec("from mcode import *", names)
+    assert [name for name, value in names.items()
+            if isinstance(value, ModuleType)] == []
+    assert "fit_mcode" in names
