@@ -23,7 +23,10 @@ k-distance. An untied row takes its k nearest; a row with more than k
 points within its k-distance, a tie across the cut, takes every one of
 them. Every row's first k neighbors, in ascending index order, go into
 N x k arrays allocated once, where the reach distances are then formed
-in place; a tied row's further members go into a side list.
+in place; a tied row's further members go into a side list. From N =
+4096 the walk runs on two threads, each over one half of the rows; the
+halves' side lists are joined in row order, so the scores are bitwise
+those of one thread. No option sets this.
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
     nbr = np.empty((n, k), dtype=np.intp)
     reach = np.empty((n, k))
     kdist = np.empty(n)
-    extra = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-              np.empty(0))]
-    for rows, dcols, dist, cols, near, kth, tied in index._blocks(
-            k, exclude_self=True):
+
+    def take(rows, dcols, dist, cols, near, kth, tied):
+        """Store a block's lists, and return its tied rows' further
+        members, their rows, columns and distances, if it has any."""
         nbr[rows], reach[rows], kdist[rows] = cols, near, kth
         tied = np.flatnonzero(tied)
         if tied.size:
@@ -75,7 +78,12 @@ def lof_scores(points, config: LofConfig = LofConfig()) -> ScoreVector:
             nbr[rows[tied]] = np.take_along_axis(dcols, first, axis=1)
             reach[rows[tied]] = np.take_along_axis(dist, first, axis=1)
             r, s = np.nonzero(within & (rank > k))
-            extra.append((rows[tied[r]], dcols[r, s], dist[r, s]))
+            return rows[tied[r]], dcols[r, s], dist[r, s]
+
+    # the blocks' side lists joined in row order, as _row_sums reads them
+    extra = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+              np.empty(0))]
+    extra += filter(None, index._walk(k, take, exclude_self=True))
     owner, more, more_dist = map(np.concatenate, zip(*extra))
     sizes = k + np.bincount(owner, minlength=n)
 

@@ -505,12 +505,13 @@ def is_penalty(value) -> bool:
 
 
 def _checked_grid(grid):
-    """grid as ascending floats; a ConfigError unless one or more penalties."""
+    """grid's distinct penalties as ascending floats, 0 and -0 as 0.0; a
+    ConfigError unless one or more penalties."""
     values = tuple(grid) if np.iterable(grid) else ()
     if not values or not all(map(is_penalty, values)):
         raise ConfigError(f"lambda values must be finite numbers >= 0, at "
                           f"least one, got {grid!r}")
-    return tuple(sorted(float(v) for v in values))
+    return tuple(sorted({float(v) + 0.0 for v in values}))  # -0.0 + 0.0 is 0.0
 
 
 def check_folds(folds, n=None):

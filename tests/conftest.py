@@ -42,6 +42,14 @@ def small_blocks(request, monkeypatch):
     monkeypatch.setattr(mcode.optim, "_BLAS_SERIAL_SIZE", request.param)
 
 
+@pytest.fixture
+def split_walk(monkeypatch):
+    """Split every kNN walk of two blocks or more into two halves, one
+    per thread, whatever N and however many CPUs the process may use."""
+    monkeypatch.setattr(mcode.scoring, "_SPLIT_ROWS", 0)
+    monkeypatch.setattr(mcode.scoring, "_THREADS", 2)
+
+
 def grid_with_duplicates(seed, n=40):
     """Points on a 4 x 4 integer grid, most of them repeated, so distance
     ties and zero distances fall on both sides of every block edge."""
@@ -62,7 +70,7 @@ def mixed_ties(seed, n=30):
 def tie_pattern(pts, k, exclude_self=False):
     """The kNN walk's tied flag of every row, one array per block."""
     index = mcode.scoring.NeighborIndex(pts)
-    return [tied for *_, tied in index._blocks(k, exclude_self)]
+    return index._walk(k, lambda *block: block[-1], exclude_self)
 
 
 def traced_peak(func) -> int:

@@ -105,6 +105,15 @@ MUTANTS = (
            "lambda v: _checked_grid(_parse_grid(v))),",
            "lambda v: _checked_grid(_parse_grid(v)) and _parse_grid(v)),",
            ("test_cli.py",)),
+    # a grid holds each penalty once, 0 and -0 as one
+    Mutant("grid-duplicates-kept", "optim.py",
+           "return tuple(sorted({float(v) + 0.0 for v in values}))",
+           "return tuple(sorted(float(v) + 0.0 for v in values))",
+           ("test_cli.py",)),
+    Mutant("grid-negative-zero-kept", "optim.py",
+           "return tuple(sorted({float(v) + 0.0 for v in values}))",
+           "return tuple(sorted({float(v) for v in values}))",
+           ("test_cli.py",)),
     # a star import binds no submodule
     Mutant("all-lists-modules", "__init__.py",
            " and not isinstance(value, _Module)]",
@@ -271,8 +280,8 @@ MUTANTS = (
            ("test_lof.py",)),
     # LOF's tie-inclusive neighbourhoods and its ratio
     Mutant("lof-extra-members-dropped", "lof.py",
-           "extra.append((rows[tied[r]], dcols[r, s], dist[r, s]))",
-           "pass",
+           "return rows[tied[r]], dcols[r, s], dist[r, s]",
+           "return rows[tied[r]][:0], dcols[r, s][:0], dist[r, s][:0]",
            ("test_lof.py",)),
     Mutant("lof-first-k-from-walk", "lof.py",
            "nbr[rows[tied]] = np.take_along_axis(dcols, first, axis=1)",
@@ -282,6 +291,30 @@ MUTANTS = (
            "ratio /= lrd[:, None]",
            "pass",
            ("test_lof.py",)),
+    # the two-thread walk: halves cut at the block boundary nearest N / 2,
+    # joined in row order, a failure in the second raised in the caller,
+    # the shared set-up gone when the walk ends
+    Mutant("split-cut-one-block-off", "scoring.py",
+           "cut = step * ((n + step) // (2 * step))",
+           "cut = step * ((n + step) // (2 * step) + 1)",
+           ("test_scoring.py",)),
+    Mutant("split-second-half-joined-first", "scoring.py",
+           "return first + second",
+           "return second + first",
+           ("test_scoring.py",)),
+    Mutant("split-worker-error-dropped", "scoring.py",
+           "failed.append(exc)",
+           "pass",
+           ("test_scoring.py",)),
+    Mutant("split-set-up-kept", "scoring.py",
+           "shared = self._screen()",
+           'shared = self.__dict__.setdefault("_shared", self._screen())',
+           ("test_lof.py",)),
+    # every Y cell is 0 or 1, not just one of them
+    Mutant("zeros-and-ones-any-cell", "dataset.py",
+           "return bool(((cells == 0) | (cells == 1)).all())",
+           "return bool(((cells == 0) | (cells == 1)).any())",
+           ("test_dataset.py",)),
     # a '#' line after the first row of a score table is an error
     Mutant("late-comment-skipped", "dataset.py",
            "if started and not comments_anywhere:",

@@ -626,10 +626,13 @@ def test_cli_check_matches_library_gate(key, value):
     ("cv_grid", [10, 0.1, 1], "(0.1, 1.0, 10.0)"),
     ("seed", 3, "3"),
     ("methods", ["mrw", "lof"], "['mrw', 'lof']"),
+    ("cv_grid", "1,1,10", "(1.0, 10.0)"),
+    ("cv_grid", "0,-0,1", "(0.0, 1.0)"),
+    ("cv_grid", [-0.0, 1], "(0.0, 1.0)"),
 ])
 def test_check_resolves_by_kind(key, value, resolved):
-    # a number as a float, a grid as its ascending floats, the rest as
-    # given; compared by repr, since 1 == 1.0
+    # a number as a float, a grid as its distinct ascending floats (0 and
+    # -0 one penalty), the rest as given; compared by repr, since 1 == 1.0
     assert repr(mcode.cli._check(key, value)) == resolved
 
 

@@ -39,6 +39,28 @@ class TestDatasetValidation:
         with pytest.raises(DomainError):
             Dataset(np.ones((2, 2)), np.array([[0], [2]]))
 
+    @pytest.mark.parametrize("cells, accepted", [
+        pytest.param([0, 1], True, id="int"),
+        pytest.param(np.array([0, 1], dtype=np.int8), True, id="int8"),
+        pytest.param([0.0, 1.0], True, id="float"),
+        pytest.param([-0.0, 1.0], True, id="negative-zero"),
+        pytest.param([False, True], True, id="bool"),
+        pytest.param(np.array([0, 1], dtype=object), True, id="object"),
+        pytest.param(["0", "1"], False, id="str"),
+        pytest.param(np.array(["0", 1], dtype=object), False,
+                     id="object-str"),
+        pytest.param([np.nan, 1.0], False, id="nan"),
+        pytest.param([0, 2], False, id="two"),
+        pytest.param([0.5, 1.0], False, id="half"),
+    ])
+    def test_outputs_are_zeros_and_ones_by_value(self, cells, accepted):
+        Y = np.asarray(cells).reshape(2, 1)
+        if accepted:
+            assert Dataset(np.ones((2, 1)), Y).Y.tolist() == [[0], [1]]
+        else:
+            with pytest.raises(DomainError, match="0 or 1"):
+                Dataset(np.ones((2, 1)), Y)
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(DomainError):
             Dataset(np.ones((3, 2)), np.ones((2, 1)))

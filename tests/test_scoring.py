@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +109,7 @@ def test_walk_hands_every_row_its_lowest_index_list(points, k, exclude_self):
     if exclude_self:
         np.fill_diagonal(dist, np.inf)
     expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :k], axis=1)
-    walked = list(NeighborIndex(pts)._blocks(k, exclude_self))
+    walked = NeighborIndex(pts)._walk(k, lambda *block: block, exclude_self)
     assert any(tied.any() for *_, tied in walked)
     for rows, _, _, cols, *_ in walked:
         assert cols.tolist() == expected[rows].tolist()
@@ -372,6 +374,109 @@ def test_block_sizes_change_no_output(monkeypatch, kind, k):
     assert outputs["one block"] == outputs["default"]
 
 
+SPLIT_SETS = {
+    "gaussian": lambda: np.random.default_rng(12).normal(size=(200, 3)),
+    "grid": lambda: grid_with_duplicates(12, n=60),
+    "mixed": lambda: mixed_ties(12),
+}
+
+
+@pytest.mark.usefixtures("small_blocks", "split_walk")
+@pytest.mark.parametrize("kind", sorted(SPLIT_SETS))
+def test_two_threads_change_no_output(monkeypatch, kind):
+    # each half of a split walk writes only its own rows, and LOF joins
+    # the halves' side lists in row order: query_all, local_weights and
+    # LOF are bitwise those of one thread, with tied rows in both halves
+    pts = SPLIT_SETS[kind]()
+    k = 5
+    if kind != "gaussian":
+        tied = np.concatenate(tie_pattern(pts, k, exclude_self=True))
+        quarter = len(pts) // 4
+        assert tied[:quarter].any() and tied[-quarter:].any()
+    rho = random_rho(7, n=len(pts), d=3)
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two halves finely
+    try:
+        for threads in (1, 2):
+            monkeypatch.setattr(mcode.scoring, "_THREADS", threads)
+            outputs[threads] = [out.tobytes()
+                                for out in walk_outputs(pts, k, rho)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[2] == outputs[1]
+
+
+@pytest.fixture
+def walkers(monkeypatch):
+    """The rows each thread measures exact distances for, by thread."""
+    rows_of = {}
+
+    def recording(points, rows, cols):
+        rows_of.setdefault(threading.get_ident(), []).extend(rows.tolist())
+        return distances(points, rows, cols)
+
+    distances = mcode.scoring._distances
+    monkeypatch.setattr(mcode.scoring, "_distances", recording)
+    return rows_of
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("n", [2, 7, 40, 61])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_split_walk_cuts_at_the_middle_block(monkeypatch, walkers, n,
+                                             threads):
+    # LOF measures every row: with two threads this one walks the rows
+    # before the block boundary nearest N / 2 and one other thread the
+    # rest; with one thread, or one block, this one walks them all
+    monkeypatch.setattr(mcode.scoring, "_SPLIT_ROWS", 0)
+    monkeypatch.setattr(mcode.scoring, "_THREADS", threads)
+    pts = np.random.default_rng(n).normal(size=(n, 2))
+    lof_scores(pts, LofConfig(k=1))
+    step = max(mcode.scoring._MIN_BLOCK_ROWS,
+               mcode.scoring._BLOCK_ENTRIES // n)
+    first = sorted(set(walkers.pop(threading.get_ident())))
+    if threads == 1 or step >= n:
+        assert not walkers and first == list(range(n))
+        return
+    (second,) = walkers.values()
+    cut = len(first)
+    assert first == list(range(cut))
+    assert sorted(set(second)) == list(range(cut, n))
+    assert cut % step == 0 and abs(cut - n / 2) <= step / 2
+
+
+class Stop(Exception):
+    """Raised by a _distances that fails on the last row."""
+
+
+@pytest.mark.usefixtures("small_blocks", "split_walk")
+@pytest.mark.parametrize("walk", ["query_all", "lof"])
+def test_second_half_errors_reach_the_caller(monkeypatch, walk):
+    # a failure in the second half, walked by the other thread, is raised
+    # here, once both halves have stopped, not printed beside a
+    # half-filled result
+    pts = grid_with_duplicates(3)
+    failed_in = []
+
+    def failing(points, rows, cols):
+        if (rows == len(pts) - 1).any():
+            failed_in.append(threading.get_ident())
+            raise Stop
+        return distances(points, rows, cols)
+
+    distances = mcode.scoring._distances
+    monkeypatch.setattr(mcode.scoring, "_distances", failing)
+    threads = threading.active_count()
+    with pytest.raises(Stop):
+        if walk == "lof":
+            lof_scores(pts, LofConfig(k=3))
+        else:
+            NeighborIndex(pts).query_all(3)
+    assert failed_in and failed_in[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("k", [1, 5])
 def test_query_all_measures_only_rows_that_are_not_clean(measured,
@@ -380,7 +485,7 @@ def test_query_all_measures_only_rows_that_are_not_clean(measured,
     # measures every row; a clean row, k points there, measures nothing
     pts = mixed_ties(4, n=20)
     index = NeighborIndex(pts)
-    list(index._blocks(k))
+    index._walk(k, lambda *block: None)
     clean = np.concatenate(clean_flags)
     assert clean.any() and not clean.all()
     total = sum(measured)
