@@ -24,9 +24,10 @@ points within its k-distance, a tie across the cut, takes every one of
 them. Every row's first k neighbors, in ascending index order, go into
 N x k arrays allocated once, where the reach distances are then formed
 in place; a tied row's further members go into a side list. From N =
-4096 the walk runs on two threads, each over one half of the rows; the
-halves' side lists are joined in row order, so the scores are bitwise
-those of one thread. No option sets this.
+4096 the walk runs on two threads, the calling thread over the first
+half of the rows and an executor task over the second, by the same path
+as one half; the halves' side lists are joined in row order, so the
+scores are bitwise those of one thread. No option sets this.
 """
 
 from __future__ import annotations

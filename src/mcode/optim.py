@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .dataset import is_integer, is_number, make_rng
+from .dataset import _zeros_and_ones, is_integer, is_number, make_rng
 
 # Probability estimates are clamped into [PROB_EPS, 1 - PROB_EPS] so their
 # logs stay finite everywhere downstream.
@@ -263,11 +263,11 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
     features; returns (params, ||g||), one row or entry per problem.
 
     Row b of params is the start of problem b, lam[b] its penalty and
-    labels its label vector (shared) or labels[b]. If pinned is given,
-    problem b holds the weight of feature pinned[b] at its start value,
-    which must be 0: that gradient entry is 0 and that Hessian row and
-    column are the identity's, so Newton never moves it and the problem
-    is the one without that feature. pairs, if given, must be
+    labels[b] its label vector. If pinned is given, problem b holds the
+    weight of feature pinned[b] at its start value, which must be 0: that
+    gradient entry is 0 and that Hessian row and column are the
+    identity's, so Newton never moves it and the problem is the one
+    without that feature. pairs, if given, must be
     _pair_products(features), which a caller solving several stacks on
     rows of one matrix can form once.
 
@@ -287,7 +287,7 @@ def _newton(features, labels, lam, params, pinned=None, pairs=None):
 
     def evaluate(rows, trial):
         # rows ascend, so a trial of the whole stack has rows 0..B-1
-        shared = labels.ndim == 1 or rows.size == labels.shape[0]
+        shared = rows.size == labels.shape[0]
         f, g, weight = penalized_nll(
             trial, features, labels if shared else labels[rows],
             lam[rows], workspace=workspace)
@@ -377,7 +377,7 @@ def _check_training_inputs(features, labels, lams=None, pinned=None):
         raise DomainError("need at least one training instance")
     if not np.isfinite(features).all():
         raise DomainError("features contain non-finite values")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not _zeros_and_ones(labels):
         raise DomainError("labels must all be 0 or 1")
     if lams is not None:
         try:

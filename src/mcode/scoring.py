@@ -19,7 +19,7 @@ weight is finite and lies in [1, 1/eps].
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +86,7 @@ class NeighborIndex:
 
     From N = 4096, when the process may use two CPUs or more, the walk
     runs on two threads: the calling thread walks the rows before the
-    block boundary nearest N / 2 and one more thread the rest, each half
+    block boundary nearest N / 2 and an executor task the rest, each half
     in row order. Each block writes only its own rows, so the results are
     bitwise those of one thread. No option sets this: below N = 4096 a
     second thread did not pay for itself.
@@ -143,15 +143,16 @@ class NeighborIndex:
 
         From _SPLIT_ROWS rows, when the process may use _THREADS >= 2
         CPUs, the rows are cut at the block boundary nearest N / 2: this
-        thread walks the first half and one more thread the second, each
-        in row order. consume runs in both threads, on disjoint rows. So
-        that the other thread's malloc arena keeps little once the walk
-        ends, the set-up _screen computes is shared by both halves and
-        released with the walk, this thread allocates every buffer a half
-        reuses, and a split walk runs argpartition over slabs of a quarter
-        of _BLOCK_ENTRIES, whose index arrays each thread allocates anew.
-        An exception in either half is raised here, after both halves
-        have stopped.
+        thread walks the first half and a one-thread executor the second,
+        each in row order; one half submits nothing and starts no thread.
+        consume runs in both threads, on disjoint rows. So that the other
+        thread's malloc arena keeps little once the walk ends, the set-up
+        _screen computes is shared by both halves and released with the
+        walk, this thread allocates every buffer a half reuses, and a
+        split walk runs argpartition over slabs of a quarter of
+        _BLOCK_ENTRIES, whose index arrays each thread allocates anew.
+        Leaving the executor waits for its task, so an exception in
+        either half is raised here, after both halves have stopped.
         """
         n = self.n
         step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // n)
@@ -170,25 +171,11 @@ class NeighborIndex:
                               np.empty((min(step, n), kept), dtype=np.intp),
                               slab, exclude_self, measure_clean)
                  for starts in halves]
-        if len(walks) == 1:
-            return [consume(*block) for block in walks[0]]
-        second, failed = [], []
-
-        def walk_second():
-            try:
-                second.extend(consume(*block) for block in walks[1])
-            except BaseException as exc:  # raised again in the caller
-                failed.append(exc)
-
-        worker = threading.Thread(target=walk_second)
-        worker.start()
-        try:
+        with ThreadPoolExecutor(1) as pool:
+            rest = [pool.submit(lambda w: [consume(*b) for b in w], walk)
+                    for walk in walks[1:]]
             first = [consume(*block) for block in walks[0]]
-        finally:
-            worker.join()
-        if failed:
-            raise failed[0]
-        return first + second
+        return first + [out for task in rest for out in task.result()]
 
     def _screen(self):
         """The set-up every block of a walk reads and none writes: the

@@ -293,18 +293,23 @@ MUTANTS = (
            ("test_lof.py",)),
     # the two-thread walk: halves cut at the block boundary nearest N / 2,
     # joined in row order, a failure in the second raised in the caller,
-    # the shared set-up gone when the walk ends
+    # a failure in the first raised once the second has stopped, the
+    # shared set-up gone when the walk ends
     Mutant("split-cut-one-block-off", "scoring.py",
            "cut = step * ((n + step) // (2 * step))",
            "cut = step * ((n + step) // (2 * step) + 1)",
            ("test_scoring.py",)),
     Mutant("split-second-half-joined-first", "scoring.py",
-           "return first + second",
-           "return second + first",
+           "return first + [out for task in rest for out in task.result()]",
+           "return [out for task in rest for out in task.result()] + first",
            ("test_scoring.py",)),
     Mutant("split-worker-error-dropped", "scoring.py",
-           "failed.append(exc)",
-           "pass",
+           "for out in task.result()]",
+           "for out in (task.result() if not task.exception() else [])]",
+           ("test_scoring.py",)),
+    Mutant("split-second-half-not-waited", "scoring.py",
+           "with ThreadPoolExecutor(1) as pool:",
+           "for pool in [ThreadPoolExecutor(1)]:",
            ("test_scoring.py",)),
     Mutant("split-set-up-kept", "scoring.py",
            "shared = self._screen()",
@@ -315,6 +320,63 @@ MUTANTS = (
            "return bool(((cells == 0) | (cells == 1)).all())",
            "return bool(((cells == 0) | (cells == 1)).any())",
            ("test_dataset.py",)),
+    # every documented rejection: guard off, or the error left unmapped
+    Mutant("config-array-accepted", "cli.py",
+           "if not isinstance(file_values, dict):",
+           "if False:",
+           ("test_cli.py",)),
+    Mutant("numerical-failure-unmapped", "cli.py",
+           "except NumericalError as exc:",
+           "except ZeroDivisionError as exc:",
+           ("test_cli.py",)),
+    Mutant("constant-factor-unnamed", "cli.py",
+           "if isinstance(factor, ConstantFactor):",
+           "if False:",
+           ("test_cli.py",)),
+    Mutant("header-width-unchecked", "dataset.py",
+           "if names is not None and len(names) != width:",
+           "if False:",
+           ("test_cli.py",)),
+    Mutant("dataset-not-2d-accepted", "dataset.py",
+           "if X.ndim != 2 or Y.ndim != 2:",
+           "if False:",
+           ("test_dataset.py",)),
+    Mutant("dataset-empty-accepted", "dataset.py",
+           "if X.shape[0] < 1 or X.shape[1] < 1 or Y.shape[1] < 1:",
+           "if False:",
+           ("test_dataset.py",)),
+    Mutant("output-names-uncounted", "dataset.py",
+           "if len(names_y) != Y.shape[1]:",
+           "if False:",
+           ("test_dataset.py",)),
+    Mutant("standardize-columns-unchecked", "dataset.py",
+           "if X.ndim != 2 or X.shape[1] != self.means.shape[0]:",
+           "if False:",
+           ("test_dataset.py",)),
+    Mutant("newton-start-not-finite", "optim.py",
+           "if not np.isfinite(f).all() or not np.isfinite(g).all():",
+           "if False:",
+           ("test_optim.py",)),
+    Mutant("training-features-1d-accepted", "optim.py",
+           "if features.ndim != 2:",
+           "if False:",
+           ("test_optim.py",)),
+    Mutant("training-no-rows-accepted", "optim.py",
+           "if features.shape[0] < 1:",
+           "if False:",
+           ("test_optim.py",)),
+    Mutant("train-logistic-label-matrix", "optim.py",
+           "if np.ndim(labels) != 1 or np.ndim(lam) != 0:",
+           "if False:",
+           ("test_optim.py",)),
+    Mutant("training-labels-any-value", "optim.py",
+           "if not _zeros_and_ones(labels):",
+           "if False:",
+           ("test_optim.py",)),
+    Mutant("score-table-without-rows", "scoring.py",
+           "if not entries:",
+           "if False:",
+           ("test_cli.py",)),
     # a '#' line after the first row of a score table is an error
     Mutant("late-comment-skipped", "dataset.py",
            "if started and not comments_anywhere:",

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
-                   PerturbationLog, ScoreVector, atpar, inject_outliers,
-                   load_csv, load_log, load_model, save_csv, save_log)
+                   NumericalError, PerturbationLog, ScoreVector, atpar,
+                   inject_outliers, load_csv, load_log, load_model, save_csv,
+                   save_log)
 import mcode.cli
 from mcode.cli import COMMANDS, OPTIONS, build_parser, main
 from mcode.evaluation import METHODS
@@ -88,6 +89,15 @@ class TestSimulate:
         assert run("simulate", "--dataset", bady, "--n-outputs", 1,
                    "--dim-fraction", "0.9", "--out-dir", tmp_path) == 2
 
+    def test_header_of_another_width_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2,0\n3,4,1\n")
+        code, err = run_quiet("simulate", "--dataset", bad, "--n-outputs", 1,
+                              "--dim-fraction", "0.9", "--out-dir", tmp_path)
+        assert code == 2
+        assert err == (f"mcode: data error: {bad}: header has 2 fields but "
+                       f"data rows have 3\n")
+
 
 class TestFit:
     def test_fixed_lambda_fit_and_reload(self, tmp_path, dataset_file,
@@ -104,6 +114,37 @@ class TestFit:
         ind = load_model(out / "model_independent")
         assert full.mode == "full_conditional"
         assert ind.mode == "independent"
+
+    def test_constant_output_column_is_named(self, tmp_path, capsys):
+        ds = make_coupled_dataset(n=60, m=3, d=3, seed=100)
+        Y = ds.Y.copy()
+        Y[:, 1] = 1
+        path = tmp_path / "data.csv"
+        save_csv(Dataset(ds.X, Y), path)
+        assert run("fit", "--dataset", path, "--n-outputs", 3,
+                   "--modes", "independent", "--lambda", "1.0",
+                   "--out-dir", tmp_path / "models") == 0
+        printed = capsys.readouterr().out.splitlines()
+        # Laplace-smoothed: (60 + 1) / (60 + 2)
+        assert printed[2] == "  dim 1: constant prob_one=0.983871"
+        assert printed[1].startswith("  dim 0: lambda=1 ")
+        assert printed[3].startswith("  dim 2: lambda=1 ")
+
+    def test_numerical_failure_exits_3(self, tmp_path, dataset_file,
+                                       monkeypatch):
+        def failing(*args):
+            raise NumericalError("objective not finite at the starting "
+                                 "point")
+
+        monkeypatch.setattr(mcode.cli, "fit_mcode", failing)
+        out = tmp_path / "models"
+        code, err = run_quiet("fit", "--dataset", dataset_file,
+                              "--n-outputs", 3, "--lambda", "1.0",
+                              "--out-dir", out)
+        assert code == 3
+        assert err == ("mcode: numerical failure: objective not finite at "
+                       "the starting point\n")
+        assert not out.exists()
 
     def test_lambda_and_grid_conflict(self, tmp_path, dataset_file):
         assert run("fit", "--dataset", dataset_file, "--n-outputs", 3,
@@ -279,6 +320,18 @@ class TestDetect:
             assert code == 1
             assert err.startswith(f"mcode: error: {config}: ")
 
+    @pytest.mark.parametrize("document", [[], ["dataset"], 1, None])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path,
+                                                  dataset_file, document):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code, err = run_quiet("fit", "--config", config, "--dataset",
+                              dataset_file, "--n-outputs", 3,
+                              "--out-dir", tmp_path / "models")
+        assert code == 1
+        assert err == (f"mcode: error: {config}: config must be a JSON "
+                       f"object\n")
+
     def test_unknown_config_key(self, tmp_path, dataset_file):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": str(dataset_file),
@@ -364,6 +417,19 @@ class TestEval:
         scores.write_text("instance_index,method,score\n0,RW,nan\n"
                           "1,RW,0.5\n")
         assert run("eval", "--scores", scores, "--log", log) == 2
+
+    @pytest.mark.parametrize("table", ["", "instance_index,method,score\n",
+                                       "# mcode 0.1.0\n"])
+    def test_score_table_without_rows_exits_2(self, tmp_path, table):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(table)
+        log = tmp_path / "log.json"
+        save_log(PerturbationLog(seed=0, ratio=0.5, dim_fraction=1.0,
+                                 outlier_rows=frozenset({0}),
+                                 flipped_cells=((0, 0),)), log)
+        code, err = run_quiet("eval", "--scores", scores, "--log", log)
+        assert code == 2
+        assert err == f"mcode: data error: {scores}: no score rows\n"
 
     def test_oversized_csv_field_exits_2(self, tmp_path, dataset_file):
         lines = dataset_file.read_text().splitlines(keepends=True)

@@ -68,6 +68,26 @@ class TestDatasetValidation:
     def test_rejects_bad_name_count(self):
         with pytest.raises(DomainError):
             Dataset(np.ones((2, 2)), np.zeros((2, 1)), input_names=("a",))
+        with pytest.raises(DomainError, match="1 output names for 2 output"):
+            Dataset(np.ones((2, 2)), np.zeros((2, 2)), output_names=("a",))
+
+    @pytest.mark.parametrize("X, Y", [
+        pytest.param(np.ones(2), np.zeros((2, 1)), id="X-1d"),
+        pytest.param(np.ones((2, 1)), np.zeros(2), id="Y-1d"),
+        pytest.param(np.ones((2, 1, 1)), np.zeros((2, 1)), id="X-3d"),
+    ])
+    def test_rejects_arrays_not_2d(self, X, Y):
+        with pytest.raises(DomainError, match="both be 2-dimensional"):
+            Dataset(X, Y)
+
+    @pytest.mark.parametrize("X, Y", [
+        pytest.param(np.ones((0, 2)), np.zeros((0, 1)), id="no-rows"),
+        pytest.param(np.ones((2, 0)), np.zeros((2, 1)), id="no-inputs"),
+        pytest.param(np.ones((2, 2)), np.zeros((2, 0)), id="no-outputs"),
+    ])
+    def test_rejects_empty_arrays(self, X, Y):
+        with pytest.raises(DomainError, match="at least one row"):
+            Dataset(X, Y)
 
 
 class TestCsv:
@@ -152,6 +172,13 @@ class TestStandardize:
         expected = np.array([-1.224744871391589, 0.0, 1.224744871391589])
         np.testing.assert_allclose(std.X[:, 0], expected, atol=1e-12)
         assert stats.means[0] == 2.0
+
+    @pytest.mark.parametrize("X", [np.ones((4, 3)), np.ones((4, 1)),
+                                   np.ones(2)], ids=["wide", "narrow", "1d"])
+    def test_apply_rejects_wrong_column_count(self, X):
+        _, stats = standardize(small_dataset(m=2))
+        with pytest.raises(DomainError, match="expected 2 input columns"):
+            stats.apply(X)
 
     def test_constant_column_becomes_zero(self):
         X = np.column_stack([np.full(5, 7.25), np.arange(5.0)])

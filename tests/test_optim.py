@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from mcode import (ConfigError, ConstantFactor, Dataset, DomainError,
                    FixedLambda, FULL_CONDITIONAL, INDEPENDENT, LogisticFactor,
-                   McodeModel, PROB_EPS, StandardizationStats,
+                   McodeModel, NumericalError, PROB_EPS, StandardizationStats,
                    cross_validate_lambda, estimate_rho, fit_mcode,
                    inject_outliers, penalized_nll, standardize,
                    train_logistic)
@@ -139,7 +139,7 @@ class TestTrainer:
     def test_multi_init_agreement(self):
         X, y, lam = random_problem(17, n=80, p=4, lam=0.7)
         starts = np.random.default_rng(5).normal(scale=3.0, size=(10, 5))
-        params, _ = _newton(X, y, np.full(10, lam), starts)
+        params, _ = _newton(X, np.tile(y, (10, 1)), np.full(10, lam), starts)
         finals = [penalized_nll(row, X, y, lam)[0] for row in params]
         assert max(finals) - min(finals) < 1e-8
 
@@ -380,7 +380,7 @@ class TestTrainer:
         directions = mcode.optim._newton_directions
         monkeypatch.setattr(mcode.optim, "_newton_directions", spy)
         lams = np.array([0.0, 1.0, 10.0])
-        params, gnorm = _newton(X, y, lams, np.zeros((3, 4)))
+        params, gnorm = _newton(X, np.tile(y, (3, 1)), lams, np.zeros((3, 4)))
         monkeypatch.undo()
         fell_back = 0
         for hess, grad, d in shared:
@@ -460,6 +460,43 @@ class TestTrainer:
     def test_contract_violations(self, bad):
         with pytest.raises(DomainError):
             train_logistic(**bad)
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.0], [2.0, 0.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 0.0],
+    ], ids=["half", "two", "minus-one", "nan", "inf"])
+    def test_labels_must_be_zeros_and_ones(self, labels):
+        with pytest.raises(DomainError, match="labels must all be 0 or 1"):
+            train_logistic_columns(np.ones((2, 1)), np.array(labels)[:, None],
+                                   [1.0])
+
+    def test_negative_zero_and_bool_labels_are_zeros_and_ones(self):
+        X, y, lam = random_problem(6)
+        expected = train_logistic(X, y, lam)
+        for labels in (np.where(y == 0, -0.0, 1.0), y == 1):
+            factor = train_logistic(X, labels, lam)
+            assert factor.weights.tobytes() == expected.weights.tobytes()
+            assert factor.intercept == expected.intercept
+
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.ones(3), np.zeros((3, 1)), "features must be a 2-dimensional"),
+        (np.ones((0, 2)), np.zeros((0, 1)), "at least one training instance"),
+    ], ids=["features-1d", "no-rows"])
+    def test_training_inputs_need_a_matrix_with_rows(self, features, labels,
+                                                     match):
+        with pytest.raises(DomainError, match=match):
+            train_logistic_columns(features, labels, [1.0])
+
+    def test_train_logistic_takes_one_label_vector(self):
+        X, y, lam = random_problem(2)
+        with pytest.raises(DomainError, match="need a label vector"):
+            train_logistic(X, np.column_stack([y, 1.0 - y]), lam)
+
+    def test_newton_rejects_a_start_whose_objective_is_not_finite(self):
+        X = np.full((3, 1), 1e300)
+        labels = np.array([[0.0, 1.0, 0.0]])
+        with pytest.raises(NumericalError, match="not finite at the start"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            _newton(X, labels, np.array([1.0]), np.full((1, 2), 1e300))
 
 
 class TestPredict:

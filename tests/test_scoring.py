@@ -3,6 +3,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,36 @@ def test_second_half_errors_reach_the_caller(monkeypatch, walk):
         else:
             NeighborIndex(pts).query_all(3)
     assert failed_in and failed_in[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.usefixtures("small_blocks", "split_walk")
+def test_first_half_errors_wait_for_the_second_half(monkeypatch):
+    # a failure in the first half, walked by this thread, is raised only
+    # once the second half has run to its end and its thread has gone:
+    # the second half starts measuring after the failure and is slow
+    pts = grid_with_duplicates(3)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    second_rows = []
+
+    def failing(points, rows, cols):
+        if threading.get_ident() == caller:
+            if (rows == 0).any():
+                failed.set()
+                raise Stop
+        else:
+            assert failed.wait(timeout=10)
+            time.sleep(0.002)
+            second_rows.extend(rows.tolist())
+        return distances(points, rows, cols)
+
+    distances = mcode.scoring._distances
+    monkeypatch.setattr(mcode.scoring, "_distances", failing)
+    threads = threading.active_count()
+    with pytest.raises(Stop):
+        lof_scores(pts, LofConfig(k=3))  # LOF measures every row
+    assert len(pts) - 1 in second_rows
     assert threading.active_count() == threads
 
 
