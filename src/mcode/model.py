@@ -67,8 +67,9 @@ class RhoMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DomainError("rho must be a 2-dimensional matrix")
+        if values.ndim != 2 or values.shape[0] < 1:
+            raise DomainError("rho must be a 2-dimensional matrix with at "
+                              "least one row")
         if not ((values >= PROB_EPS) & (values <= 1.0 - PROB_EPS)).all():
             raise DomainError("rho entries must lie in [eps, 1 - eps]")
         object.__setattr__(self, "values", values)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,16 +32,16 @@ from .model import RhoMatrix
 
 # The kNN walk is sized for a core's L2 cache, 2 MiB on the Xeon it was
 # measured on. _BLOCK_ENTRIES, 2^16 entries or 512 KiB, bounds a block's
-# screen (N entries a row), each argpartition slice of it, the gather
-# of exact distances and local_weights' gather of errors (k x d a row),
-# so that a block's arrays fit in L2 together and the allocator reuses
-# their pages. At 2^18 entries the screen and argpartition's index array
-# overflowed L2, and each block's fresh 2 MiB index array came back as
-# new pages: about 3,300 minor faults per N=2000 planted scoring run, at
-# about 3 us each on a VM. A block keeps at least _MIN_BLOCK_ROWS rows,
-# so that per-block Python work stays small beside the arithmetic; past
-# N = 2048 its screen outgrows the budget, and argpartition runs over
-# slices of it.
+# screen (N entries a row), each argpartition slice of it and the gather
+# of exact distances, so that a block's arrays fit in L2 together and
+# the allocator reuses their pages. At 2^18 entries the screen and
+# argpartition's index array overflowed L2, and each block's fresh 2 MiB
+# index array came back as new pages: about 3,300 minor faults per
+# N=2000 planted scoring run, at about 3 us each on a VM. LRW's sums are
+# not blocked: local_weights adds one N x d column of errors at a time.
+# A block keeps at least _MIN_BLOCK_ROWS rows, so that per-block Python
+# work stays small beside the arithmetic; past N = 2048 its screen
+# outgrows the budget, and argpartition runs over slices of it.
 _BLOCK_ENTRIES = 1 << 16
 _MIN_BLOCK_ROWS = 32
 # A walk of _SPLIT_ROWS rows or more runs on _THREADS threads, the CPUs
@@ -152,7 +153,10 @@ class NeighborIndex:
         split walk runs argpartition over slabs of a quarter of
         _BLOCK_ENTRIES, whose index arrays each thread allocates anew.
         Leaving the executor waits for its task, so an exception in
-        either half is raised here, after both halves have stopped.
+        either half is raised here, after both halves have stopped. Once
+        interpreter shutdown has begun, as in an atexit handler, the
+        executor refuses the task, and this thread walks the second half
+        after its own: the same blocks, so the same bits.
         """
         n = self.n
         step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // n)
@@ -171,11 +175,21 @@ class NeighborIndex:
                               np.empty((min(step, n), kept), dtype=np.intp),
                               slab, exclude_self, measure_clean)
                  for starts in halves]
+
+        def run(walk):
+            return [consume(*block) for block in walk]
+
         with ThreadPoolExecutor(1) as pool:
-            rest = [pool.submit(lambda w: [consume(*b) for b in w], walk)
-                    for walk in walks[1:]]
-            first = [consume(*block) for block in walks[0]]
-        return first + [out for task in rest for out in task.result()]
+            rest = []
+            for walk in walks[1:]:
+                try:
+                    rest.append(pool.submit(run, walk).result)
+                except RuntimeError:
+                    # once interpreter shutdown has begun the executor
+                    # takes no task: this thread walks the half last
+                    rest.append(partial(run, walk))
+            first = run(walks[0])
+        return first + [out for half in rest for out in half()]
 
     def _screen(self):
         """The set-up every block of a walk reads and none writes: the
@@ -327,9 +341,14 @@ class NeighborIndex:
 
     def query_all(self, k: int) -> np.ndarray:
         """(n, k) neighbor indices for every reference point at once: the
-        walk's lists, gathered. A clean row measures no exact distance."""
+        walk's lists, gathered. A clean row measures no exact distance.
+
+        The array is laid out one column per neighbour rank (Fortran
+        order), so that local_weights reads each rank's column as one
+        contiguous run; its values and its C-order bytes are those of a
+        row-major array."""
         self._check_k(k)
-        out = np.empty((self.n, k), dtype=np.intp)
+        out = np.empty((k, self.n), dtype=np.intp).T
 
         def gather(rows, dcols, dist, cols, *_):
             out[rows] = cols
@@ -372,9 +391,15 @@ def _distances(points, rows, cols) -> np.ndarray:
 
 
 def global_weights(rho: RhoMatrix) -> WeightVector:
-    """w_i = N / sum over instances of the dimension-i error (1 - rho)."""
+    """w_i = N / sum over instances of the dimension-i error (1 - rho).
+
+    Each column's errors are summed one instance at a time in ascending
+    index order, for every d: NumPy's sum over axis 0 adds pairwise when
+    d = 1, and local_weights with k = N adds in this order. It holds two
+    N x d arrays, the errors and their running sums.
+    """
     errors = 1.0 - rho.values
-    return WeightVector(w=rho.n / errors.sum(axis=0))
+    return WeightVector(w=rho.n / np.cumsum(errors, axis=0)[-1])
 
 
 def local_weights(rho: RhoMatrix, index: NeighborIndex,
@@ -383,22 +408,26 @@ def local_weights(rho: RhoMatrix, index: NeighborIndex,
 
     Neighborhoods come from the index (the instance itself included,
     being at distance zero), listed in ascending index order as the walk
-    finds them, with no sort, and errors are summed in that order so that
-    k = N reproduces global_weights exactly. The errors are gathered a
-    block of rows at a time, about _BLOCK_ENTRIES of them, never as one
-    N x k x d array.
+    finds them, with no sort. Each row's errors are summed one neighbour
+    at a time in that order, for every d, so that k = N reproduces
+    global_weights exactly: one pass per neighbour column gathers that
+    neighbour's errors for every row and adds them to an N x d total.
+    Beside the index's N x k lists it holds three N x d arrays, the
+    errors, the total and one gathered column.
     """
     if index.n != rho.n:
         raise DomainError(
             f"index holds {index.n} points but rho has {rho.n} rows")
-    members = index.query_all(k)
+    columns = index.query_all(k).T  # row j: each row's j-th listed neighbour
     errors = 1.0 - rho.values
-    w = np.empty_like(errors)
-    step = max(1, _BLOCK_ENTRIES // (k * rho.d))
-    for start in range(0, rho.n, step):
-        rows = slice(start, start + step)
-        w[rows] = k / errors[members[rows]].sum(axis=1)
-    return LocalWeightMatrix(w=w)
+    total = errors[columns[0]]
+    term = np.empty_like(total)
+    for column in columns[1:]:
+        # every index is a row of errors; mode="raise" would gather into
+        # a buffer and copy it to term
+        np.take(errors, column, axis=0, out=term, mode="clip")
+        total += term
+    return LocalWeightMatrix(w=np.divide(k, total, out=total))
 
 
 def _weighted_score(rho: RhoMatrix, w) -> ScoreVector:

@@ -77,6 +77,11 @@ MUTANTS = (
            'lam=_number(doc, "lambda", is_penalty)',
            'lam=_number(doc, "lambda")',
            ("test_model.py",)),
+    # a rho with no rows is a DomainError, not 0 / 0 weights
+    Mutant("rho-no-rows-accepted", "model.py",
+           "if values.ndim != 2 or values.shape[0] < 1:",
+           "if values.ndim != 2:",
+           ("test_model.py",)),
     # a ragged penalty list is a DomainError, not NumPy's ValueError
     Mutant("ragged-penalties", "optim.py",
            "except ValueError:  # a ragged nesting",
@@ -259,12 +264,32 @@ MUTANTS = (
            "if diagonal.size and not np.isfinite(diagonal[-1]):",
            "if False:",
            ("test_scoring.py",)),
-    # re-aimed: LRW's lists are summed in ascending index order, with no
-    # sort, so that k = N gives global_weights' bits (the distance-order
-    # rule this guarded went in an earlier rewrite)
+    # LRW's lists are summed one neighbour column at a time in ascending
+    # index order, at every d, so that k = N gives global_weights' bits:
+    # not in reverse, not in one reduction over k (pairwise at d = 1);
+    # global_weights sums in the same order, not pairwise at d = 1
     Mutant("local-weights-descending-order", "scoring.py",
-           "w[rows] = k / errors[members[rows]].sum(axis=1)",
-           "w[rows] = k / errors[members[rows][:, ::-1]].sum(axis=1)",
+           "columns = index.query_all(k).T",
+           "columns = index.query_all(k).T[::-1]",
+           ("test_scoring.py",)),
+    Mutant("local-weights-one-reduction", "scoring.py",
+           "    total = errors[columns[0]]\n",
+           "    total = errors[columns.T].sum(axis=1)\n"
+           "    columns = columns[:1]\n",
+           ("test_scoring.py",)),
+    Mutant("global-weights-pairwise", "scoring.py",
+           "np.cumsum(errors, axis=0)[-1]",
+           "errors.sum(axis=0)",
+           ("test_scoring.py",)),
+    # LRW holds a few N x d arrays beside the lists: no copy of the lists,
+    # no gather buffered before it is copied into the column
+    Mutant("local-weights-lists-copied", "scoring.py",
+           "columns = index.query_all(k).T",
+           "columns = index.query_all(k).T.copy()",
+           ("test_scoring.py",)),
+    Mutant("local-weights-take-buffered", "scoring.py",
+           'out=term, mode="clip")',
+           'out=term, mode="raise")',
            ("test_scoring.py",)),
     # re-aimed: a tie at the k-th distance goes to the lowest index (the
     # tied-row rule this guarded went in an earlier rewrite)
@@ -294,18 +319,24 @@ MUTANTS = (
     # the two-thread walk: halves cut at the block boundary nearest N / 2,
     # joined in row order, a failure in the second raised in the caller,
     # a failure in the first raised once the second has stopped, the
+    # second walked by the caller once interpreter shutdown has begun, the
     # shared set-up gone when the walk ends
     Mutant("split-cut-one-block-off", "scoring.py",
            "cut = step * ((n + step) // (2 * step))",
            "cut = step * ((n + step) // (2 * step) + 1)",
            ("test_scoring.py",)),
     Mutant("split-second-half-joined-first", "scoring.py",
-           "return first + [out for task in rest for out in task.result()]",
-           "return [out for task in rest for out in task.result()] + first",
+           "return first + [out for half in rest for out in half()]",
+           "return [out for half in rest for out in half()] + first",
            ("test_scoring.py",)),
     Mutant("split-worker-error-dropped", "scoring.py",
-           "for out in task.result()]",
-           "for out in (task.result() if not task.exception() else [])]",
+           "rest.append(pool.submit(run, walk).result)",
+           "rest.append(lambda task=pool.submit(run, walk): "
+           "task.result() if not task.exception() else [])",
+           ("test_scoring.py",)),
+    Mutant("split-shutdown-not-walked", "scoring.py",
+           "rest.append(partial(run, walk))",
+           "raise",
            ("test_scoring.py",)),
     Mutant("split-second-half-not-waited", "scoring.py",
            "with ThreadPoolExecutor(1) as pool:",

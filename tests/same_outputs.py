@@ -1,10 +1,16 @@
 """Same-output check: run one fixed matrix of inputs through two source
 trees and compare every output bit for bit.
 
-    python tests/same_outputs.py PARENT_TREE [TREE]
+    python tests/same_outputs.py PARENT_TREE [TREE] [--env NAME=VALUE ...]
 
 Each tree is a source checkout holding src/mcode; TREE defaults to the
-one this script lives in. The script makes the inputs once, with TREE's
+one this script lives in. Each --env NAME=VALUE sets that environment
+variable for TREE's run alone, so that a tree can be compared with
+itself under another BLAS kernel:
+
+    python tests/same_outputs.py . --env OPENBLAS_CORETYPE=Haswell
+
+The script makes the inputs once, with TREE's
 package and the test helpers beside this script, then runs the matrix in
 one fresh process per tree, the parent's first, in the same temporary
 directory: every dataset, artifact directory and curve lies at the same
@@ -185,20 +191,31 @@ def run_matrix(work: Path, tree: Path) -> dict:
     return hashes
 
 
-def _run(tree: Path, work: Path, *args) -> None:
+def _run(tree: Path, work: Path, *args, environ=None) -> None:
     # the tree's package first; Python puts this script's directory,
     # with the test helpers, on the path too
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **(environ or {}))
     subprocess.run([sys.executable, __file__, *args, str(work), str(tree)],
                    cwd=work, env=env, check=True)
 
 
 def main(argv) -> int:
-    if len(argv) not in (1, 2):
+    trees, environ = [], {}
+    args = iter(argv)
+    for arg in args:
+        if arg != "--env":
+            trees.append(arg)
+            continue
+        name, sep, value = next(args, "").partition("=")
+        if not (name and sep):
+            trees = []  # print the usage
+            break
+        environ[name] = value
+    if len(trees) not in (1, 2):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    parent = Path(argv[0]).resolve()
-    tree = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
+    parent = Path(trees[0]).resolve()
+    tree = Path(trees[1]).resolve() if len(trees) == 2 else ROOT
     for path in (parent, tree):
         if not (path / "src" / "mcode" / "__init__.py").is_file():
             print(f"{path}: no src/mcode package", file=sys.stderr)
@@ -207,8 +224,8 @@ def main(argv) -> int:
         work = Path(tmp)
         _run(tree, work, "--inputs")
         runs = []
-        for source in (parent, tree):
-            _run(source, work, "--matrix")
+        for source, env in ((parent, None), (tree, environ)):
+            _run(source, work, "--matrix", environ=env)
             runs.append(json.loads((work / "hashes.json").read_text()))
     before, after = runs
     names = list(before) + [name for name in after if name not in before]

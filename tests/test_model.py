@@ -219,6 +219,11 @@ class TestRhoMatrixAndPseudoJoint:
         with pytest.raises(DomainError):
             RhoMatrix(np.array([0.5, 0.5]))
 
+    def test_rho_matrix_needs_a_row(self):
+        # weights over no instances would be 0 / 0
+        with pytest.raises(DomainError, match="at least one row"):
+            RhoMatrix(np.empty((0, 3)))
+
 
 class TestPersistence:
     def test_round_trip_preserves_rho_exactly(self, tmp_path,

@@ -1,18 +1,14 @@
 """The README's code runs as printed."""
 
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 from types import ModuleType
 
-import mcode
 from mcode import save_csv
 from mcode.cli import main
 
-from conftest import make_coupled_dataset
+from conftest import make_coupled_dataset, run_python
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,14 +46,9 @@ def test_cli_commands_run(tmp_path, monkeypatch, capsys):
 def test_package_imports_no_scipy():
     # the dependency paragraph: NumPy is the only runtime dependency. The
     # child imports the package these tests import.
-    home = Path(mcode.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(home)] + [p for p in os.environ.get("PYTHONPATH", "").split(
-            os.pathsep) if p]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import mcode, mcode.cli, sys; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = run_python(
+        "import mcode, mcode.cli, sys; print(sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'scipy'))").stdout
     assert loaded == "[]\n"
 
 

@@ -20,12 +20,25 @@ from mcode.scoring import load_score_table, write_score_table
 
 import oracles
 from synthdata import make_benchmark_dataset
-from conftest import grid_with_duplicates, mixed_ties, tie_pattern, traced_peak
+from conftest import (grid_with_duplicates, mixed_ties, run_python,
+                      tie_pattern, traced_peak)
 
 
 def random_rho(seed, n=30, d=4, low=0.02, high=0.98):
     gen = np.random.default_rng(seed)
     return RhoMatrix(gen.uniform(low, high, size=(n, d)))
+
+
+def wide_rho(seed, n, d):
+    """A rho whose errors, 1 - rho, span 1e-12 to 1: half spread over every
+    power of ten from 1e-12, half in [0.5, 1), so that sums pass 1, where
+    these multiples of 2^-53 start to round. Summed pairwise, or in any
+    order but ascending index, they round differently."""
+    gen = np.random.default_rng(seed)
+    tiny = 10.0 ** gen.uniform(-12, 0, (n, d))
+    errors = np.where(gen.random((n, d)) < 0.5, tiny,
+                      gen.uniform(0.5, 1, (n, d)))
+    return RhoMatrix(np.clip(1.0 - errors, PROB_EPS, 1.0 - PROB_EPS))
 
 
 class TestNeighborIndex:
@@ -336,9 +349,8 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
     for i in range(n):
         assert got[0][i].tolist() == \
             sorted(oracles.brute_knn(listed, listed[i], k))
-    np.testing.assert_allclose(
-        got[1], oracles.oracle_local_weights(rho.values.tolist(), listed, k),
-        rtol=1e-12)
+    assert got[1].tolist() == oracles.oracle_local_weights(
+        rho.values.tolist(), listed, k)
     if k == n:
         assert (got[1] == global_weights(rho).w).all()
     else:
@@ -508,6 +520,38 @@ def test_first_half_errors_wait_for_the_second_half(monkeypatch):
     assert threading.active_count() == threads
 
 
+SHUTDOWN_WALK = """
+import atexit
+import numpy as np
+import mcode.scoring
+from mcode import LofConfig, NeighborIndex, lof_scores
+
+mcode.scoring._SPLIT_ROWS = 0  # as the split_walk fixture sets them
+mcode.scoring._THREADS = 2
+pts = np.random.default_rng(0).normal(size=(600, 3))
+
+
+def walks():
+    return (NeighborIndex(pts).query_all(5).tobytes(),
+            lof_scores(pts, LofConfig(k=5)).scores.tobytes())
+
+
+before = walks()
+
+
+@atexit.register
+def after_shutdown_began():
+    print("same" if walks() == before else "differ")
+"""
+
+
+def test_split_walk_runs_at_interpreter_shutdown():
+    # once interpreter shutdown has begun, the executor refuses the second
+    # half; this thread walks it after the first, for the same bits
+    child = run_python(SHUTDOWN_WALK)
+    assert (child.stdout, child.stderr) == ("same\n", "")
+
+
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("k", [1, 5])
 def test_query_all_measures_only_rows_that_are_not_clean(measured,
@@ -566,6 +610,20 @@ def test_local_weights_hold_no_n_by_k_by_d_array():
         2000 * 100 * 32 * 8 // 4
 
 
+def test_local_weights_hold_a_few_n_by_d_arrays():
+    # beside query_all's N x k lists, local_weights holds the errors, the
+    # running total and one gathered column, each N x d: a copy of the
+    # lists, 1.6 MB at N = 2000, k = 100, or a gather buffered before it
+    # is copied into the column would pass four N x d arrays
+    n, k, d = 2000, 100, 8
+    gen = np.random.default_rng(7)
+    index = NeighborIndex(gen.normal(size=(n, 5)))
+    members = index.query_all(k)
+    index.query_all = lambda _: members
+    rho = RhoMatrix(gen.uniform(0.02, 0.98, size=(n, d)))
+    assert traced_peak(lambda: local_weights(rho, index, k)) < 4 * n * d * 8
+
+
 class TestGlobalWeights:
     def test_known_value(self):
         rho = RhoMatrix(np.array([[0.8], [0.6], [0.4]]))
@@ -582,8 +640,15 @@ class TestGlobalWeights:
     def test_matches_loop_oracle(self):
         rho = random_rho(77, n=12, d=3)
         w = global_weights(rho).w
-        expected = oracles.oracle_global_weights(rho.values.tolist())
-        np.testing.assert_allclose(w, expected, rtol=1e-12)
+        assert w.tolist() == oracles.oracle_global_weights(rho.values.tolist())
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sums_in_ascending_index_order(self, d):
+        # bitwise the oracle's sum, one instance at a time in index order,
+        # at every d: NumPy's sum over instances adds pairwise at d = 1
+        rho = wide_rho(78, n=60, d=d)
+        w = global_weights(rho).w
+        assert w.tolist() == oracles.oracle_global_weights(rho.values.tolist())
 
 
 class TestLocalWeights:
@@ -610,9 +675,22 @@ class TestLocalWeights:
         pts = gen.normal(size=(40, 2))
         index = NeighborIndex(pts)
         local = local_weights(rho, index, k=7)
-        expected = oracles.oracle_local_weights(
+        assert local.w.tolist() == oracles.oracle_local_weights(
             rho.values.tolist(), pts.tolist(), 7)
-        np.testing.assert_allclose(local.w, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("k", [12, 60])
+    def test_sums_in_ascending_index_order(self, k, d):
+        # bitwise the oracle's sum over each list in ascending index order,
+        # at every d, and with k = N bitwise global_weights: a sum over
+        # the neighbours in one reduction adds pairwise at d = 1
+        rho = wide_rho(79, n=60, d=d)
+        pts = np.random.default_rng(80).normal(size=(60, 2))
+        local = local_weights(rho, NeighborIndex(pts), k)
+        assert local.w.tolist() == oracles.oracle_local_weights(
+            rho.values.tolist(), pts.tolist(), k)
+        if k == 60:
+            assert (local.w == global_weights(rho).w).all()
 
     def test_size_mismatch(self):
         rho = random_rho(1, n=10)
