@@ -42,10 +42,11 @@ def _check_truth(scores: ScoreVector, truth) -> np.ndarray:
     n = scores.scores.shape[0]
     mask = np.zeros(n, dtype=bool)
     for row in truth:
-        r = int(row)
-        if not (0 <= r < n):
-            raise DomainError(f"outlier row {r} outside 0..{n - 1}")
-        mask[r] = True
+        if not is_integer(row):
+            raise DomainError(f"outlier rows must be integers, got {row!r}")
+        if not (0 <= row < n):
+            raise DomainError(f"outlier row {row} outside 0..{n - 1}")
+        mask[row] = True
     if not mask.any():
         raise DomainError("truth contains no outlier rows")
     return mask

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -88,9 +87,9 @@ class NeighborIndex:
     From N = 4096, when the process may use two CPUs or more, the walk
     runs on two threads: the calling thread walks the rows before the
     block boundary nearest N / 2 and an executor task the rest, each half
-    in row order. Each block writes only its own rows, so the results are
-    bitwise those of one thread. No option sets this: below N = 4096 a
-    second thread did not pay for itself.
+    in row order and in one thread's blocks. Each block writes only its
+    own rows, so the results are bitwise those of one thread. No option
+    sets this: below N = 4096 a second thread did not pay for itself.
 
     The walk screens before it measures. One BLAS product per block gives
     each row's squared distances to all points, less a per-row constant
@@ -146,12 +145,13 @@ class NeighborIndex:
         CPUs, the rows are cut at the block boundary nearest N / 2: this
         thread walks the first half and a one-thread executor the second,
         each in row order; one half submits nothing and starts no thread.
-        consume runs in both threads, on disjoint rows. So that the other
-        thread's malloc arena keeps little once the walk ends, the set-up
-        _screen computes is shared by both halves and released with the
-        walk, this thread allocates every buffer a half reuses, and a
-        split walk runs argpartition over slabs of a quarter of
-        _BLOCK_ENTRIES, whose index arrays each thread allocates anew.
+        Each half walks the blocks and slabs of a one-thread walk, so a
+        split walk differs only in where its rows are cut. consume runs
+        in both threads, on disjoint rows. So that the other thread's
+        malloc arena keeps little once the walk ends, the set-up _screen
+        computes is shared by both halves and released with the walk,
+        this thread allocates every buffer a half reuses, and this thread
+        walks the first half.
         Leaving the executor waits for its task, so an exception in
         either half is raised here, after both halves have stopped. Once
         interpreter shutdown has begun, as in an atexit handler, the
@@ -161,35 +161,30 @@ class NeighborIndex:
         n = self.n
         step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // n)
         halves = [range(0, n, step)]
-        entries = _BLOCK_ENTRIES
         if _THREADS >= 2 and n >= _SPLIT_ROWS and n > step:
             cut = step * ((n + step) // (2 * step))
             halves = [range(0, cut, step), range(cut, n, step)]
-            entries //= 4
-        slab = max(1, entries // n)
         shared = self._screen()
         # the columns of each row's k smallest screen values, then of its
         # (k+1)-th, if any
         kept = min(k + 1, n)
         walks = [self._blocks(k, starts, shared, np.empty((min(step, n), n)),
                               np.empty((min(step, n), kept), dtype=np.intp),
-                              slab, exclude_self, measure_clean)
+                              exclude_self, measure_clean)
                  for starts in halves]
 
         def run(walk):
             return [consume(*block) for block in walk]
 
         with ThreadPoolExecutor(1) as pool:
-            rest = []
-            for walk in walks[1:]:
-                try:
-                    rest.append(pool.submit(run, walk).result)
-                except RuntimeError:
-                    # once interpreter shutdown has begun the executor
-                    # takes no task: this thread walks the half last
-                    rest.append(partial(run, walk))
+            try:
+                rest = pool.map(run, walks[1:])
+            except RuntimeError:
+                # once interpreter shutdown has begun the executor takes
+                # no task: this thread walks the rest after the first
+                rest = map(run, walks[1:])
             first = run(walks[0])
-        return first + [out for half in rest for out in half()]
+        return first + [out for half in rest for out in half]
 
     def _screen(self):
         """The set-up every block of a walk reads and none writes: the
@@ -240,7 +235,7 @@ class NeighborIndex:
         return mean, paired, margin, features
 
     def _blocks(self, k: int, starts: range, shared, buf, part_buf,
-                slab: int, exclude_self: bool, measure_clean: bool):
+                exclude_self: bool, measure_clean: bool):
         """Yield (rows, dcols, dist, cols, near, kth, tied) for the block
         of starts.step rows at each of starts, in row order.
 
@@ -264,12 +259,14 @@ class NeighborIndex:
 
         shared is _screen's set-up. A block's screen is written into buf
         and the k + 1 columns read below into part_buf, both overwritten
-        by the next block, with argpartition run over slabs of slab rows;
-        everything yielded is the block's own.
+        by the next block, with argpartition run over slabs of
+        max(1, _BLOCK_ENTRIES // N) rows, the remainder last; everything
+        yielded is the block's own.
         """
         n, m = self.points.shape
         mean, paired, margin, features = shared
         kept = part_buf.shape[1]
+        slab = max(1, _BLOCK_ENTRIES // n)
         for start in starts:
             stop = min(start + starts.step, n)
             rows = np.arange(start, stop)

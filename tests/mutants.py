@@ -9,9 +9,11 @@ Run from anywhere, with the test dependencies installed:
 For each mutant the script copies src/ to a temporary directory, replaces
 the mutant's old text, which must occur exactly once in its file, by the
 new text, and runs `pytest -x -q` on the mutant's test modules with the
-copy first on PYTHONPATH. It prints every mutant's outcome and exits 1
-if any mutant survived (its tests pass), is stale (its old text no
-longer occurs once) or could not be tested (pytest itself failed).
+copy first on PYTHONPATH. It tests two mutants at a time, or one if the
+process may use one CPU, and prints every mutant's outcome in the order
+of MUTANTS. It exits 1 if any mutant survived (its tests pass), is stale
+(its old text no longer occurs once) or could not be tested (pytest
+itself failed).
 pytest collects only test_*.py, so the tier-1 suite does not run this
 file.
 
@@ -26,10 +28,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# mutants tested at once, each in its own copy of src/: at most 2, and
+# no more than the CPUs the process may use
+WORKERS = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -320,22 +327,23 @@ MUTANTS = (
     # joined in row order, a failure in the second raised in the caller,
     # a failure in the first raised once the second has stopped, the
     # second walked by the caller once interpreter shutdown has begun, the
-    # shared set-up gone when the walk ends
+    # shared set-up gone when the walk ends, and argpartition over slabs
+    # of _BLOCK_ENTRIES // N rows on one half or two
     Mutant("split-cut-one-block-off", "scoring.py",
            "cut = step * ((n + step) // (2 * step))",
            "cut = step * ((n + step) // (2 * step) + 1)",
            ("test_scoring.py",)),
     Mutant("split-second-half-joined-first", "scoring.py",
-           "return first + [out for half in rest for out in half()]",
-           "return [out for half in rest for out in half()] + first",
+           "return first + [out for half in rest for out in half]",
+           "return [out for half in rest for out in half] + first",
            ("test_scoring.py",)),
     Mutant("split-worker-error-dropped", "scoring.py",
-           "rest.append(pool.submit(run, walk).result)",
-           "rest.append(lambda task=pool.submit(run, walk): "
-           "task.result() if not task.exception() else [])",
+           "rest = pool.map(run, walks[1:])",
+           "rest = (task.result() if not task.exception() else [] for "
+           "task in [pool.submit(run, walk) for walk in walks[1:]])",
            ("test_scoring.py",)),
     Mutant("split-shutdown-not-walked", "scoring.py",
-           "rest.append(partial(run, walk))",
+           "rest = map(run, walks[1:])",
            "raise",
            ("test_scoring.py",)),
     Mutant("split-second-half-not-waited", "scoring.py",
@@ -346,6 +354,15 @@ MUTANTS = (
            "shared = self._screen()",
            'shared = self.__dict__.setdefault("_shared", self._screen())',
            ("test_lof.py",)),
+    Mutant("split-slab-quartered", "scoring.py",
+           "slab = max(1, _BLOCK_ENTRIES // n)",
+           "slab = max(1, _BLOCK_ENTRIES // n "
+           "// (1 if (starts.start, starts.stop) == (0, n) else 4))",
+           ("test_scoring.py",)),
+    Mutant("slab-quartered", "scoring.py",
+           "slab = max(1, _BLOCK_ENTRIES // n)",
+           "slab = max(1, _BLOCK_ENTRIES // 4 // n)",
+           ("test_scoring.py",)),
     # every Y cell is 0 or 1, not just one of them
     Mutant("zeros-and-ones-any-cell", "dataset.py",
            "return bool(((cells == 0) | (cells == 1)).all())",
@@ -431,6 +448,11 @@ MUTANTS = (
            "std = np.std(values, ddof=1) if len(values) > 1 else 0.0",
            "std = np.std(values, ddof=1) if len(values) > 0 else 0.0",
            ("test_cli.py",)),
+    # truth is integer row indices: a mask, a float or a string raises
+    Mutant("truth-not-integer-accepted", "evaluation.py",
+           "if not is_integer(row):",
+           "if False:",
+           ("test_evaluation.py",)),
     # a score table's method column names its scores
     Mutant("score-table-fixed-method", "scoring.py",
            'f"{idx},{method},{score!r}"',
@@ -468,13 +490,12 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     bad = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
-        outcome = run(mutant)
-        print(f"{outcome:<8} {mutant.name}", flush=True)
-        bad += outcome != "killed"
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, outcome in zip(chosen, pool.map(run, chosen)):
+            print(f"{outcome:<8} {mutant.name}", flush=True)
+            bad += outcome != "killed"
     print(f"{bad} mutant(s) not killed")
     return 1 if bad else 0
 

@@ -61,6 +61,22 @@ class TestTpar:
         with pytest.raises(DomainError):
             atpar(sv, {0}, True)
 
+    @pytest.mark.parametrize("truth, named", [
+        (np.array([False, False, True, False]), "False"),
+        ({1.7}, "1.7"),
+        ("12", "'1'")], ids=["mask", "float", "string"])
+    @pytest.mark.parametrize("measure", ["atpar", "tpar", "tpar_curve"])
+    def test_truth_is_integer_rows(self, measure, truth, named):
+        # a boolean mask is not rows 0 and 1, 1.7 is not row 1 and the
+        # string "12" not rows 1 and 2: truth holds integer row indices
+        sv = ScoreVector(np.array([3.0, 2.0, 1.0, 0.5]))
+        call = {"atpar": lambda t: atpar(sv, t, upper=0.5),
+                "tpar": lambda t: tpar(sv, t, 0.5),
+                "tpar_curve": lambda t: tpar_curve(sv, t)}[measure]
+        with pytest.raises(DomainError, match=f"integers, got .*{named}"):
+            call(truth)
+        call([2])
+
 
 class TestAtpar:
     def test_enumeration_oracle(self):

@@ -459,6 +459,42 @@ def test_split_walk_cuts_at_the_middle_block(monkeypatch, walkers, n,
     assert cut % step == 0 and abs(cut - n / 2) <= step / 2
 
 
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_split_walk_runs_argpartition_over_one_threads_slabs(monkeypatch, n):
+    # every walk, on one half or two, runs argpartition over slabs of
+    # _BLOCK_ENTRIES // N rows of each block, the remainder last: one
+    # call per block up to N = 2048
+    rows_of = {}
+
+    def recording(a, *args, **kwargs):
+        rows_of.setdefault(threading.get_ident(), []).append(len(a))
+        return argpartition(a, *args, **kwargs)
+
+    argpartition = np.argpartition
+    monkeypatch.setattr(np, "argpartition", recording)
+    monkeypatch.setattr(mcode.scoring, "_SPLIT_ROWS", 0)
+    index = NeighborIndex(np.random.default_rng(n).normal(size=(n, 3)))
+    step = max(mcode.scoring._MIN_BLOCK_ROWS,
+               mcode.scoring._BLOCK_ENTRIES // n)
+    slab = mcode.scoring._BLOCK_ENTRIES // n
+    expected = []
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        expected += [slab] * (rows // slab)
+        if rows % slab:
+            expected.append(rows % slab)
+    if n <= 2048:
+        assert len(expected) == len(range(0, n, step))
+    for threads in (1, 2):
+        monkeypatch.setattr(mcode.scoring, "_THREADS", threads)
+        index.query_all(5)
+        first = rows_of.pop(threading.get_ident())
+        others = list(rows_of.values())
+        rows_of.clear()
+        assert len(others) == threads - 1
+        assert first + sum(others, []) == expected
+
+
 class Stop(Exception):
     """Raised by a _distances that fails on the last row."""
 
