@@ -22,8 +22,7 @@ from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
                     PROB_EPS, cross_validate_lambda, penalized_nll,
                     train_logistic)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
-                    McodeModel, RhoMatrix, estimate_rho, fit_mcode,
-                    load_model, save_model)
+                    McodeModel, RhoMatrix, estimate_rho, fit_mcode)
 from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
                       WeightVector, global_weights, local_weights,
                       rank_descending, score_lrw, score_prod, score_rw)

@@ -10,7 +10,7 @@ configuration, so results can be traced back to the exact run that
 produced them, and one run has one hash.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.
+3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, DomainError, NumericalError
 from .dataset import (inject_outliers, is_rate, is_seed, load_csv, load_json,
                       load_log, save_csv, save_json, save_log, write_table)
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, MODES,
-                    check_mode, fit_mcode, save_model)
+                    check_mode, fit_mcode)
 from .optim import ConstantFactor, DEFAULT_LAMBDA_GRID, _checked_grid, \
     check_folds, is_penalty
 from .scoring import load_score_table, write_score_table, ScoreVector
@@ -257,12 +257,9 @@ def cmd_fit(resolved, cfg_hash) -> int:
     for mode in resolved["modes"]:
         check_mode(mode, ds.d)
 
-    out = Path(resolved["out_dir"])
     for mode in resolved["modes"]:
         model = fit_mcode(ds, mode, policy)
-        target = out / f"model_{mode}"
-        save_model(model, target, meta=_meta(resolved["seed"], cfg_hash))
-        print(f"mode={mode}  -> {target}")
+        print(f"mode={mode}")
         for i, factor in enumerate(model.factors):
             if isinstance(factor, ConstantFactor):
                 print(f"  dim {i}: constant "
@@ -362,6 +359,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"mcode: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"mcode: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 # subcommand: (handler, help text, its options in flag order)
@@ -369,9 +369,9 @@ COMMANDS = {
     "simulate": (cmd_simulate, "inject output-bit outliers into a dataset",
                  ("dataset", "n_outputs", "ratio", "dim_fraction", "seed",
                   "out_dir")),
-    "fit": (cmd_fit, "fit factor models and persist them",
+    "fit": (cmd_fit, "fit factor models and report each factor",
             ("dataset", "n_outputs", "modes", "lam", "cv_grid", "cv_folds",
-             "seed", "out_dir")),
+             "seed")),
     "detect": (cmd_detect, "inject, fit, score, and evaluate in one run",
                ("dataset", "n_outputs", "methods", "ratio", "dim_fraction",
                 "k_lof", "k_lrw", "lam", "cv_grid", "cv_folds", "repeats",

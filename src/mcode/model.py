@@ -22,19 +22,15 @@ one stack per fold, and its rho computed with one product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
-from .dataset import (Dataset, StandardizationStats, is_number, is_seed,
-                      json_int, load_json, save_json, standardize)
-from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, LogisticFactor,
-                    PROB_EPS, _checked_grid, check_folds,
-                    cross_validate_lambda, is_penalty, observed_prob,
-                    predict_prob_stack, train_logistic_columns)
+from .errors import ConfigError, DomainError
+from .dataset import Dataset, StandardizationStats, is_seed, standardize
+from .optim import (DEFAULT_LAMBDA_GRID, ConstantFactor, PROB_EPS,
+                    _checked_grid, check_folds, cross_validate_lambda,
+                    observed_prob, predict_prob_stack, train_logistic_columns)
 
 FULL_CONDITIONAL = "full_conditional"
 INDEPENDENT = "independent"
@@ -208,149 +204,3 @@ def estimate_rho(model: McodeModel, ds: Dataset) -> RhoMatrix:
         raise DomainError("the model's parameters overflow float64 on this "
                           "data: a logit is undefined")
     return RhoMatrix(observed_prob(prob, ds.Y))
-
-
-MANIFEST_NAME = "manifest.json"
-
-
-def factor_to_dict(factor, dim_index: int) -> dict:
-    """Serializable form of the factor of output dimension dim_index;
-    floats survive the JSON round trip exactly."""
-    if isinstance(factor, ConstantFactor):
-        return {"kind": "constant",
-                "dim_index": int(dim_index),
-                "prob_one": float(factor.prob_one)}
-    return {"kind": "logistic",
-            "dim_index": int(dim_index),
-            "lambda": float(factor.lam),
-            "intercept": float(factor.intercept),
-            "weights": [float(w) for w in factor.weights],
-            "final_gradient_norm": float(factor.final_gradient_norm)}
-
-
-def factor_from_dict(doc: dict, dim_index: int):
-    """Inverse of factor_to_dict. The document must record dim_index, so a
-    factor read from the wrong position is caught; a missing, mistyped or
-    out-of-range value is a DomainError. Keys it does not read, such as
-    the "converged" flag older files carry, are ignored."""
-    try:
-        kind = doc["kind"]
-        stored = json_int(doc["dim_index"])
-        if kind == "constant":
-            factor = ConstantFactor(
-                prob_one=_number(doc, "prob_one", lambda p: 0.0 < p < 1.0))
-        elif kind == "logistic":
-            factor = LogisticFactor(
-                lam=_number(doc, "lambda", is_penalty),
-                weights=_numbers(doc, "weights"),
-                intercept=_number(doc, "intercept"),
-                final_gradient_norm=_number(
-                    doc, "final_gradient_norm",
-                    lambda g: math.isfinite(g) and g >= 0.0))
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed factor document: {exc}") from exc
-    if stored != dim_index:
-        raise DomainError(
-            f"holds the factor of dimension {stored}, listed at position "
-            f"{dim_index}")
-    return factor
-
-
-def _number(doc: dict, key: str, ok=math.isfinite) -> float:
-    """doc[key], a JSON number (is_number), as a float that passes ok;
-    json reads 1e400 as inf."""
-    value = doc[key]
-    if not is_number(value) or not ok(float(value)):
-        raise ValueError(f"{key} must be a number in range, got {value!r}")
-    return float(value)
-
-
-def _numbers(doc: dict, key: str, ok=math.isfinite) -> np.ndarray:
-    """doc[key], a JSON list of numbers (is_number) that pass ok, as a
-    float64 vector."""
-    values = doc[key]
-    if not isinstance(values, list) or not all(
-            is_number(v) and ok(float(v)) for v in values):
-        raise ValueError(f"{key} must be a list of numbers in range")
-    return np.array(values, dtype=np.float64)
-
-
-def save_model(model: McodeModel, path, meta: dict | None = None) -> None:
-    """Write the model as a directory: manifest plus one file per factor."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    factor_files = []
-    for i, factor in enumerate(model.factors):
-        name = f"factor_{i:03d}.json"
-        save_json(factor_to_dict(factor, i), root / name)
-        factor_files.append(name)
-    manifest = {
-        "format": "mcode-model",
-        "mode": model.mode,
-        "means": [float(v) for v in model.stats.means],
-        "std_devs": [float(v) for v in model.stats.std_devs],
-        "factors": factor_files,
-    }
-    if meta:
-        manifest["_meta"] = meta
-    save_json(manifest, root / MANIFEST_NAME)
-
-
-def _load_factor(path, dim_index: int):
-    try:
-        return factor_from_dict(load_json(path), dim_index)
-    except DomainError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _plain_file_name(name: str) -> bool:
-    """A name that can only mean a file in the directory itself: without
-    a separator no name is absolute or leaves the directory."""
-    return name not in ("", ".", "..") and "/" not in name and \
-        "\\" not in name
-
-
-def load_model(path) -> McodeModel:
-    """Read a directory written by save_model. Manifest keys it does not
-    read (m, d and lambdas, which older versions wrote) are ignored."""
-    root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise DataError(f"{root}: no {MANIFEST_NAME} found")
-    manifest = load_json(manifest_path)
-    if not isinstance(manifest, dict) or \
-            manifest.get("format") != "mcode-model":
-        raise DataError(f"{manifest_path}: not a model manifest")
-    try:
-        mode = manifest["mode"]
-        means = _numbers(manifest, "means")
-        std_devs = _numbers(manifest, "std_devs",
-                            lambda s: math.isfinite(s) and s > 0.0)
-        names = manifest["factors"]
-        if not means.size or means.shape != std_devs.shape:
-            raise ValueError("means and std_devs must be non-empty lists of "
-                             "equal length")
-        if not isinstance(names, list) or not names or \
-                not all(isinstance(name, str) for name in names):
-            raise ValueError("factors must be a non-empty list of file names")
-        for name in names:
-            if not _plain_file_name(name):
-                raise ValueError(f"factor file {name!r} is not a plain file "
-                                 f"name in the model directory")
-        check_mode(mode, len(names))
-    except (KeyError, TypeError, ValueError, OverflowError,
-            ConfigError) as exc:
-        raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
-
-    factors = tuple(_load_factor(root / name, i)
-                    for i, name in enumerate(names))
-    model = McodeModel(mode, StandardizationStats(means, std_devs), factors)
-    for i, factor in enumerate(model.factors):
-        if not isinstance(factor, ConstantFactor) and \
-                factor.arity != model.arity:
-            raise DataError(
-                f"{root / names[i]}: factor {i} has arity {factor.arity}, "
-                f"expected {model.arity}")
-    return model

@@ -70,20 +70,6 @@ MUTANTS = (
            'f"# {line}" for line in comments',
            'f"{line}" for line in comments',
            ("test_scoring.py",)),
-    # one stored number rule: a bool or numeric string read as a number
-    Mutant("stored-number-string", "model.py",
-           "if not is_number(value) or not ok(float(value)):",
-           "if not ok(float(value)):",
-           ("test_model.py",)),
-    Mutant("stored-numbers-string", "model.py",
-           "is_number(v) and ok(float(v)) for v in values",
-           "ok(float(v)) for v in values",
-           ("test_model.py",)),
-    # a stored lambda passes the configured-lambda rule
-    Mutant("stored-lambda-rule", "model.py",
-           'lam=_number(doc, "lambda", is_penalty)',
-           'lam=_number(doc, "lambda")',
-           ("test_model.py",)),
     # a rho with no rows is a DomainError, not 0 / 0 weights
     Mutant("rho-no-rows-accepted", "model.py",
            "if values.ndim != 2 or values.shape[0] < 1:",
@@ -375,6 +361,10 @@ MUTANTS = (
            ("test_cli.py",)),
     Mutant("numerical-failure-unmapped", "cli.py",
            "except NumericalError as exc:",
+           "except ZeroDivisionError as exc:",
+           ("test_cli.py",)),
+    Mutant("memory-error-unmapped", "cli.py",
+           "except MemoryError as exc:",
            "except ZeroDivisionError as exc:",
            ("test_cli.py",)),
     Mutant("constant-factor-unnamed", "cli.py",

@@ -22,7 +22,9 @@ exists in one run only, 0 if all are identical.
 The matrix:
 - fit_mcode in both modes, under CvLambda() and FixedLambda(1.0), on the
   planted data at N = 1000, 3000 and 8000, each also with one output
-  column forced to 0: every saved model file, and rho on the fitted data;
+  column forced to 0: the standardization's means and std_devs, each
+  factor's lam, weights, intercept and final_gradient_norm or its
+  prob_one, and rho on the fitted data;
 - NeighborIndex.query_all, local_weights and lof_scores at k = 100 on
   score_knn_8k's data (N = 8000, injection seed 0) and on an 8000 x 10
   grid of integers 0-3, and at several k on the tie sets of
@@ -30,8 +32,9 @@ The matrix:
   overflows;
 - `mcode detect --repeats 3` under CV and under `--lambda 1`, each with
   and without `--fit-on-original`; `mcode fit` in both modes, under CV
-  and under `--lambda 1`; `mcode eval --curve-out` on every score table
-  of one detect repeat: exit codes, stdout and every file written.
+  and under `--lambda 1`, each run in a directory of its own;
+  `mcode eval --curve-out` on every score table of one detect repeat:
+  exit codes, stdout and every file written.
 
 It takes about ten seconds per tree on a 2-CPU machine. pytest collects
 only test_*.py, so the tier-1 suite does not run this file.
@@ -112,6 +115,15 @@ def make_inputs(work: Path) -> None:
     mcode.save_csv(make_benchmark_dataset(n=1000), work / "planted.csv")
 
 
+def _fitted(factor) -> dict:
+    """The numbers a fitted factor holds, by field name."""
+    if hasattr(factor, "prob_one"):
+        return {"prob_one": factor.prob_one}
+    return {"lam": factor.lam, "weights": factor.weights,
+            "intercept": factor.intercept,
+            "final_gradient_norm": factor.final_gradient_norm}
+
+
 def run_matrix(work: Path, tree: Path) -> dict:
     """{output name: sha256 of its bytes}, in the matrix's order."""
     import mcode
@@ -142,10 +154,12 @@ def run_matrix(work: Path, tree: Path) -> dict:
                 for policy in (mcode.CvLambda(), mcode.FixedLambda(1.0)):
                     tag = f"fit_mcode/{label}/{mode}/{type(policy).__name__}"
                     model = mcode.fit_mcode(ds, mode, policy)
-                    target = work / "model"
-                    shutil.rmtree(target, ignore_errors=True)
-                    mcode.save_model(model, target)
-                    put_files(tag, target)
+                    put(f"{tag}/means", model.stats.means)
+                    put(f"{tag}/std_devs", model.stats.std_devs)
+                    for i, factor in enumerate(model.factors):
+                        for key, value in _fitted(factor).items():
+                            put(f"{tag}/factor_{i:03d}/{key}",
+                                np.asarray(value, dtype=np.float64))
                     put(f"{tag}/rho", mcode.estimate_rho(model, ds).values)
 
     point_sets = [key[:-len("_points")] for key in inputs.files
@@ -176,8 +190,14 @@ def run_matrix(work: Path, tree: Path) -> dict:
                    "--seed", 0, "--out-dir", out / name, *extra])
         put_files(name, out / name)
     for name, extra in FITS.items():
-        cli(name, ["fit", *data, "--modes", mcode.FULL_CONDITIONAL,
-                   mcode.INDEPENDENT, "--out-dir", out / name, *extra])
+        # run where nothing else lies, so any file it writes is an output
+        (out / name).mkdir(parents=True)
+        os.chdir(out / name)
+        try:
+            cli(name, ["fit", *data, "--modes", mcode.FULL_CONDITIONAL,
+                       mcode.INDEPENDENT, *extra])
+        finally:
+            os.chdir(work)
         put_files(name, out / name)
     detected = out / "detect_cv"
     for table in sorted((detected / "scores").glob("*_r01.csv")):

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    NumericalError, PerturbationLog, ScoreVector, atpar,
-                   inject_outliers, load_csv, load_log, load_model, save_csv,
-                   save_log)
+                   inject_outliers, load_csv, load_log, save_csv, save_log)
 import mcode.cli
 from mcode.cli import COMMANDS, OPTIONS, build_parser, main
 from mcode.evaluation import METHODS
@@ -100,20 +99,35 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_fixed_lambda_fit_and_reload(self, tmp_path, dataset_file,
-                                         capsys):
-        out = tmp_path / "models"
+    def test_fixed_lambda_fit_reports_each_factor(self, tmp_path,
+                                                  dataset_file, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert run("fit", "--dataset", dataset_file, "--n-outputs", 3,
                    "--modes", "full_conditional", "independent",
-                   "--lambda", "1.0", "--out-dir", out) == 0
-        printed = capsys.readouterr().out
-        assert "lambda=1" in printed
-        for mode in ("full_conditional", "independent"):
-            assert f"mode={mode}  -> {out / f'model_{mode}'}\n" in printed
-        full = load_model(out / "model_full_conditional")
-        ind = load_model(out / "model_independent")
-        assert full.mode == "full_conditional"
-        assert ind.mode == "independent"
+                   "--lambda", "1.0") == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [printed[0], printed[4]] == ["mode=full_conditional",
+                                            "mode=independent"]
+        for line in printed[1:4] + printed[5:]:
+            assert line.startswith("  dim ") and " lambda=1 converged=" \
+                in line and " grad_norm=" in line
+        # the report is the whole output: no model is written
+        assert [p.name for p in tmp_path.iterdir()] == [dataset_file.name]
+
+    def test_takes_no_out_dir(self, tmp_path, dataset_file):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "models")}))
+        for flags, message in (
+                (["--out-dir", tmp_path / "models"],
+                 "unrecognized arguments: --out-dir"),
+                (["--config", config], "unknown config keys ['out_dir']")):
+            code, err = run_quiet("fit", "--dataset", dataset_file,
+                                  "--n-outputs", 3, "--lambda", "1",
+                                  *flags)
+            assert code == 1 and err.startswith("mcode: error: ")
+            assert message in err
+        assert not (tmp_path / "models").exists()
 
     def test_constant_output_column_is_named(self, tmp_path, capsys):
         ds = make_coupled_dataset(n=60, m=3, d=3, seed=100)
@@ -122,9 +136,9 @@ class TestFit:
         path = tmp_path / "data.csv"
         save_csv(Dataset(ds.X, Y), path)
         assert run("fit", "--dataset", path, "--n-outputs", 3,
-                   "--modes", "independent", "--lambda", "1.0",
-                   "--out-dir", tmp_path / "models") == 0
+                   "--modes", "independent", "--lambda", "1.0") == 0
         printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "mode=independent"
         # Laplace-smoothed: (60 + 1) / (60 + 2)
         assert printed[2] == "  dim 1: constant prob_one=0.983871"
         assert printed[1].startswith("  dim 0: lambda=1 ")
@@ -137,19 +151,15 @@ class TestFit:
                                  "point")
 
         monkeypatch.setattr(mcode.cli, "fit_mcode", failing)
-        out = tmp_path / "models"
         code, err = run_quiet("fit", "--dataset", dataset_file,
-                              "--n-outputs", 3, "--lambda", "1.0",
-                              "--out-dir", out)
+                              "--n-outputs", 3, "--lambda", "1.0")
         assert code == 3
         assert err == ("mcode: numerical failure: objective not finite at "
                        "the starting point\n")
-        assert not out.exists()
 
     def test_lambda_and_grid_conflict(self, tmp_path, dataset_file):
         assert run("fit", "--dataset", dataset_file, "--n-outputs", 3,
-                   "--lambda", "1.0", "--cv-grid", "0.1,1",
-                   "--out-dir", tmp_path) == 1
+                   "--lambda", "1.0", "--cv-grid", "0.1,1") == 1
 
 
 class TestDetect:
@@ -213,6 +223,25 @@ class TestDetect:
             log = load_log(detect_out / "logs" / f"perturbation_{tag}.json")
             assert record["atpar"] == atpar(ScoreVector(scores),
                                             log.outlier_rows, 0.1)
+
+    def test_out_of_memory_exits_3(self, tmp_path, dataset_file,
+                                   monkeypatch):
+        # an allocation too large for the machine is one line on stderr
+        # and exit 3, not a traceback and the uncaught exception's exit 1
+        def failing(*args, **kwargs):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array "
+                              "with shape (50000, 50000) and data type "
+                              "float64")
+
+        monkeypatch.setattr(mcode.cli, "run_experiment", failing)
+        code, err = run_quiet("detect", "--dataset", dataset_file,
+                              "--n-outputs", 3, "--methods", "iprod",
+                              "--dim-fraction", "0.34", "--lambda", "1",
+                              "--out-dir", tmp_path / "run")
+        assert code == 3
+        assert err == ("mcode: out of memory: Unable to allocate 18.6 GiB "
+                       "for an array with shape (50000, 50000) and data "
+                       "type float64\n")
 
     def test_one_atpar_per_method_and_repeat(self, tmp_path, dataset_file,
                                              monkeypatch):
@@ -300,9 +329,7 @@ class TestDetect:
         assert not out.exists()
         config.write_text(json.dumps({"modes": "independent"}))
         assert run("fit", "--config", config, "--dataset", dataset_file,
-                   "--n-outputs", 3, "--lambda", "1.0",
-                   "--out-dir", out) == 1
-        assert not out.exists()
+                   "--n-outputs", 3, "--lambda", "1.0") == 1
         config.write_bytes(b"\xff\xfe{}")
         assert run("detect", "--config", config, "--dataset", dataset_file,
                    "--n-outputs", 3, "--dim-fraction", "0.34",
@@ -326,8 +353,7 @@ class TestDetect:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
         code, err = run_quiet("fit", "--config", config, "--dataset",
-                              dataset_file, "--n-outputs", 3,
-                              "--out-dir", tmp_path / "models")
+                              dataset_file, "--n-outputs", 3)
         assert code == 1
         assert err == (f"mcode: error: {config}: config must be a JSON "
                        f"object\n")
@@ -522,8 +548,10 @@ class TestConfigValues:
         data = tmp_path / "data.csv"
         save_csv(make_coupled_dataset(n=60, m=3, d=d, seed=100), data)
         out = tmp_path / "out"
+        if "out_dir" in COMMANDS[command][2]:
+            flags = ["--out-dir", out, *flags]
         code, err = run_quiet(command, "--dataset", data, "--n-outputs", d,
-                              "--out-dir", out, *flags)
+                              *flags)
         assert code == 1 and err.startswith("mcode: error: ")
         assert "unrecognized" not in err
         assert not out.exists()
