@@ -9,6 +9,7 @@ and records exactly what it did so rankings can be evaluated later.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +22,10 @@ from .errors import ConfigError, DataError, DomainError
 # package. Recorded in perturbation logs so a replay can verify it is
 # running the same bit stream.
 RNG_ALGORITHM = "pcg64"
+
+# Data rows save_csv formats per write: the file is streamed, never held
+# whole as one string.
+_CSV_CHUNK_ROWS = 1024
 
 
 def is_integer(value) -> bool:
@@ -260,7 +265,7 @@ def _csv_records(path, comments_anywhere=True):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             for record in reader:
-                if all(not f.strip() for f in record):
+                if not "".join(record).strip():
                     continue
                 if record[0].lstrip().startswith("#"):
                     if started and not comments_anywhere:
@@ -314,7 +319,10 @@ def load_csv(path, n_outputs: int) -> Dataset:
 
     m = width - n_outputs
     try:
-        values = np.array([list(map(float, record)) for _, record in rows])
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(
+                record for _, record in rows)),
+            dtype=np.float64, count=len(rows) * width).reshape(-1, width)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values[:, :m]).all() or \
@@ -349,16 +357,19 @@ def save_csv(ds: Dataset, path, comments=()) -> None:
     """Write a dataset in the format load_csv reads.
 
     Float cells use repr, which round-trips float64 exactly; output cells
-    are written as bare 0/1.
+    are written as bare 0/1. Only the header goes through csv.writer,
+    since names may need quoting: a float's repr and a 0/1 never do. The
+    rows are written _CSV_CHUNK_ROWS at a time.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.input_names) + list(ds.output_names))
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.X[i]]
-                            + [int(v) for v in ds.Y[i]])
+        csv.writer(fh).writerow([*ds.input_names, *ds.output_names])
+        for start in range(0, ds.n, _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+            fh.write("".join([
+                f"{','.join(map(repr, x))},{','.join(map(str, y))}\r\n"
+                for x, y in zip(ds.X[chunk].tolist(), ds.Y[chunk].tolist())]))
 
 
 def standardize(ds: Dataset):
@@ -366,12 +377,19 @@ def standardize(ds: Dataset):
 
     Uses the population standard deviation (1/N). Constant columns are
     detected by exact equality and mapped to all-zero columns with a
-    substituted std of 1.0 recorded in the stats.
+    substituted std of 1.0 recorded in the stats. A column whose mean or
+    standard deviation overflows float64 is a DomainError naming it.
     """
     X = ds.X
     constant = (X == X[0, :]).all(axis=0)
-    means = np.where(constant, X[0, :], X.mean(axis=0))
-    std_devs = np.where(constant, 1.0, X.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.where(constant, X[0, :], X.mean(axis=0))
+        std_devs = np.where(constant, 1.0, X.std(axis=0))
+    overflowed = ~(np.isfinite(means) & np.isfinite(std_devs))
+    if overflowed.any():
+        name = ds.input_names[np.argmax(overflowed)]
+        raise DomainError(f"input column {name!r} spreads too far: its mean "
+                          f"or standard deviation overflows float64")
     # A column can have std 0 without exact equality only through
     # catastrophic underflow; guard the division anyway.
     std_devs = np.where(std_devs == 0.0, 1.0, std_devs)

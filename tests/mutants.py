@@ -448,6 +448,16 @@ MUTANTS = (
            'f"{idx},{method},{score!r}"',
            'f"{idx},PROD,{score!r}"',
            ("test_cli.py",)),
+    # save_csv's data rows end in CRLF, as csv.writer ended them
+    Mutant("csv-row-end-lf", "dataset.py",
+           "{','.join(map(str, y))}\\r\\n\"",
+           "{','.join(map(str, y))}\\n\"",
+           ("test_dataset.py",)),
+    # an input column whose mean or std overflows is a DomainError
+    Mutant("standardize-overflow-accepted", "dataset.py",
+           "if overflowed.any():",
+           "if False:",
+           ("test_dataset.py", "test_cli.py")),
 )
 
 

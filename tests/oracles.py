@@ -8,6 +8,7 @@ float ** 2 goes through libm's pow, which can differ in the last bit.
 """
 
 import csv
+import io
 import math
 
 from mcode.errors import ConfigError, DataError, DomainError
@@ -247,3 +248,20 @@ def oracle_load_csv(path, n_outputs):
         xs.append(x)
         ys.append(y)
     return xs, ys, names
+
+
+def oracle_csv_bytes(ds, comments=()):
+    """The bytes save_csv writes for ds: each row through csv.writer, a
+    repr per input value and an int per output value, encoded as open()
+    encodes text."""
+    buffer = io.BytesIO()
+    with io.TextIOWrapper(buffer, newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.input_names) + list(ds.output_names))
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.X[i]]
+                            + [int(v) for v in ds.Y[i]])
+        fh.flush()
+        return buffer.getvalue()

@@ -33,7 +33,10 @@ The matrix:
 - `mcode detect --repeats 3` under CV and under `--lambda 1`, each with
   and without `--fit-on-original`; `mcode fit` in both modes, under CV
   and under `--lambda 1`, each run in a directory of its own;
-  `mcode eval --curve-out` on every score table of one detect repeat:
+  `mcode eval --curve-out` on every score table of one detect repeat;
+  `mcode simulate --ratio 0.05 --dim-fraction 0.25` at seeds 0 and 1 on
+  the planted data and on a copy whose names hold a comma and a quote
+  and whose inputs hold -0.0, 5e-324 and 1.7976931348623157e308:
   exit codes, stdout and every file written.
 
 It takes about ten seconds per tree on a 2-CPU machine. pytest collects
@@ -68,6 +71,8 @@ DETECTS = {
     "detect_lambda1_original": ["--lambda", "1", "--fit-on-original"],
 }
 FITS = {"fit_cv": [], "fit_lambda1": ["--lambda", "1"]}
+SIMULATED = ("planted", "extremes")  # CSV files under the work directory
+SIMULATE_SEEDS = (0, 1)
 
 
 def make_inputs(work: Path) -> None:
@@ -112,7 +117,13 @@ def make_inputs(work: Path) -> None:
     arrays["overflow_rho"] = gen.uniform(0.01, 0.99, size=(len(pts), 3))
     np.savez(work / "inputs.npz", **arrays)
 
-    mcode.save_csv(make_benchmark_dataset(n=1000), work / "planted.csv")
+    planted = make_benchmark_dataset(n=1000)
+    mcode.save_csv(planted, work / "planted.csv")
+    X = planted.X.copy()
+    X[:3, 0] = -0.0, 5e-324, 1.7976931348623157e308
+    names = ('in, "one"', *planted.input_names[1:])
+    mcode.save_csv(mcode.Dataset(X, planted.Y, names, planted.output_names),
+                   work / "extremes.csv")
 
 
 def _fitted(factor) -> dict:
@@ -208,6 +219,14 @@ def run_matrix(work: Path, tree: Path) -> dict:
                    "--curve-out", curve])
         put(f"{name}/curve", curve.read_bytes())
         curve.unlink()
+    for dataset in SIMULATED:
+        for seed in SIMULATE_SEEDS:
+            name = f"simulate_{dataset}_seed{seed}"
+            cli(name, ["simulate", "--dataset", work / f"{dataset}.csv",
+                       "--n-outputs", 8, "--ratio", 0.05,
+                       "--dim-fraction", 0.25, "--seed", seed,
+                       "--out-dir", out / name])
+            put_files(name, out / name)
     return hashes
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from mcode import (ConfigError, CvLambda, Dataset, DomainError, FixedLambda,
                    inject_outliers, load_csv, load_log, save_csv, save_log)
 import mcode.cli
 from mcode.cli import COMMANDS, OPTIONS, build_parser, main
-from mcode.evaluation import METHODS
+from mcode.evaluation import METHODS, score_methods
 from mcode.model import MODES, check_policy
 from mcode.scoring import load_score_table
 
@@ -242,6 +243,52 @@ class TestDetect:
         assert err == ("mcode: out of memory: Unable to allocate 18.6 GiB "
                        "for an array with shape (50000, 50000) and data "
                        "type float64\n")
+
+    def test_failed_repeat_leaves_no_report(self, tmp_path, dataset_file,
+                                            monkeypatch):
+        # report.txt is written after the last repeat, so a directory
+        # without it holds an unfinished run
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate")
+            return score_methods(*args, **kwargs)
+
+        monkeypatch.setattr(mcode.evaluation, "score_methods", second_fails)
+        out = tmp_path / "run"
+        code, err = run_quiet("detect", "--dataset", dataset_file,
+                              "--n-outputs", 3, "--methods", "iprod",
+                              "--dim-fraction", "0.34", "--lambda", "1",
+                              "--repeats", 2, "--out-dir", out)
+        assert (code, err) == (3, "mcode: out of memory: Unable to allocate\n")
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "config.json", "curves", "curves/iprod_r00.csv", "logs",
+            "logs/perturbation_r00.json", "report.jsonl", "scores",
+            "scores/iprod_r00.csv"]
+        assert len((out / "report.jsonl").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("rows, value", [(1, 1.7976931348623157e308),
+                                             (30, 1e308)])
+    def test_overflowing_input_column_exits_2(self, tmp_path, rows, value):
+        # one line naming the column, and no NumPy warning before it
+        ds = make_coupled_dataset(n=60, m=3, d=3, seed=100)
+        X = ds.X.copy()
+        X[:rows, 1] = value
+        path = tmp_path / "data.csv"
+        save_csv(Dataset(X, ds.Y), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_quiet("detect", "--dataset", path,
+                                  "--n-outputs", 3, "--methods", "iprod",
+                                  "--dim-fraction", "0.34", "--lambda", "1",
+                                  "--repeats", 1, "--out-dir",
+                                  tmp_path / "run")
+        assert code == 2
+        assert err == ("mcode: data error: input column 'x2' spreads too "
+                       "far: its mean or standard deviation overflows "
+                       "float64\n")
 
     def test_one_atpar_per_method_and_repeat(self, tmp_path, dataset_file,
                                              monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from mcode import (ConfigError, DataError, Dataset, DomainError,
                    PerturbationLog, inject_outliers, load_csv, load_log,
                    round_half_up, save_csv, save_log, standardize)
-from mcode.dataset import make_rng
+from mcode.dataset import _CSV_CHUNK_ROWS, make_rng
 
 import oracles
 from strategies import json_like
@@ -101,6 +101,29 @@ class TestCsv:
         assert np.array_equal(back.Y, ds.Y)
         assert back.input_names == ds.input_names
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # '#' lines end in LF, the header and the rows in CRLF; names are
+        # quoted as needed, values never: shortest round-trip repr, bare 0/1
+        ds = Dataset(np.array([[-0.0, 5e-324], [1.7976931348623157e308,
+                                                1e-05]]),
+                     np.array([[0, 1], [1, 0]]), ("a,b", 'say "x"'),
+                     ("y", "z"))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path, comments=("mcode 0.1.0", "seed=3"))
+        assert path.read_bytes() == (
+            b"# mcode 0.1.0\n# seed=3\n"
+            b'"a,b","say ""x""",y,z\r\n'
+            b"-0.0,5e-324,0,1\r\n"
+            b"1.7976931348623157e+308,1e-05,1,0\r\n")
+
+    def test_bytes_across_chunks(self, tmp_path, rng):
+        # rows are written a chunk at a time: none lost, doubled or moved
+        n = 2 * _CSV_CHUNK_ROWS + 1
+        ds = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, size=(n, 1)))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == oracles.oracle_csv_bytes(ds)
+
     def test_headerless_file(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1.5,0.25,1\n-2.0,0.5,0\n")
@@ -186,6 +209,28 @@ class TestStandardize:
         std, stats = standardize(ds)
         assert np.array_equal(std.X[:, 0], np.zeros(5))
         assert stats.std_devs[0] == 1.0
+
+    @pytest.mark.parametrize("rows, value", [
+        (1, 1.7976931348623157e308),  # the std overflows, the mean does not
+        (30, 1e308),                  # the mean overflows
+    ])
+    def test_overflowing_column_is_named(self, rows, value):
+        # a DomainError, not a column silently zeroed by an infinite std or
+        # a NaN matrix; and no NumPy warning, which these tests turn into
+        # errors
+        X = small_dataset(n=60).X.copy()
+        X[:rows, 1] = value
+        with pytest.raises(DomainError, match=(
+                "^input column 'x2' spreads too far: its mean or standard "
+                "deviation overflows float64$")):
+            standardize(Dataset(X, np.zeros((60, 1), dtype=int)))
+
+    def test_constant_column_too_large_to_average(self):
+        # its mean would overflow, but it is constant: zeros, no warning
+        std, stats = standardize(Dataset(np.full((5, 1), 1e308),
+                                         np.zeros((5, 1), dtype=int)))
+        assert np.array_equal(std.X, np.zeros((5, 1)))
+        assert (stats.means[0], stats.std_devs[0]) == (1e308, 1.0)
 
     def test_outputs_untouched(self, rng):
         ds = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, (30, 2)))
@@ -419,6 +464,15 @@ def test_csv_round_trip_keeps_names(ds):
 
 # Any text a UTF-8 file can hold (no lone surrogates), newlines included.
 _FIELD = st.text(st.characters(exclude_categories=("Cs",)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ds=datasets(names=_FIELD), comments=st.lists(_FIELD, max_size=2))
+def test_csv_bytes_are_the_csv_writer_loops(ds, comments):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(ds, path, comments=comments)
+        assert path.read_bytes() == oracles.oracle_csv_bytes(ds, comments)
 
 
 @settings(max_examples=200, deadline=None, database=None)
