@@ -24,11 +24,11 @@ from .optim import (ConstantFactor, DEFAULT_LAMBDA_GRID, LogisticFactor,
 from .model import (CvLambda, FULL_CONDITIONAL, FixedLambda, INDEPENDENT,
                     McodeModel, RhoMatrix, estimate_rho, fit_mcode)
 from .scoring import (LocalWeightMatrix, NeighborIndex, ScoreVector,
-                      WeightVector, global_weights, local_weights,
-                      rank_descending, score_lrw, score_prod, score_rw)
+                      global_weights, local_weights, rank_descending,
+                      score_lrw, score_prod, score_rw)
 from .lof import LofConfig, lof_scores
-from .evaluation import (EvalCurve, METHODS, atpar, run_experiment,
-                         score_methods, tpar, tpar_curve)
+from .evaluation import (METHODS, atpar, run_experiment, score_methods,
+                         tpar, tpar_curve)
 
 # the names imported above; importing them bound their submodules too,
 # which a star import must not

@@ -288,7 +288,7 @@ def cmd_detect(resolved, cfg_hash) -> int:
     save_json(config_doc, out / "config.json")
     print(json.dumps(config_doc, sort_keys=True))
 
-    with open(out / "report.jsonl", "w") as records:
+    with open(out / "report.jsonl", "w", encoding="utf-8") as records:
         def on_repeat(r, log, scored, atpars):
             save_log(log, out / "logs" / f"perturbation_r{r:02d}.json",
                      meta=meta)

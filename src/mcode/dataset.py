@@ -3,7 +3,8 @@
 A dataset is N aligned instances of m real-valued inputs and d binary
 outputs. Input features get standardized before model fitting; outputs are
 kept raw. Outlier injection flips output cells of a random subset of rows
-and records exactly what it did so rankings can be evaluated later.
+and records exactly what it did so rankings can be evaluated later. Every
+file is read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ def json_int(value) -> int:
 
 
 def load_json(path):
-    """The document in the JSON file at path; a DataError naming the file
-    if it cannot be read or decoded."""
+    """The document in the UTF-8 JSON file at path, a leading byte-order
+    mark skipped; a DataError naming the file if it cannot be read or
+    decoded."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: undecodable bytes or JSON, or a NUL in the name;
@@ -84,7 +86,7 @@ def load_json(path):
 
 def save_json(doc, path) -> None:
     """Write doc as indented JSON, keys sorted, ending in a newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -93,7 +95,7 @@ def write_table(path, header: str, rows, comments=()) -> None:
     """Write '# ' comment lines, the header line and one line per row, a
     string each, as one write."""
     text = "\n".join([*(f"# {line}" for line in comments), header, *rows])
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -258,11 +260,12 @@ def _csv_records(path, comments_anywhere=True):
     skipped, except that with comments_anywhere=False a '#' record after
     the first other record is a DataError naming its line. A field over
     csv.field_size_limit() is a DataError naming its line too, and bytes
-    that are not UTF-8 text one naming the file.
+    that are not UTF-8 text one naming the file. A leading byte-order mark
+    is not data.
     """
     started = False
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for record in reader:
                 if not "".join(record).strip():
@@ -361,7 +364,7 @@ def save_csv(ds: Dataset, path, comments=()) -> None:
     since names may need quoting: a float's repr and a 0/1 never do. The
     rows are written _CSV_CHUNK_ROWS at a time.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         csv.writer(fh).writerow([*ds.input_names, *ds.output_names])

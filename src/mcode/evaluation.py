@@ -9,8 +9,6 @@ put outliers at the very top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DomainError
@@ -29,13 +27,6 @@ _MODE_OF = {"iprod": INDEPENDENT, "mprod": FULL_CONDITIONAL,
 
 DEFAULT_UPPER_RATE = 0.01
 DEFAULT_CURVE_RATE = 0.04
-
-
-@dataclass(frozen=True)
-class EvalCurve:
-    """TPAR as a function of alert rate, rates strictly ascending."""
-    alert_rates: np.ndarray
-    tpar_values: np.ndarray
 
 
 def _check_truth(scores: ScoreVector, truth) -> np.ndarray:
@@ -77,21 +68,21 @@ def atpar(scores: ScoreVector, truth, upper: float = DEFAULT_UPPER_RATE) -> floa
     return float(_precision_at(scores, truth, a_max).mean())
 
 
-def tpar_curve(scores: ScoreVector, truth) -> EvalCurve:
-    """TPAR at every achievable alert count from 1 to round(0.04 * N),
-    expressed as rates a/N."""
+def tpar_curve(scores: ScoreVector, truth) -> tuple:
+    """(alert_rates, tpar_values): TPAR at every achievable alert count
+    from 1 to round(0.04 * N), expressed as rates a/N."""
     n = scores.scores.shape[0]
     a_top = _alert_count(DEFAULT_CURVE_RATE, n)
-    return EvalCurve(alert_rates=np.arange(1, a_top + 1) / n,
-                     tpar_values=_precision_at(scores, truth, a_top))
+    return np.arange(1, a_top + 1) / n, _precision_at(scores, truth, a_top)
 
 
-def write_curve(path, curve: EvalCurve, comments=()) -> None:
-    """Write (alert_rate, tpar) rows, rates ascending."""
+def write_curve(path, curve, comments=()) -> None:
+    """Write tpar_curve's (alert_rates, tpar_values) as rows, rates
+    ascending."""
+    rates, values = curve
     write_table(path, "alert_rate,tpar", (
         f"{rate!r},{value!r}" for rate, value in
-        zip(curve.alert_rates.tolist(), curve.tpar_values.tolist())),
-        comments)
+        zip(rates.tolist(), values.tolist())), comments)
 
 
 def _check_methods(methods, d: int):

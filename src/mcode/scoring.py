@@ -52,12 +52,6 @@ _THREADS = min(2, len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Global per-dimension reliability weights."""
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class LocalWeightMatrix:
     """Per-instance, per-dimension reliability weights from k-neighborhoods."""
     w: np.ndarray
@@ -387,7 +381,7 @@ def _distances(points, rows, cols) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def global_weights(rho: RhoMatrix) -> WeightVector:
+def global_weights(rho: RhoMatrix) -> np.ndarray:
     """w_i = N / sum over instances of the dimension-i error (1 - rho).
 
     Each column's errors are summed one instance at a time in ascending
@@ -396,7 +390,7 @@ def global_weights(rho: RhoMatrix) -> WeightVector:
     N x d arrays, the errors and their running sums.
     """
     errors = 1.0 - rho.values
-    return WeightVector(w=rho.n / np.cumsum(errors, axis=0)[-1])
+    return rho.n / np.cumsum(errors, axis=0)[-1]
 
 
 def local_weights(rho: RhoMatrix, index: NeighborIndex,
@@ -437,12 +431,12 @@ def score_prod(rho: RhoMatrix) -> ScoreVector:
     return _weighted_score(rho, 1.0)
 
 
-def score_rw(rho: RhoMatrix, weights: WeightVector) -> ScoreVector:
-    """Globally reliability-weighted negative log score."""
-    if weights.w.shape != (rho.d,):
+def score_rw(rho: RhoMatrix, weights: np.ndarray) -> ScoreVector:
+    """Globally reliability-weighted negative log score, weights a d-vector."""
+    if np.shape(weights) != (rho.d,):
         raise DomainError(
-            f"expected {rho.d} weights, got shape {weights.w.shape}")
-    return _weighted_score(rho, weights.w)
+            f"expected {rho.d} weights, got shape {np.shape(weights)}")
+    return _weighted_score(rho, weights)
 
 
 def score_lrw(rho: RhoMatrix, local: LocalWeightMatrix) -> ScoreVector:

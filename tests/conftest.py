@@ -87,15 +87,16 @@ def traced_peak(func) -> int:
         tracemalloc.stop()
 
 
-def run_python(code: str, **environ) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter, with environ added to this
-    process's environment, where it imports the package these tests
-    import and the helpers beside this file; its output as text."""
+def run_python(code: str, *flags, **environ) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, given the command-line flags and
+    with environ added to this process's environment, where it imports
+    the package these tests import and the helpers beside this file; its
+    output as text."""
     paths = [str(Path(mcode.__file__).resolve().parent.parent),
              str(Path(__file__).resolve().parent)]
     paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
               if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **environ)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)

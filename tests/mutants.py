@@ -458,6 +458,25 @@ MUTANTS = (
            "if overflowed.any():",
            "if False:",
            ("test_dataset.py", "test_cli.py")),
+    # every file is UTF-8 whatever the locale, a leading byte-order mark
+    # not data
+    Mutant("csv-read-bom-kept", "dataset.py",
+           'open(path, newline="", encoding="utf-8-sig")',
+           'open(path, newline="", encoding="utf-8")',
+           ("test_dataset.py", "test_scoring.py")),
+    Mutant("json-read-bom-kept", "dataset.py",
+           'open(path, encoding="utf-8-sig")',
+           'open(path, encoding="utf-8")',
+           ("test_dataset.py", "test_cli.py")),
+    Mutant("csv-write-locale", "dataset.py",
+           'open(path, "w", newline="", encoding="utf-8")',
+           'open(path, "w", newline="")',
+           ("test_cli.py",)),
+    # RW takes exactly d weights: a row of them or one would broadcast
+    Mutant("rw-weights-shape-unchecked", "scoring.py",
+           "if np.shape(weights) != (rho.d,):",
+           "if False:",
+           ("test_scoring.py",)),
 )
 
 

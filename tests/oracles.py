@@ -188,7 +188,7 @@ def oracle_load_csv(path, n_outputs):
             f"n_outputs must be a positive integer, got {n_outputs!r}")
     records = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for record in reader:
                 blank = all(not f.strip() for f in record)
@@ -252,10 +252,9 @@ def oracle_load_csv(path, n_outputs):
 
 def oracle_csv_bytes(ds, comments=()):
     """The bytes save_csv writes for ds: each row through csv.writer, a
-    repr per input value and an int per output value, encoded as open()
-    encodes text."""
+    repr per input value and an int per output value, encoded as UTF-8."""
     buffer = io.BytesIO()
-    with io.TextIOWrapper(buffer, newline="") as fh:
+    with io.TextIOWrapper(buffer, newline="", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)

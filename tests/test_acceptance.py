@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mcode import (CvLambda, FixedLambda, LofConfig, NeighborIndex, RhoMatrix,
-                   ScoreVector, WeightVector, atpar, estimate_rho, fit_mcode,
+                   ScoreVector, atpar, estimate_rho, fit_mcode,
                    global_weights, inject_outliers, load_csv, local_weights,
                    lof_scores, make_rng, penalized_nll, round_half_up,
                    run_experiment, score_prod, score_rw, tpar)
@@ -154,7 +154,7 @@ def test_property_suite(capsys):
 
         # unit reliability weights reduce the weighted score to the product
         rho = RhoMatrix(np.clip(rng.random((50, 4)), 1e-6, 1 - 1e-6))
-        unit = WeightVector(w=np.ones(4))
+        unit = np.ones(4)
         check("rw_unit_weights_equals_prod",
               np.array_equal(score_rw(rho, unit).scores,
                              score_prod(rho).scores))
@@ -165,7 +165,7 @@ def test_property_suite(capsys):
         lw = local_weights(rho, index, k=50)
         gw = global_weights(rho)
         check("lrw_full_neighborhood_equals_rw",
-              np.array_equal(lw.w, np.tile(gw.w, (50, 1))))
+              np.array_equal(lw.w, np.tile(gw, (50, 1))))
 
         # exact k-nearest-neighbour sets, listed in index order, against
         # a full-sort reference

@@ -21,7 +21,7 @@ from mcode.evaluation import METHODS, score_methods
 from mcode.model import MODES, check_policy
 from mcode.scoring import load_score_table
 
-from conftest import make_coupled_dataset
+from conftest import make_coupled_dataset, run_python
 
 
 @pytest.fixture
@@ -365,6 +365,18 @@ class TestDetect:
         assert echoed["methods"] == ["iprod"]
         records = (out / "report.jsonl").read_text().splitlines()
         assert len(records) == 2
+
+    def test_config_byte_order_mark_is_not_data(self, tmp_path, dataset_file,
+                                                capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes("\ufeff".encode() + json.dumps({
+            "dataset": str(dataset_file), "n_outputs": 3,
+            "methods": ["iprod"], "dim_fraction": 0.34, "ratio": 0.1,
+            "lam": 1.0, "repeats": 1}).encode())
+        assert run("detect", "--config", config, "--out-dir",
+                   tmp_path / "out") == 0
+        echoed = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert echoed["methods"] == ["iprod"] and echoed["lam"] == 1.0
 
     def test_config_list_keys_reject_strings(self, tmp_path, dataset_file):
         config = tmp_path / "config.json"
@@ -775,6 +787,41 @@ def test_check_resolves_by_kind(key, value, resolved):
     # a number as a float, a grid as its distinct ascending floats (0 and
     # -0 one penalty), the rest as given; compared by repr, since 1 == 1.0
     assert repr(mcode.cli._check(key, value)) == resolved
+
+
+# The locale's encoding is ASCII here, and an open() that falls back on
+# it is an error.
+ASCII_LOCALE = dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+ENCODING_WARNINGS = ("-X", "warn_default_encoding",
+                     "-W", "error::EncodingWarning")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    ds = make_coupled_dataset(n=60, m=3, d=3, seed=100)
+    data = tmp_path / "data.csv"
+    save_csv(Dataset(ds.X, ds.Y, ("x1", "temp\u00e9", "x3")), data)
+    out = tmp_path / "out"
+    commands = [
+        ["simulate", "--dataset", data, "--n-outputs", 3,
+         "--dim-fraction", 0.34, "--out-dir", out / "sim"],
+        ["detect", "--dataset", data, "--n-outputs", 3, "--dim-fraction",
+         0.34, "--ratio", 0.1, "--k-lof", 10, "--k-lrw", 10, "--lambda", 1,
+         "--repeats", 1, "--out-dir", out / "det"],
+        ["eval", "--scores", out / "det" / "scores" / "mrw_r00.csv",
+         "--log", out / "det" / "logs" / "perturbation_r00.json",
+         "--curve-out", out / "curve.csv"]]
+    argvs = [list(map(str, argv)) for argv in commands]
+    child = run_python(f"from mcode.cli import main\n"
+                       f"print([main(argv) for argv in {argvs!r}])",
+                       *ENCODING_WARNINGS, **ASCII_LOCALE)
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0]", child.stderr
+
+    def header(path):
+        return next(line for line in path.read_bytes().splitlines()
+                    if not line.startswith(b"#"))
+
+    assert header(out / "sim" / "perturbed.csv") == header(data)
+    assert "temp\u00e9".encode() in header(data)
 
 
 class TestTopLevel:

@@ -17,6 +17,8 @@ from mcode.dataset import _CSV_CHUNK_ROWS, make_rng
 import oracles
 from strategies import json_like
 
+BOM = "\ufeff".encode()  # UTF-8's byte-order mark
+
 
 def small_dataset(n=20, m=3, d=2, seed=1):
     gen = np.random.default_rng(seed)
@@ -184,6 +186,19 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DataError):
             load_csv(path, n_outputs=1)
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        # a headerless file keeps its first row and the default names; a
+        # header's first name comes back without the mark
+        path = tmp_path / "data.csv"
+        path.write_bytes(BOM + b"0.5,1.0,1\n2.0,3.0,0\n4.0,5.0,1\n")
+        ds = load_csv(path, n_outputs=1)
+        assert ds.X.tolist() == [[0.5, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert (ds.input_names, ds.output_names) == (("x1", "x2"), ("y1",))
+        path.write_bytes(BOM + "x1,temp\u00e9,y\n0.5,1.0,1\n".encode())
+        ds = load_csv(path, n_outputs=1)
+        assert (ds.input_names, ds.output_names) == (("x1", "temp\u00e9"),
+                                                     ("y",))
 
 
 class TestStandardize:
@@ -357,6 +372,14 @@ class TestPerturbationLog:
                             "flipped_cells", "rng", "_meta"}
         assert doc["rng"] == "pcg64"
         assert doc["outlier_rows"] == sorted(doc["outlier_rows"])
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        _, log = inject_outliers(small_dataset(n=30, d=4, seed=13), 0.2, 0.5,
+                                 seed=99)
+        path = tmp_path / "log.json"
+        save_log(log, path)
+        path.write_bytes(BOM + path.read_bytes())
+        assert load_log(path) == log
 
     def test_malformed_log(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -124,11 +124,11 @@ class TestAtpar:
 class TestTparCurve:
     def test_default_grid(self):
         sv = ranking_scores(500, [0])
-        curve = tpar_curve(sv, {0})
-        assert curve.alert_rates.shape[0] == 20  # counts 1..round(0.04*500)
-        assert (np.diff(curve.alert_rates) > 0).all()
-        assert curve.tpar_values[0] == 1.0
-        assert ((curve.tpar_values >= 0) & (curve.tpar_values <= 1)).all()
+        rates, values = tpar_curve(sv, {0})
+        assert rates.shape[0] == 20  # counts 1..round(0.04*500)
+        assert (np.diff(rates) > 0).all()
+        assert values[0] == 1.0
+        assert ((values >= 0) & (values <= 1)).all()
 
     def test_matches_tpar_pointwise(self):
         gen = np.random.default_rng(11)
@@ -136,10 +136,9 @@ class TestTparCurve:
             sv = ScoreVector(gen.integers(0, 5, size=n).astype(float))
             truth = set(gen.choice(n, size=max(1, n // 20),
                                    replace=False).tolist())
-            curve = tpar_curve(sv, truth)
-            assert curve.alert_rates.shape[0] == max(1, round(0.04 * n))
-            for a, (rate, value) in enumerate(
-                    zip(curve.alert_rates, curve.tpar_values), start=1):
+            rates, values = tpar_curve(sv, truth)
+            assert rates.shape[0] == max(1, round(0.04 * n))
+            for a, (rate, value) in enumerate(zip(rates, values), start=1):
                 assert rate == a / n
                 assert value == tpar(sv, truth, rate)
 

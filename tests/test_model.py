@@ -15,7 +15,7 @@ from mcode.model import MODES
 from mcode.optim import GRAD_TOL
 
 import oracles
-from conftest import make_coupled_dataset
+from conftest import make_coupled_dataset, traced_peak
 from synthdata import make_benchmark_dataset
 
 
@@ -161,6 +161,22 @@ class TestFit:
         for fa, fb in zip(a.factors, b.factors):
             assert np.array_equal(fa.weights, fb.weights)
             assert fa.intercept == fb.intercept
+
+    @pytest.mark.parametrize("mode, policy, bytes_per_row", [
+        (FULL_CONDITIONAL, CvLambda(), 6_500),
+        (INDEPENDENT, CvLambda(), 4_100),
+        (FULL_CONDITIONAL, FixedLambda(1.0), 3_000),
+        (INDEPENDENT, FixedLambda(1.0), 1_600)])
+    def test_memory_per_row(self, mode, policy, bytes_per_row):
+        # traced peaks of one fit on the planted data (m = 10, d = 8), in
+        # KB a row at N = 2000 and 4000: full-conditional 5.4 and 5.3
+        # under CV, 2.5 and 2.5 at lambda 1; independent 3.4 and 3.3 under
+        # CV, 1.3 and 1.3 at lambda 1. Each bound is about 1.2 times the
+        # N = 2000 peak.
+        n = 2000
+        ds = make_benchmark_dataset(n=n)
+        assert traced_peak(lambda: fit_mcode(ds, mode, policy)) < \
+            bytes_per_row * n
 
 
 class TestEstimateRho:

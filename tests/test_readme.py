@@ -1,10 +1,12 @@
 """The README's code runs as printed."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 from types import ModuleType
 
+import mcode
 from mcode import save_csv
 from mcode.cli import main
 
@@ -41,6 +43,20 @@ def test_cli_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_dotted_names_resolve():
+    # every mcode.<name>.<name> the README names is an attribute or a
+    # submodule of the one before it
+    names = set(re.findall(r"\bmcode(?:\.\w+)+", README.read_text()))
+    assert names
+    for name in sorted(names):
+        parts, value = name.split("."), mcode
+        for depth in range(2, len(parts) + 1):
+            try:
+                value = getattr(value, parts[depth - 1])
+            except AttributeError:
+                value = importlib.import_module(".".join(parts[:depth]))
 
 
 def test_package_imports_no_scipy():

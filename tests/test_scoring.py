@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 import mcode.scoring
 from mcode import (DataError, DomainError, LocalWeightMatrix, LofConfig,
                    NeighborIndex, PROB_EPS, RhoMatrix, ScoreVector,
-                   WeightVector, global_weights, local_weights, lof_scores,
+                   global_weights, local_weights, lof_scores,
                    rank_descending, score_lrw, score_prod, score_rw)
 from mcode.scoring import load_score_table, write_score_table
 
@@ -352,7 +352,7 @@ def test_clean_rows_change_no_output(monkeypatch, clean_flags, kind, cut):
     assert got[1].tolist() == oracles.oracle_local_weights(
         rho.values.tolist(), listed, k)
     if k == n:
-        assert (got[1] == global_weights(rho).w).all()
+        assert (got[1] == global_weights(rho)).all()
     else:
         np.testing.assert_allclose(got[2], oracles.oracle_lof(listed, k),
                                    rtol=1e-9)
@@ -664,18 +664,19 @@ class TestGlobalWeights:
     def test_known_value(self):
         rho = RhoMatrix(np.array([[0.8], [0.6], [0.4]]))
         w = global_weights(rho)
+        assert isinstance(w, np.ndarray) and w.shape == (1,)
         # errors 0.2, 0.4, 0.6 average to 0.4, weight is its reciprocal
-        assert w.w[0] == pytest.approx(2.5, rel=1e-15)
+        assert w[0] == pytest.approx(2.5, rel=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bounds(self, seed):
-        w = global_weights(random_rho(seed)).w
+        w = global_weights(random_rho(seed))
         assert (w >= 1.0).all()
         assert (w <= 1.0 / PROB_EPS).all()
 
     def test_matches_loop_oracle(self):
         rho = random_rho(77, n=12, d=3)
-        w = global_weights(rho).w
+        w = global_weights(rho)
         assert w.tolist() == oracles.oracle_global_weights(rho.values.tolist())
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -683,7 +684,7 @@ class TestGlobalWeights:
         # bitwise the oracle's sum, one instance at a time in index order,
         # at every d: NumPy's sum over instances adds pairwise at d = 1
         rho = wide_rho(78, n=60, d=d)
-        w = global_weights(rho).w
+        w = global_weights(rho)
         assert w.tolist() == oracles.oracle_global_weights(rho.values.tolist())
 
 
@@ -695,7 +696,7 @@ class TestLocalWeights:
         local = local_weights(rho, index, k=25)
         glob = global_weights(rho)
         for row in local.w:
-            assert np.array_equal(row, glob.w)
+            assert np.array_equal(row, glob)
 
     def test_k_one_is_self_only(self):
         rho = random_rho(8, n=10, d=2)
@@ -726,7 +727,7 @@ class TestLocalWeights:
         assert local.w.tolist() == oracles.oracle_local_weights(
             rho.values.tolist(), pts.tolist(), k)
         if k == 60:
-            assert (local.w == global_weights(rho).w).all()
+            assert (local.w == global_weights(rho)).all()
 
     def test_size_mismatch(self):
         rho = random_rho(1, n=10)
@@ -748,13 +749,13 @@ class TestScores:
 
     def test_rw_known_value(self):
         rho = RhoMatrix(np.array([[0.5, 0.5]]))
-        sv = score_rw(rho, WeightVector(np.array([2.0, 1.0])))
+        sv = score_rw(rho, np.array([2.0, 1.0]))
         assert sv.scores[0] == pytest.approx(3 * math.log(2), rel=1e-15)
 
     def test_unit_weights_reduce_to_prod_bitwise(self):
         rho = random_rho(21)
         prod = score_prod(rho)
-        rw = score_rw(rho, WeightVector(np.ones(rho.d)))
+        rw = score_rw(rho, np.ones(rho.d))
         assert np.array_equal(prod.scores, rw.scores)
 
     def test_lrw_all_unit_weights_reduces_to_prod(self):
@@ -789,7 +790,7 @@ class TestScores:
         bumped = score_prod(RhoMatrix(values2)).scores
         assert bumped[1] > base[1]
         assert bumped[0] == base[0]
-        w = WeightVector(np.array([1.0, 2.0, 3.0]))
+        w = np.array([1.0, 2.0, 3.0])
         assert score_rw(RhoMatrix(values2), w).scores[1] > \
             score_rw(RhoMatrix(values), w).scores[1]
 
@@ -804,15 +805,18 @@ class TestScores:
         rho = random_rho(41)
         w = global_weights(rho)
         base = score_rw(rho, w).scores
-        doubled = score_rw(rho, WeightVector(2.0 * w.w)).scores
+        doubled = score_rw(rho, 2.0 * w).scores
         assert np.array_equal(doubled, 2.0 * base)
         assert rank_descending(doubled).tolist() == \
             rank_descending(base).tolist()
 
     def test_shape_mismatches(self):
         rho = random_rho(2, n=5, d=3)
-        with pytest.raises(DomainError):
-            score_rw(rho, WeightVector(np.ones(2)))
+        # a row of weights, or one weight, would broadcast without the check
+        for weights in (np.ones(2), np.ones((1, 3)), 1.0):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"expected 3 weights, got shape {np.shape(weights)}")):
+                score_rw(rho, weights)
         with pytest.raises(DomainError):
             score_lrw(rho, LocalWeightMatrix(np.ones((4, 3))))
 
@@ -834,6 +838,15 @@ class TestRankingAndTables:
         assert body[0] == "instance_index,method,score"
         values = [float(line.split(",")[2]) for line in body[1:]]
         assert values == sorted(values, reverse=True)
+
+    def test_table_byte_order_mark_is_not_data(self, tmp_path):
+        # the mark before the column header does not make it a short row
+        sv = ScoreVector(scores=np.array([0.5, 2.0, 1.25]))
+        path = tmp_path / "scores.csv"
+        write_score_table(path, "RW", sv)
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+        scores, method = load_score_table(path)
+        assert method == "RW" and np.array_equal(scores, sv.scores)
 
     def test_table_must_cover_all_instances(self, tmp_path):
         path = tmp_path / "bad.csv"
